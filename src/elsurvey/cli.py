@@ -4,7 +4,10 @@ Runs are described by a JSON config (strictly validated: unknown keys are
 rejected at every level, with the offending section named) plus a few
 command-line overrides (``--seed``, ``--out``, ``--reps``, ``--jobs``).
 Artifacts are written as JSON and CSV; floats are serialized with 17
-significant digits so results round-trip exactly.
+significant digits so results round-trip exactly.  Large arrays are
+formatted and streamed to the file in bounded chunks, with the same bytes a
+whole-document writer gives.  CSV input is parsed in bulk, with a
+row-by-row fallback that names the row and column of any bad cell.
 
 Exit codes: 0 on success, 1 on input/config errors, 2 on statistical
 failures (infeasible constraints or non-convergence; partial results are
@@ -14,10 +17,12 @@ still written, flagged).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import warnings
+from itertools import repeat
 
 import numpy as np
 
@@ -49,40 +54,69 @@ SIM_CONSTRAINT_KEYS = ("kind", "target_column", "group_column", "group_value", "
 
 
 # ---------------------------------------------------------------------------
-# JSON/CSV serialization with exact float round-trips
+# JSON/CSV serialization with exact float round-trips, streamed in bounded chunks
 
-def _json_value(obj, indent: int) -> str:
-    pad = " " * indent
+CHUNK = 8192  # array values formatted per piece of streamed output
+
+
+def _format_floats(values: np.ndarray) -> list[str]:
+    """``format(x, ".17g")`` of each value of a 1-d float array."""
+    return list(map(float.__format__, values.astype(float, copy=False).tolist(), repeat(".17g")))
+
+
+def _json_pieces(obj, pad: str = ""):
+    """Yield the indented JSON text of ``obj`` in pieces.
+
+    A 1-d float array is formatted ``CHUNK`` values at a time, so the text of
+    a large array never exists whole; non-finite floats become ``null``.
+    """
     if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+        yield "null"
+    elif isinstance(obj, (bool, np.bool_)):
+        yield "true" if obj else "false"
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return format(x, ".17g") if np.isfinite(x) else "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
+        yield format(x, ".17g") if np.isfinite(x) else "null"
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
+        inner = pad + "  "
+        for start in range(0, obj.size, CHUNK):
+            chunk = obj[start:start + CHUNK]
+            texts = _format_floats(chunk)
+            for k in np.flatnonzero(~np.isfinite(chunk)):
+                texts[k] = "null"
+            yield (",\n" if start else "[\n") + inner + (",\n" + inner).join(texts)
+        yield "\n" + pad + "]"
+    elif isinstance(obj, np.ndarray):
+        items = list(np.asarray(obj)) if obj.ndim > 1 else obj.tolist()
+        if not isinstance(items, list):  # a 0-d array
+            raise ConfigError(f"write_json: cannot serialize value of type {type(items).__name__}")
+        yield from _json_pieces(items, pad)
+    elif isinstance(obj, (list, tuple, dict)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
-            return "[]"
-        items = [pad + "  " + _json_value(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [pad + "  " + json.dumps(str(k)) + ": " + _json_value(v, indent + 2)
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise ConfigError(f"write_json: cannot serialize value of type {type(obj).__name__}")
+            yield brackets
+            return
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            entries = ((inner + json.dumps(str(key)) + ": ", value) for key, value in obj.items())
+        else:
+            entries = ((inner, value) for value in obj)
+        for k, (lead, value) in enumerate(entries):
+            yield (",\n" if k else brackets[0] + "\n") + lead
+            yield from _json_pieces(value, inner)
+        yield "\n" + pad + brackets[1]
+    else:
+        raise ConfigError(f"write_json: cannot serialize value of type {type(obj).__name__}")
 
 
 def write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        fh.write(_json_value(obj, 0) + "\n")
+        fh.writelines(_json_pieces(obj))
+        fh.write("\n")
 
 
 def _fmt_cell(v) -> str:
@@ -92,17 +126,22 @@ def _fmt_cell(v) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
-    import csv as _csv
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
 def write_dataset_csv(path: str, data: Dataset) -> None:
+    """Write every column of ``data``: the same bytes ``write_csv`` would give,
+    formatted ``CHUNK`` rows at a time, column by column."""
     names = list(data.columns)
-    write_csv(path, names, zip(*(data.columns[name] for name in names)))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(names)
+        for start in range(0, data.n, CHUNK):
+            cells = [_format_floats(data.columns[name][start:start + CHUNK]) for name in names]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

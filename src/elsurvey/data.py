@@ -172,15 +172,56 @@ def make_dataset(columns: dict, roles: dict) -> Dataset:
     return Dataset(columns=dict(columns), roles=roles, d=d)
 
 
-def load_dataset(path: str, schema: dict) -> Dataset:
-    """Read a CSV file and validate it against a role schema.
+def _count_lines(path: str) -> int | None:
+    """Number of lines in the file, or None if the bulk parser must not read it.
 
-    Every column in the file is parsed as a float; empty cells and
-    non-numeric entries are rejected with the offending row and column named.
-    ``schema`` is a role map with keys drawn from ``ROLE_KEYS``.
+    The file is scanned in 1 MiB binary chunks.  Files with quotes, NUL bytes
+    or a carriage return outside a CRLF pair are left to the row parser.
+    """
+    n_lf = n_cr = n_crlf = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if b'"' in chunk or b"\0" in chunk:
+                return None
+            n_lf += chunk.count(b"\n")
+            n_cr += chunk.count(b"\r")
+            n_crlf += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
+            last = chunk[-1:]
+    if n_cr != n_crlf:
+        return None
+    return n_lf + (last not in (b"", b"\n"))
+
+
+def _read_columns_bulk(path: str) -> dict | None:
+    """Parse the whole file with ``np.loadtxt``, or return None.
+
+    The result is accepted only if it has one row per line after the header
+    and one column per header name, so a file with blank lines, short rows or
+    any cell ``loadtxt`` cannot parse is left to :func:`_read_columns_by_row`.
     """
     try:
-        with open(path, newline="") as fh:
+        lines = _count_lines(path)
+        if lines is None or lines < 2:
+            return None
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = [name.strip() for name in next(csv.reader(fh))]
+            if len(set(header)) != len(header):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (OSError, ValueError, csv.Error):
+        return None
+    if table.shape != (lines - 1, len(header)):
+        return None
+    return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(header)}
+
+
+def _read_columns_by_row(path: str) -> dict:
+    """Parse the file one row at a time, naming the row and column of any bad cell."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -209,7 +250,22 @@ def load_dataset(path: str, schema: dict) -> Dataset:
         raise DataError(f"load_dataset: cannot read {path!r}: {exc}") from exc
     if not raw or not next(iter(raw.values())):
         raise DataError(f"load_dataset: {path!r} has no data rows")
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in raw.items()}
+    return {name: np.asarray(vals, dtype=float) for name, vals in raw.items()}
+
+
+def load_dataset(path: str, schema: dict) -> Dataset:
+    """Read a CSV file and validate it against a role schema.
+
+    Every column in the file is parsed as a float; empty cells and
+    non-numeric entries are rejected with the offending row and column named.
+    ``schema`` is a role map with keys drawn from ``ROLE_KEYS``.  The file is
+    read as UTF-8, with or without a byte-order mark.  A well-formed file is
+    parsed in bulk; any other goes to a row-by-row parser, which alone decides
+    what is accepted and words every error.
+    """
+    columns = _read_columns_bulk(path)
+    if columns is None:
+        columns = _read_columns_by_row(path)
     return make_dataset(columns, schema)
 
 

@@ -4,15 +4,22 @@ Everything here deliberately follows a different algorithmic path than the
 production code: scalar bisection instead of multivariate Newton, Nelder-Mead
 on a penalized dual instead of a dedicated solver, central finite differences
 instead of analytic Jacobians, plain Python accumulation loops instead of
-vectorized matrix products, and exact enumeration over discrete designs
-instead of sampling.  Tests compare production output against these oracles.
+vectorized matrix products, exact enumeration over discrete designs instead
+of sampling, and whole-string recursive serialization and cell-by-cell CSV
+parsing instead of streamed and bulk I/O.  Tests compare production output
+against these oracles.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+
 import numpy as np
 import scipy.optimize
 from scipy.special import expit
+
+from elsurvey.errors import ConfigError, DataError
 
 # ---------------------------------------------------------------------------
 # Empirical-likelihood duals, solved by elementary methods
@@ -296,3 +303,80 @@ def gamma_glm_se(X, beta, shape):
     mu = 1.0 / (X @ beta)
     M = (X * (mu ** 2)[:, None]).T @ X
     return np.sqrt(np.diag(np.linalg.inv(M) / shape))
+
+
+# ---------------------------------------------------------------------------
+# Artifact I/O, one value or one cell at a time
+
+
+def json_text(obj, indent: int = 0) -> str:
+    """The indented JSON text ``cli.write_json`` writes, built as one string.
+
+    Floats get 17 significant digits and non-finite ones become ``null``;
+    arrays are converted with ``tolist`` and serialized element by element.
+    """
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return format(x, ".17g") if np.isfinite(x) else "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [pad + "  " + json_text(v, indent + 2) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [pad + "  " + json.dumps(str(k)) + ": " + json_text(v, indent + 2)
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise ConfigError(f"write_json: cannot serialize value of type {type(obj).__name__}")
+
+
+def csv_columns(path: str) -> dict:
+    """The float columns of a CSV file, parsed one cell at a time with ``float``.
+
+    Raises ``DataError`` with the messages of ``data.load_dataset``.  Reads
+    plain UTF-8, so a byte-order mark stays part of the first column name.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"load_dataset: {path!r} is empty") from None
+            header = [name.strip() for name in header]
+            if len(set(header)) != len(header):
+                raise DataError(f"load_dataset: duplicate column names in {path!r}")
+            raw = {name: [] for name in header}
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"load_dataset: row {rownum} of {path!r} has {len(row)} fields, expected {len(header)}"
+                    )
+                for name, cell in zip(header, row):
+                    cell = cell.strip()
+                    if cell == "":
+                        raise DataError(f"load_dataset: missing value at row {rownum}, column {name!r}")
+                    try:
+                        raw[name].append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"load_dataset: non-numeric value {cell!r} at row {rownum}, column {name!r}"
+                        ) from None
+    except OSError as exc:
+        raise DataError(f"load_dataset: cannot read {path!r}: {exc}") from exc
+    if not raw or not next(iter(raw.values())):
+        raise DataError(f"load_dataset: {path!r} has no data rows")
+    return {name: np.asarray(vals, dtype=float) for name, vals in raw.items()}

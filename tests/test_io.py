@@ -1,0 +1,230 @@
+"""Artifact I/O: streamed JSON and bulk CSV against one-value-at-a-time oracles."""
+
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_columns, json_text
+
+from elsurvey.cli import CHUNK, write_csv, write_dataset_csv, write_json
+from elsurvey.data import _read_columns_bulk, load_dataset, make_dataset
+from elsurvey.errors import ConfigError, DataError
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e22, 123456789.0]
+
+
+def _random(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+
+
+# ---------------------------------------------------------------------------
+# write_json
+
+
+JSON_VALUES = {
+    "non-finite array": np.array([np.nan, np.inf, -np.inf, 1.5, np.nan]),
+    "non-finite scalars": [np.nan, np.inf, -np.inf, np.float64(np.nan)],
+    "extremes array": np.array(EXTREMES),
+    "extremes list": list(EXTREMES),
+    "empty 1-d": np.empty(0),
+    "empty 2-d": np.empty((0, 3)),
+    "empty rows": np.empty((3, 0)),
+    "2-d floats": np.array([[1.0, np.nan], [-0.0, 5e-324]]),
+    "float32": np.array([0.1, -2.5, np.inf], dtype=np.float32),
+    "int array": np.arange(-3, 4),
+    "int 2-d": np.arange(6, dtype=np.int32).reshape(2, 3),
+    "bool array": np.array([True, False, True]),
+    "numpy scalars": [np.bool_(True), np.bool_(False), np.float64(-0.0), np.float32(0.1),
+                      np.int64(-7), np.float64(2.5)],
+    "python scalars": [None, True, False, 0, -12, 2.5, "text with \"quotes\" and é"],
+    "nested": {"a": [1, (2.5, [np.array([1.0, 2.0])]), {}], "b": (), "c": {"d": {"e": [[], {}]}},
+               3: np.array([[True], [False]]), "f": ("x", None)},
+    "empty dict": {},
+    "empty tuple": (),
+    "scalar": 0.30000000000000004,
+    f"length {CHUNK - 1}": _random(CHUNK - 1, 1),
+    f"length {CHUNK}": _random(CHUNK, 2),
+    f"length {CHUNK + 1}": _random(CHUNK + 1, 3),
+    "chunked in dict": {"w": np.concatenate([_random(2 * CHUNK + 5, 4), [np.nan, -np.inf]]),
+                        "theta": np.array([0.5, -1.25]), "converged": np.bool_(True)},
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_VALUES))
+def test_write_json_matches_oracle_bytes(tmp_path, name):
+    obj = JSON_VALUES[name]
+    path = tmp_path / "out.json"
+    write_json(str(path), obj)
+    assert path.read_bytes() == (json_text(obj) + "\n").encode()
+
+
+def test_write_json_floats_reload_bitwise(tmp_path):
+    values = np.concatenate([EXTREMES, _random(CHUNK + 3, 5), [np.nan, np.inf, -np.inf]])
+    path = tmp_path / "out.json"
+    write_json(str(path), {"w": values})
+    loaded = json.loads(path.read_text(), parse_int=float)["w"]  # "-0" is -0.0
+    finite = np.isfinite(values)
+    assert [v is None for v in loaded] == list(~finite)
+    back = np.array([v for v in loaded if v is not None], dtype=float)
+    np.testing.assert_array_equal(back.view(np.uint64), values[finite].view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [{"s": {1, 2}}, [1.0, complex(1, 2)], {"a": np.array(1.5)}, object()])
+def test_write_json_rejects_unserializable_values(tmp_path, bad):
+    with pytest.raises(ConfigError, match="cannot serialize"):
+        write_json(str(tmp_path / "out.json"), bad)
+    with pytest.raises(ConfigError, match="cannot serialize"):
+        json_text(bad)
+
+
+# ---------------------------------------------------------------------------
+# write_dataset_csv
+
+
+def test_write_dataset_csv_matches_row_writer_bytes(tmp_path):
+    n = 2 * CHUNK + 1
+    rng = np.random.default_rng(7)
+    special = np.array(EXTREMES + [np.nan, np.inf, -np.inf])
+    columns = {"y": rng.integers(0, 2, size=n).astype(float),
+               "weird, name": np.resize(special, n),
+               "x": _random(n, 8)}
+    data = make_dataset(columns, {"response": "y"})
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_dataset_csv(str(fast), data)
+    names = list(data.columns)
+    write_csv(str(slow), names, zip(*(data.columns[name] for name in names)))
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda k: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+    min_size=1, max_size=12)))
+def test_dataset_csv_reloads_bitwise(rows):
+    table = np.array(rows, dtype=float)
+    data = make_dataset({f"c{j}": table[:, j] for j in range(table.shape[1])}, {})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "data.csv")
+        write_dataset_csv(path, data)
+        back = load_dataset(path, {})
+    assert list(back.columns) == list(data.columns)
+    for name, col in data.columns.items():
+        np.testing.assert_array_equal(back.columns[name].view(np.uint64), col.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# load_dataset: the bulk parser or its row-by-row fallback, against the oracle
+
+# name -> (file text, whether the bulk parser takes it)
+CSV_FILES = {
+    "plain": ("y,a,pi\n1,0.1,0.5\n0,0.2,0.25\n", True),
+    "no final newline": ("y,pi\n1,0.5\n0,0.25", True),
+    "crlf": ("y,pi\r\n1,0.5\r\n0,0.25\r\n", True),
+    "cr only": ("y,pi\r1,0.5\r0,0.25\r", False),
+    "lone cr": ("y,pi\n1,0.5\r0,0.25\n", False),
+    "lone cr and blank line": ("y,pi\n1,0.5\r0,0.25\n\n", False),
+    "padded cells": (" y , pi \n  1 ,\t0.5 \n0,  0.25\n", True),
+    "blank line in middle": ("y,pi\n1,0.5\n\n0,0.25\n", False),
+    "blank line at end": ("y,pi\n1,0.5\n0,0.25\n\n", False),
+    "crlf blank line": ("y,pi\r\n1,0.5\r\n\r\n0,0.25\r\n", False),
+    "whitespace-only line": ("y,pi\n1,0.5\n   \n0,0.25\n", False),
+    "whitespace-only line, one column": ("y\n1\n \t \n0\n", False),
+    "non-finite spellings": ("y,a\n1,nan\n0,inf\n1,NaN\n0,-Infinity\n1,-inf\n", True),
+    "underscore digits": ("y,a\n1,1_0\n", False),
+    "hex": ("y,a\n1,0x1\n", False),
+    "sign and bare point": ("y,a\n1,+1\n0,.25\n1,-.5\n", True),
+    "exponents": ("y,a\n1,1e5\n0,-2.5E-3\n1,1e400\n0,1e-400\n1,-0\n", True),
+    "empty cell": ("y,a\n1,\n", False),
+    "non-numeric text": ("y,a\n1,0.5\noops,0.25\n", False),
+    "extra field": ("y,a\n1,0.5,7\n", False),
+    "short row": ("y,a\n1,0.5\n0\n", False),
+    "header only": ("y,a\n", False),
+    "header only, no newline": ("y,a", False),
+    "empty file": ("", False),
+    "blank header line": ("\n1\n", False),
+    "duplicate header": ("y,y\n1,0.5\n", False),
+    "duplicate after strip": ("y, y\n1,0.5\n", False),
+    "quoted numbers": ('y,a\n"1","0.5"\n', False),
+    "quoted header": ('"y","a"\n1,0.5\n', False),
+    "trailing comma": ("y,a\n1,0.5,\n", False),
+    "hash": ("y,a\n1,0.5#c\n", False),
+    "single column": ("y\n1\n0\n1\n", True),
+    "single row": ("y,a\n1,0.5\n", True),
+    "more header names than fields": ("y,a,b\n1,0.5\n0,0.25\n", False),
+}
+
+
+def _load(path):
+    """``load_dataset(path, {})`` as columns, or the DataError text; no warning may escape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return load_dataset(path, {}).columns
+        except DataError as exc:
+            return str(exc)
+
+
+def _oracle(path):
+    try:
+        return csv_columns(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == np.float64
+        np.testing.assert_array_equal(got[name].view(np.uint64), want[name].view(np.uint64))
+
+
+@pytest.mark.parametrize("name", list(CSV_FILES))
+def test_load_dataset_matches_cell_by_cell_oracle(tmp_path, name):
+    text, bulk = CSV_FILES[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    _assert_same(_load(str(path)), _oracle(str(path)))
+    assert (_read_columns_bulk(str(path)) is not None) == bulk
+
+
+def test_load_dataset_strips_byte_order_mark(tmp_path):
+    # The one intended difference from the oracle: the BOM is not part of 'y'.
+    path = tmp_path / "excel.csv"
+    for text in ("y,pi\r\n1,0.5\r\n0,0.25\r\n", "y,pi\n1,0.5\n,0.25\n", "y,pi\n1,0.5\n\n"):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = _oracle(str(path))
+        if isinstance(want, str):
+            want = want.replace("'\\ufeffy'", "'y'")
+        else:
+            assert list(want) == ["\ufeffy", "pi"]
+            want = {name.lstrip("\ufeff"): col for name, col in want.items()}
+        _assert_same(_load(str(path)), want)
+    path.write_bytes(b"\xef\xbb\xbfy,pi\r\n1,0.5\r\n0,0.25\r\n")
+    data = load_dataset(str(path), {"response": "y", "pi": "pi"})
+    np.testing.assert_array_equal(data.y, [1.0, 0.0])
+
+
+def test_load_dataset_counts_crlf_split_across_scan_chunks(tmp_path):
+    # The line count reads 1 MiB at a time; pad the header so that one CRLF
+    # falls across the first chunk boundary.
+    body = "".join(f"{k % 2},{v!r}\r\n" for k, v in enumerate(_random(70_000, 9).tolist()))
+    boundary = (1 << 20) - 1
+    header = "y,a"
+    last_cr = body.rindex("\r", 0, boundary - len(header) - 2)
+    text = header + " " * (boundary - len(header) - 2 - last_cr) + "\r\n" + body
+    assert text[boundary:boundary + 2] == "\r\n"
+    path = tmp_path / "big.csv"
+    path.write_bytes(text.encode())
+    _assert_same(_load(str(path)), _oracle(str(path)))
+    assert _read_columns_bulk(str(path)) is not None
