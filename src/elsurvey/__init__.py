@@ -10,6 +10,8 @@ visibilities with population-level moment constraints:
   estimated (or known) conditional visibility;
 * ``profile_fit_joint`` - joint maximization of the composite criterion.
 
+``FitProblem`` prepares one sample and fits any of them by name.
+
 Standard errors come from analytic plug-in sandwich estimators, and a
 Monte Carlo harness (``simulate``) checks the asymptotics at desk scale.
 """
@@ -19,9 +21,10 @@ __version__ = "0.1.0"
 from .data import (ConstraintEntry, ConstraintMatrix, ConstraintSpec, Dataset,
                    build_constraint_matrix, decluster, load_dataset, make_dataset,
                    normalize_design_weights)
-from .elcore import ELSolution, dual_minimize_kappa, solve_el, solve_weighted_el
+from .elcore import ELSolution, solve_el, solve_weighted_el
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
-from .estimators import EstimateResult, fit_ce, fit_cs, fit_pl, newton_solve_score, profile_fit_joint
+from .estimators import (ESTIMATORS, EstimateResult, FitProblem, fit_ce, fit_cs, fit_pl,
+                         newton_solve_score, profile_fit_joint)
 from .glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
 from .simulate import (CovariateSpec, DesignSpec, MCSummary, draw_sample, gen_population,
                        population_constraint_spec, run_monte_carlo)
@@ -36,9 +39,10 @@ __all__ = [
     "load_dataset", "make_dataset", "normalize_design_weights", "decluster",
     "build_constraint_matrix",
     "ModelSpec", "design_matrix", "score", "score_jacobian", "irls_fit",
-    "ELSolution", "solve_el", "solve_weighted_el", "dual_minimize_kappa",
+    "ELSolution", "solve_el", "solve_weighted_el",
     "VisibilityModel", "estimate_visibility", "visibility_from_pi",
-    "EstimateResult", "fit_pl", "fit_cs", "fit_ce", "profile_fit_joint", "newton_solve_score",
+    "ESTIMATORS", "FitProblem", "EstimateResult", "fit_pl", "fit_cs", "fit_ce", "profile_fit_joint",
+    "newton_solve_score",
     "CovarianceComponents", "EfficiencyGap", "covariance_components",
     "assemble_covariance", "efficiency_gap",
     "CovariateSpec", "DesignSpec", "MCSummary", "gen_population", "draw_sample",

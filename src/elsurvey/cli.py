@@ -21,16 +21,14 @@ import csv
 import json
 import os
 import sys
-import warnings
 from itertools import repeat
 
 import numpy as np
 
 from . import __version__
-from .data import (CONSTRAINT_KINDS, ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset,
-                   build_constraint_matrix, decluster, load_dataset)
+from .data import ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, decluster, load_dataset
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
-from .estimators import fit_ce, fit_cs, fit_pl, profile_fit_joint
+from .estimators import ESTIMATORS, FitProblem
 from .glm import ModelSpec
 from .simulate import (CovariateSpec, DesignSpec, draw_sample, gen_population,
                        population_constraint_spec, run_monte_carlo)
@@ -208,6 +206,9 @@ def parse_config(source) -> dict:
     if "estimators" in cfg:
         if not isinstance(cfg["estimators"], list) or not all(isinstance(e, str) for e in cfg["estimators"]):
             raise ConfigError("parse_config: 'estimators' must be a list of names")
+        unknown = [e for e in cfg["estimators"] if e not in ESTIMATORS]
+        if unknown:
+            raise ConfigError(f"parse_config: unknown estimator {unknown[0]!r}; expected ones of {ESTIMATORS}")
     for key in ("seed", "reps", "jobs"):
         if key in cfg and not isinstance(cfg[key], int):
             raise ConfigError(f"parse_config: {key!r} must be an integer")
@@ -309,41 +310,20 @@ def _fit_payload(res) -> dict:
 
 
 def _cmd_fit(cfg: dict) -> int:
-    data = load_dataset(cfg["data"]["path"], cfg["data"]["schema"]) if "data" in cfg else None
-    if data is None:
+    if "data" not in cfg:
         raise ConfigError("run fit: a 'data' section is required")
-    model = _model_from(cfg)
-    constraints = _constraints_from(cfg)
-    with warnings.catch_warnings():
-        # Fail fast on unknown constraint columns before any fitting work;
-        # the fits re-evaluate the matrix and re-issue any vacuity warnings.
-        warnings.simplefilter("ignore")
-        build_constraint_matrix(data, constraints)
+    data = load_dataset(cfg["data"]["path"], cfg["data"]["schema"])
+    problem = FitProblem(data, _model_from(cfg), _constraints_from(cfg), **cfg.get("solver", {}))
+    problem.cm  # fail fast on unknown constraint columns before any fitting work
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
-    solver = cfg.get("solver", {})
-    el_kw = {k: solver[j] for j, k in (("el_tol", "el_tol"), ("el_max_iter", "el_max_iter")) if j in solver}
-    nt_kw = {k: solver[j] for j, k in (("newton_tol", "newton_tol"), ("newton_max_iter", "newton_max_iter")) if j in solver}
-    vis = None
     if any(n in ("ce", "ce-joint") for n in names):
-        vis = _visibility_from(cfg, data)
-    results = {}
-    failed = False
+        problem.vis = _visibility_from(cfg, data)
+    results, failed = {}, False
     for name in names:
         try:
-            if name == "pl":
-                res = fit_pl(data, model, **nt_kw)
-            elif name == "cs":
-                res = fit_cs(data, model, constraints, **el_kw, **nt_kw)
-            elif name == "ce":
-                res = fit_ce(data, model, constraints, vis, **el_kw, **nt_kw)
-            elif name == "ce-joint":
-                res = profile_fit_joint(data, model, constraints, vis,
-                                        seed=int(cfg.get("seed", 0)), **el_kw)
-            else:
-                raise ConfigError(f"run fit: unknown estimator {name!r}")
+            res = problem.fit(name, seed=int(cfg.get("seed", 0)))
             results[name] = _fit_payload(res)
-            if not res.diagnostics.get("converged", False):
-                failed = True
+            failed |= not res.diagnostics.get("converged", False)
         except (InfeasibleError, ConvergenceError) as exc:
             results[name] = {"estimator": name, "error": f"{type(exc).__name__}: {exc}"}
             failed = True
@@ -352,13 +332,9 @@ def _cmd_fit(cfg: dict) -> int:
     if fmt in ("json", "both"):
         write_json(os.path.join(out, "fit.json"), results)
     if fmt in ("csv", "both"):
-        rows = []
-        for name, payload in results.items():
-            if "error" in payload:
-                continue
-            coef_names = payload["diagnostics"]["coef_names"]
-            for k, coef in enumerate(coef_names):
-                rows.append([name, coef, payload["theta"][k], payload["se"][k]])
+        rows = [[name, coef, payload["theta"][k], payload["se"][k]]
+                for name, payload in results.items() if "error" not in payload
+                for k, coef in enumerate(payload["diagnostics"]["coef_names"])]
         write_csv(os.path.join(out, "fit.csv"), ["estimator", "coefficient", "estimate", "se"], rows)
     return 2 if failed else 0
 

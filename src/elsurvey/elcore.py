@@ -1,6 +1,6 @@
 """Empirical-likelihood inner solvers.
 
-All three entry points reduce to minimizing a smooth convex dual by damped
+Both entry points reduce to minimizing a smooth convex dual by damped
 Newton with an Armijo backtracking line search, restricted to the domain on
 which the logarithms are defined.  There is no smoothing or extension of the
 log outside its domain: when zero is not an interior point of the convex hull
@@ -11,9 +11,6 @@ returning a fabricated answer.
   subject to ``sum_i w_i U_i = 0``.
 * :func:`solve_weighted_el` - design-weighted EL: maximize
   ``sum_i d_i log w_i`` under the same constraints.
-* :func:`dual_minimize_kappa` - dual of the composite criterion under
-  visibility ``bp``: minimize ``-sum_i log(bp_i + kappa'h_i)`` over ``kappa``,
-  with the unit-weight restriction enforced by line-search clipping.
 """
 
 from __future__ import annotations
@@ -36,9 +33,7 @@ class ELSolution:
     ``w`` is the weight vector (sums to one, strictly positive),
     ``multiplier`` the dual vector, ``logEL`` the value of the entry point's
     own objective at the solution, and ``residual`` the max-norm of the
-    weighted constraint sums.  ``restriction_active`` reports whether the
-    unit-weight restriction of the composite dual is within tolerance of
-    binding (always False for the other solvers).
+    weighted constraint sums.
     """
 
     w: np.ndarray
@@ -47,7 +42,6 @@ class ELSolution:
     iterations: int
     converged: bool
     residual: float
-    restriction_active: bool = False
 
 
 def _check_matrix(U, name: str) -> np.ndarray:
@@ -170,79 +164,3 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
                       iterations=iters, converged=converged, residual=residual)
-
-
-def dual_minimize_kappa(H, bp, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
-    """Composite-criterion dual: minimize ``-sum_i log(bp_i + kappa'h_i)``.
-
-    The weights are recovered as ``w_i = (1/g_i) / sum_j (1/g_j)`` with
-    ``g_i = bp_i + kappa'h_i``.  The line search rejects any candidate with
-    ``n * g_i`` below the running estimate of ``sum_j bp_j w_j * n`` (the
-    unit-weight restriction), iterating the estimate to a fixed point;
-    ``restriction_active`` flags a solution within ``1e-9`` (relative) of
-    that bound.  With no constraints the weights are proportional to
-    ``1 / bp_i``.  ``logEL`` is the composite objective
-    ``sum_i log w_i - n log(sum_i bp_i w_i)``.
-    """
-    H = _check_matrix(H, "dual_minimize_kappa")
-    n, q = H.shape
-    bp = np.asarray(bp, dtype=float)
-    if bp.shape != (n,) or np.any(bp <= 0.0) or not np.all(np.isfinite(bp)):
-        raise DataError("dual_minimize_kappa: bp must be strictly positive, finite, length n")
-
-    def _finish(g, kappa, iters, converged):
-        inv = 1.0 / g
-        w = inv / inv.sum()
-        Bp = n / inv.sum()
-        restriction = bool(np.min(n * g) - Bp <= 1e-9 * Bp)
-        logEL = float(np.sum(np.log(w)) - n * np.log(w @ bp))
-        residual = float(np.max(np.abs(w @ H))) if q else 0.0
-        return ELSolution(w=w, multiplier=kappa, logEL=logEL, iterations=iters,
-                          converged=converged, residual=residual, restriction_active=restriction)
-
-    if q == 0:
-        return _finish(bp.copy(), np.zeros(0), 0, True)
-    _sign_precheck(H, "dual_minimize_kappa")
-
-    active = [k for k in range(q) if not np.all(H[:, k] == 0.0)]
-    kappa_full = np.zeros(q)
-    if not active:
-        return _finish(bp.copy(), kappa_full, 0, True)
-    Ha = H[:, active]
-    kappa = np.zeros(len(active))
-    g = bp.copy()
-    grad = -Ha.T @ (1.0 / g)
-    for it in range(1, max_iter + 1):
-        gnorm = np.max(np.abs(grad))
-        if gnorm < tol:
-            kappa_full[active] = kappa
-            return _finish(g, kappa_full, it - 1, True)
-        Bp_cur = n / np.sum(1.0 / g)
-        hess = (Ha / (g * g)[:, None]).T @ Ha
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        t = 1.0
-        while True:
-            kappa_new = kappa + t * step
-            g_new = bp + Ha @ kappa_new
-            # Domain, then the unit-weight restriction against the running
-            # normalizing-constant estimate, then gradient-norm decrease.
-            if np.all(g_new > 0.0) and np.min(n * g_new) >= Bp_cur * (1.0 - 1e-12):
-                grad_new = -Ha.T @ (1.0 / g_new)
-                if np.max(np.abs(grad_new)) <= (1.0 - ARMIJO_C1 * t) * gnorm:
-                    break
-            t *= 0.5
-            if t < MIN_STEP:
-                raise InfeasibleError(
-                    f"dual_minimize_kappa: line search collapsed at the domain boundary "
-                    f"(gradient max-norm {gnorm:.3e}); the constraints appear infeasible"
-                )
-        kappa, g, grad = kappa_new, g_new, grad_new
-        if np.max(np.abs(kappa)) > MAX_MULTIPLIER:
-            raise InfeasibleError(
-                f"dual_minimize_kappa: multiplier norm exceeded {MAX_MULTIPLIER:.0e}; constraints appear infeasible"
-            )
-    gnorm = float(np.max(np.abs(grad)))
-    raise ConvergenceError(f"dual_minimize_kappa: no convergence in {max_iter} iterations (gradient max-norm {gnorm:.3e})")

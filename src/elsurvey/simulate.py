@@ -19,12 +19,11 @@ from scipy.special import expit
 
 from .data import ConstraintEntry, ConstraintSpec, Dataset, make_dataset
 from .errors import ConvergenceError, DataError, InfeasibleError
-from .estimators import fit_ce, fit_cs, fit_pl, profile_fit_joint
+from .estimators import ESTIMATORS, FitProblem
 from .glm import FAMILIES, ModelSpec
 from .visibility import estimate_visibility, visibility_from_pi
 
 GAMMA_SHAPE = 5.0  # shape of the gamma outcome; only the mean enters the estimand
-ESTIMATOR_NAMES = ("pl", "cs", "ce", "ce-joint")
 COVARIATE_DISTS = ("normal", "uniform", "bernoulli", "choice", "map")
 DESIGN_KINDS = ("poisson", "two-strata")
 
@@ -287,36 +286,24 @@ def population_constraint_spec(population: Dataset, spec: DesignSpec) -> Constra
     return ConstraintSpec(entries=tuple(entries))
 
 
-def _fit_one(name: str, sample: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis):
-    if name == "pl":
-        return fit_pl(sample, model)
-    if name == "cs":
-        return fit_cs(sample, model, constraints)
-    if name == "ce":
-        return fit_ce(sample, model, constraints, vis)
-    return profile_fit_joint(sample, model, constraints, vis)
-
-
 def _replicate(spec: DesignSpec, estimators, pop_seed: int, sample_seed: int, population=None):
     out = {}
     try:
         pop = population if population is not None else gen_population(spec, pop_seed)
         constraints = population_constraint_spec(pop, spec)
         sample = draw_sample(pop, spec, sample_seed)
-        visibility = spec.visibility or {"mode": "given-pi"}
         vis = None
         if any(name in ("ce", "ce-joint") for name in estimators):
-            if visibility["mode"] == "given-pi":
-                vis = visibility_from_pi(sample)
-            else:
-                vis = estimate_visibility(sample, visibility.get("formula", list(sample.roles["design"])),
-                                          nf_adjust=bool(visibility.get("nf_adjust", False)))
+            visibility = spec.visibility or {"mode": "given-pi"}
+            vis = visibility_from_pi(sample) if visibility["mode"] == "given-pi" else estimate_visibility(
+                sample, visibility.get("formula", list(sample.roles["design"])),
+                nf_adjust=bool(visibility.get("nf_adjust", False)))
     except (DataError, InfeasibleError, ConvergenceError) as exc:
         return {name: {"error": f"{type(exc).__name__}: {exc}"} for name in estimators}
-    model = spec.model
+    problem = FitProblem(sample, spec.model, constraints, vis)
     for name in estimators:
         try:
-            fit = _fit_one(name, sample, model, constraints, vis)
+            fit = problem.fit(name)
             if fit.diagnostics.get("converged", False):
                 out[name] = {"theta": fit.theta, "se": fit.se}
             else:
@@ -378,8 +365,8 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     """
     estimators = tuple(estimators)
     for name in estimators:
-        if name not in ESTIMATOR_NAMES:
-            raise DataError(f"run_monte_carlo: unknown estimator {name!r}; expected ones of {ESTIMATOR_NAMES}")
+        if name not in ESTIMATORS:
+            raise DataError(f"run_monte_carlo: unknown estimator {name!r}; expected ones of {ESTIMATORS}")
     if reps < 1:
         raise DataError("run_monte_carlo: reps must be at least 1")
     master = np.random.default_rng(seed)

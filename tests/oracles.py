@@ -2,7 +2,8 @@
 
 Everything here deliberately follows a different algorithmic path than the
 production code: scalar bisection instead of multivariate Newton, Nelder-Mead
-on a penalized dual instead of a dedicated solver, central finite differences
+on a penalized dual instead of a dedicated solver, the composite dual solved
+directly instead of through transformed standard EL, central finite differences
 instead of analytic Jacobians, plain Python accumulation loops instead of
 vectorized matrix products, exact enumeration over discrete designs instead
 of sampling, and whole-string recursive serialization and cell-by-cell CSV
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 from scipy.special import expit
 
-from elsurvey.errors import ConfigError, DataError
+from elsurvey.errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 
 # ---------------------------------------------------------------------------
 # Empirical-likelihood duals, solved by elementary methods
@@ -84,6 +86,93 @@ def nelder_mead_dual(U, d, maxiter=20000):
         options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": maxiter, "maxfev": maxiter})
     lam = res.x
     return lam, d / (1.0 + U @ lam)
+
+
+@dataclass(frozen=True)
+class KappaSolution:
+    """Result of :func:`dual_minimize_kappa`; ``multiplier`` is ``kappa``."""
+
+    w: np.ndarray
+    multiplier: np.ndarray
+    logEL: float
+    iterations: int
+    converged: bool
+    residual: float
+    restriction_active: bool
+
+
+def dual_minimize_kappa(H, bp, tol: float = 1e-10, max_iter: int = 200) -> KappaSolution:
+    """Composite-criterion dual solved directly: minimize ``-sum_i log(bp_i + kappa'h_i)``.
+
+    This is the untransformed problem that the package solves as standard EL
+    on columns ``h_i / bp_i``.  The weights are recovered as
+    ``w_i = (1/g_i) / sum_j (1/g_j)`` with ``g_i = bp_i + kappa'h_i``.  The
+    line search rejects any candidate with ``n * g_i`` below the running
+    estimate of ``sum_j bp_j w_j * n`` (the unit-weight restriction),
+    iterating the estimate to a fixed point; ``restriction_active`` flags a
+    solution within ``1e-9`` (relative) of that bound.  With no constraints
+    the weights are proportional to ``1 / bp_i``.  ``logEL`` is the composite
+    objective ``sum_i log w_i - n log(sum_i bp_i w_i)``.
+    """
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or not np.all(np.isfinite(H)):
+        raise DataError("dual_minimize_kappa: constraint matrix must be 2-d and finite")
+    n, q = H.shape
+    if n <= q:
+        raise DataError(f"dual_minimize_kappa: need more rows than constraints (n={n}, q={q})")
+    bp = np.asarray(bp, dtype=float)
+    if bp.shape != (n,) or np.any(bp <= 0.0) or not np.all(np.isfinite(bp)):
+        raise DataError("dual_minimize_kappa: bp must be strictly positive, finite, length n")
+
+    def _finish(g, kappa, iters, converged):
+        inv = 1.0 / g
+        w = inv / inv.sum()
+        Bp = n / inv.sum()
+        restriction = bool(np.min(n * g) - Bp <= 1e-9 * Bp)
+        logEL = float(np.sum(np.log(w)) - n * np.log(w @ bp))
+        residual = float(np.max(np.abs(w @ H))) if q else 0.0
+        return KappaSolution(w=w, multiplier=kappa, logEL=logEL, iterations=iters,
+                             converged=converged, residual=residual, restriction_active=restriction)
+
+    active = [k for k in range(q) if not np.all(H[:, k] == 0.0)]
+    for k in active:
+        if H[:, k].min() >= 0.0 or H[:, k].max() <= 0.0:
+            raise InfeasibleError(f"dual_minimize_kappa: constraint column {k} never changes sign")
+    kappa_full = np.zeros(q)
+    if not active:
+        return _finish(bp.copy(), kappa_full, 0, True)
+    Ha = H[:, active]
+    kappa = np.zeros(len(active))
+    g = bp.copy()
+    grad = -Ha.T @ (1.0 / g)
+    for it in range(1, max_iter + 1):
+        gnorm = np.max(np.abs(grad))
+        if gnorm < tol:
+            kappa_full[active] = kappa
+            return _finish(g, kappa_full, it - 1, True)
+        Bp_cur = n / np.sum(1.0 / g)
+        hess = (Ha / (g * g)[:, None]).T @ Ha
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        t = 1.0
+        while True:
+            kappa_new = kappa + t * step
+            g_new = bp + Ha @ kappa_new
+            # Domain, then the unit-weight restriction against the running
+            # normalizing-constant estimate, then gradient-norm decrease.
+            if np.all(g_new > 0.0) and np.min(n * g_new) >= Bp_cur * (1.0 - 1e-12):
+                grad_new = -Ha.T @ (1.0 / g_new)
+                if np.max(np.abs(grad_new)) <= (1.0 - 1e-4 * t) * gnorm:
+                    break
+            t *= 0.5
+            if t < 1e-14:
+                raise InfeasibleError("dual_minimize_kappa: line search collapsed at the domain boundary")
+        kappa, g, grad = kappa_new, g_new, grad_new
+        if np.max(np.abs(kappa)) > 1e8:
+            raise InfeasibleError("dual_minimize_kappa: multiplier norm exceeded 1e8")
+    raise ConvergenceError(f"dual_minimize_kappa: no convergence in {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

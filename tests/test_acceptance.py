@@ -11,6 +11,7 @@ import time
 import numpy as np
 from oracles import (
     bisect_scalar_dual,
+    dual_minimize_kappa,
     ce_sandwich,
     cs_sandwich,
     logit_psi,
@@ -26,7 +27,7 @@ from elsurvey.data import (
     build_constraint_matrix,
     make_dataset,
 )
-from elsurvey.elcore import dual_minimize_kappa, solve_el
+from elsurvey.elcore import solve_el
 from elsurvey.errors import InfeasibleError
 from elsurvey.estimators import fit_ce, fit_cs, fit_pl
 from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian

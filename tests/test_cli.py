@@ -176,6 +176,46 @@ def test_fit_infeasible_constraint_exits_2_with_partial_results(tmp_path):
     assert "error" in results["cs"] and "Infeasible" in results["cs"]["error"]
 
 
+def test_fit_unknown_estimator_fails_before_loading(tmp_path, capsys):
+    cfg = _fit_config(tmp_path / "absent.csv", tmp_path / "run", {0.0: 0.3}, estimators=["pl", "bogus"])
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "absent.csv" not in err
+
+
+def test_fit_singular_sandwich_is_flagged_not_raised(tmp_path):
+    # Two identical constraints: the EL weights exist, but H1 and calH2 are singular.
+    spec = DesignSpec(
+        N=4000, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
+        covariates=(CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
+                    CovariateSpec("v", "bernoulli", (0.5,))),
+        design={"kind": "poisson", "lo": 0.3, "hi": 0.7, "const": -0.6,
+                "coeffs": {"v": 0.55}, "response_coef": 1.0},
+        terms=("x", "v"))
+    data_path = tmp_path / "sample.csv"
+    write_dataset_csv(str(data_path), draw_sample(gen_population(spec, 0), spec, 100))
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, {1.0: 0.6112839324775846})
+    cfg["constraints"] *= 2
+    with pytest.warns(UserWarning, match="condition number"):
+        assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
+    results = json.loads((out / "fit.json").read_text())
+    assert results["pl"]["diagnostics"]["converged"] is True
+    for name in ("cs", "ce"):
+        assert results[name]["diagnostics"]["converged"] is False
+        assert "singular" in results[name]["diagnostics"]["failure"]
+        assert all(t is None for t in results[name]["theta"])
+
+
+def test_fit_ce_joint_uses_the_configured_newton_settings(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, gammas, estimators=["ce-joint"], solver={"newton_max_iter": 0})
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
+    results = json.loads((out / "fit.json").read_text())
+    assert "no usable starting value" in results["ce-joint"]["error"]
+
+
 def test_fit_unknown_visibility_mode_exits_1(tmp_path, capsys):
     data_path, _, gammas = _informative_sample(tmp_path, N=900)
     cfg = _fit_config(data_path, tmp_path / "run", gammas,

@@ -1,5 +1,6 @@
-"""Inner empirical-likelihood solvers: standard, design-weighted, and the
-direct composite-dual minimizer."""
+"""Inner empirical-likelihood solvers: standard and design-weighted, plus
+checks of the direct composite-dual oracle the composite estimator is
+compared against."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_feasible_u
-from elsurvey.elcore import dual_minimize_kappa, solve_el, solve_weighted_el
+from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import DataError, InfeasibleError
-from oracles import bisect_scalar_dual, nelder_mead_dual
+from oracles import bisect_scalar_dual, dual_minimize_kappa, nelder_mead_dual
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_weighted_el_validates_d():
 
 
 # ---------------------------------------------------------------------------
-# dual_minimize_kappa
+# dual_minimize_kappa (the oracle in oracles.py)
 
 
 def test_kappa_q_zero_inverse_visibility_weights():

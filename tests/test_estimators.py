@@ -7,14 +7,16 @@ import scipy.optimize
 from scipy.special import expit, logit
 
 from conftest import dataset_from
+from elsurvey import estimators
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
-from elsurvey.elcore import dual_minimize_kappa, solve_el, solve_weighted_el
-from elsurvey.errors import ConvergenceError, InfeasibleError
-from elsurvey.estimators import fit_ce, fit_cs, fit_pl, newton_solve_score, profile_fit_joint
+from elsurvey.elcore import solve_el, solve_weighted_el
+from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
+from elsurvey.estimators import (ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, newton_solve_score,
+                                 profile_fit_joint)
 from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population
 from elsurvey.visibility import VisibilityModel, visibility_from_pi
-from oracles import logistic_fisher_inverse
+from oracles import dual_minimize_kappa, logistic_fisher_inverse
 
 
 def _logistic_data(rng, n=80, theta=(0.2, 0.8), informative=True):
@@ -340,3 +342,48 @@ def test_newton_matches_bracketing_oracle_on_scalar_instances(rng):
         root = scipy.optimize.brentq(
             lambda t: float(w @ (data.y - expit(t))), -30.0, 30.0, xtol=1e-12)
         np.testing.assert_allclose(theta, [root], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# FitProblem: one prepared sample shared by every estimator
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(estimators, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, name, counted)
+    return calls
+
+
+def test_fit_problem_builds_shared_work_once_and_matches_standalone_fits(rng, monkeypatch):
+    data = _logistic_data(rng, n=200)
+    constraints = _mean_constraint(data, group=("x", 1.0))
+    vis = visibility_from_pi(data)
+    standalone = {"pl": fit_pl(data, MODEL), "cs": fit_cs(data, MODEL, constraints),
+                  "ce": fit_ce(data, MODEL, constraints, vis),
+                  "ce-joint": profile_fit_joint(data, MODEL, constraints, vis)}
+    irls_calls = _counting(monkeypatch, "irls_fit")
+    cm_calls = _counting(monkeypatch, "build_constraint_matrix")
+    problem = FitProblem(data, MODEL, constraints, vis)
+    shared = {name: problem.fit(name) for name in ESTIMATORS}
+    assert len(irls_calls) == 1 and len(cm_calls) == 1
+    for name, res in shared.items():
+        assert res.diagnostics["converged"], name
+        for key in ("theta", "se", "weights", "multiplier"):
+            assert getattr(res, key).tobytes() == getattr(standalone[name], key).tobytes(), (name, key)
+
+
+def test_fit_problem_builds_constraints_only_when_needed(rng):
+    data = _logistic_data(rng, n=60)
+    missing = ConstraintSpec((ConstraintEntry("general-moment", "zz", gamma=0.0),))
+    problem = FitProblem(data, MODEL, missing)
+    assert problem.fit("pl").diagnostics["converged"]
+    with pytest.raises(DataError, match="'zz'"):
+        problem.fit("cs")
+    with pytest.raises(DataError, match="unknown estimator 'mle'"):
+        problem.fit("mle")

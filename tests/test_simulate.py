@@ -283,6 +283,22 @@ def test_monte_carlo_counts_failures_without_aborting():
     assert any("Infeasible" in f for f in s.failures)
 
 
+def test_monte_carlo_counts_singular_sandwiches_as_failures():
+    # Two identical constraints give singular H1 / calH2 sandwiches; the
+    # batch must finish and count those fits as failed.
+    duplicate = {"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+                 "group_value": 1.0, "gamma": 0.6112839324775846}
+    spec = _basic_spec(N=4000, constraints=(duplicate, duplicate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # condition-number warnings
+        summary = run_monte_carlo(spec, ("pl", "cs", "ce"), reps=4, seed=5)
+    assert summary.estimators["pl"].n_converged == 4
+    for name in ("cs", "ce"):
+        s = summary.estimators[name]
+        assert s.n_converged + s.n_failed == 4 and s.n_failed > 0
+        assert all("singular sandwich covariance" in f for f in s.failures)
+
+
 def test_unknown_estimator_rejected():
     with pytest.raises(DataError, match="unknown estimator"):
         run_monte_carlo(_basic_spec(N=200), ("cs", "mle"), reps=1, seed=1)
