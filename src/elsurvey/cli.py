@@ -208,7 +208,7 @@ def parse_config(source) -> dict:
             raise ConfigError("parse_config: 'estimators' must be a list of names")
         unknown = [e for e in cfg["estimators"] if e not in ESTIMATORS]
         if unknown:
-            raise ConfigError(f"parse_config: unknown estimator {unknown[0]!r}; expected ones of {ESTIMATORS}")
+            raise ConfigError(f"parse_config: unknown estimator {unknown[0]!r}; expected one of {ESTIMATORS}")
     for key in ("seed", "reps", "jobs"):
         if key in cfg and not isinstance(cfg[key], int):
             raise ConfigError(f"parse_config: {key!r} must be an integer")

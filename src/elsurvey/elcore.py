@@ -44,55 +44,54 @@ class ELSolution:
     residual: float
 
 
-def _check_matrix(U, name: str) -> np.ndarray:
+def _check_matrix(U, name: str, other_cols: int = 0) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise DataError(f"{name}: constraint matrix must be 2-d, got ndim={U.ndim}")
     if not np.all(np.isfinite(U)):
         raise DataError(f"{name}: constraint matrix has non-finite entries")
-    n, q = U.shape
+    n, q = U.shape[0], U.shape[1] + other_cols
     if n <= q:
         raise DataError(f"{name}: need more rows than constraints (n={n}, q={q})")
     return U
 
 
-def _sign_precheck(U: np.ndarray, name: str) -> None:
-    # Necessary condition per column: sum_i w_i U_ik = 0 with w > 0 forces
-    # every non-vacuous column to take both signs.
+def _sign_precheck(U: np.ndarray, name: str, offset: int = 0) -> list[int]:
+    # The non-vacuous (not all-zero) columns of the finite `U`, numbered from `offset`.  Necessary condition
+    # per column: sum_i w_i U_ik = 0 with w > 0 forces every non-vacuous column to take both signs.
+    active = []
     for k in range(U.shape[1]):
-        col = U[:, k]
-        if np.all(col == 0.0):
+        lo, hi = U[:, k].min(), U[:, k].max()
+        if lo == hi == 0.0:
             continue
-        if col.min() >= 0.0 or col.max() <= 0.0:
+        if lo >= 0.0 or hi <= 0.0:
             raise InfeasibleError(
-                f"{name}: constraint column {k} never changes sign; "
+                f"{name}: constraint column {k + offset} never changes sign; "
                 "zero is outside the convex hull of the constraint rows"
             )
+        active.append(k + offset)
+    return active
 
 
-def _dual_newton(U: np.ndarray, d: np.ndarray, guard: np.ndarray, tol: float, max_iter: int, name: str):
-    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'U_i)`` over ``1 + lam'U_i > guard_i``.
+def _dual_newton(Ua: np.ndarray, d: np.ndarray, guard: np.ndarray, tol: float, max_iter: int, name: str):
+    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'Ua_i)`` over ``1 + lam'Ua_i > guard_i``.
 
-    Newton steps are backtracked on the gradient max-norm: for a strictly
-    convex dual the Newton direction always decreases it, and unlike an
-    objective-based test this cannot stall once improvements in ``phi`` fall
-    below double-precision resolution.  Returns
-    ``(lam, iterations, converged, grad_norm)``.
+    ``Ua`` holds the non-vacuous columns.  Newton steps are
+    backtracked on the gradient max-norm: for a strictly convex dual the
+    Newton direction always decreases it, and unlike an objective-based test
+    this cannot stall once improvements in ``phi`` fall below double-precision
+    resolution.  Returns ``(lam, iterations, converged, grad_norm)``.
     """
-    n, q = U.shape
-    active = [k for k in range(q) if not np.all(U[:, k] == 0.0)]
-    lam_full = np.zeros(q)
-    if not active:
-        return lam_full, 0, True, 0.0
-    Ua = U[:, active]
-    lam = np.zeros(len(active))
+    n, k = Ua.shape
+    lam = np.zeros(k)
+    if not k:
+        return lam, 0, True, 0.0
     s = np.ones(n)
     grad = -Ua.T @ (d / s)
     for it in range(1, max_iter + 1):
-        gnorm = np.max(np.abs(grad))
+        gnorm = np.abs(grad).max()
         if gnorm < tol:
-            lam_full[active] = lam
-            return lam_full, it - 1, True, gnorm
+            return lam, it - 1, True, gnorm
         r = d / s
         hess = (Ua * (r / s)[:, None]).T @ Ua
         try:
@@ -103,9 +102,9 @@ def _dual_newton(U: np.ndarray, d: np.ndarray, guard: np.ndarray, tol: float, ma
         while True:
             lam_new = lam + t * step
             s_new = 1.0 + Ua @ lam_new
-            if np.all(s_new > guard):
+            if (s_new > guard).all():
                 grad_new = -Ua.T @ (d / s_new)
-                if np.max(np.abs(grad_new)) <= (1.0 - ARMIJO_C1 * t) * gnorm:
+                if np.abs(grad_new).max() <= (1.0 - ARMIJO_C1 * t) * gnorm:
                     break
             t *= 0.5
             if t < MIN_STEP:
@@ -114,7 +113,7 @@ def _dual_newton(U: np.ndarray, d: np.ndarray, guard: np.ndarray, tol: float, ma
                     f"(gradient max-norm {gnorm:.3e}); the constraints appear infeasible"
                 )
         lam, s, grad = lam_new, s_new, grad_new
-        if np.max(np.abs(lam)) > MAX_MULTIPLIER:
+        if np.abs(lam).max() > MAX_MULTIPLIER:
             raise InfeasibleError(f"{name}: multiplier norm exceeded {MAX_MULTIPLIER:.0e}; constraints appear infeasible")
     gnorm = float(np.max(np.abs(grad)))
     raise ConvergenceError(f"{name}: no convergence in {max_iter} iterations (gradient max-norm {gnorm:.3e})")
@@ -137,19 +136,35 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
     if q == 0:
         return ELSolution(w=d.copy(), multiplier=np.zeros(0), logEL=float(d @ np.log(d)),
                           iterations=0, converged=True, residual=0.0)
-    _sign_precheck(U, "solve_weighted_el")
-    lam, iters, converged, _ = _dual_newton(U, d, guard=d, tol=tol, max_iter=max_iter, name="solve_weighted_el")
+    active, lam = _sign_precheck(U, "solve_weighted_el"), np.zeros(q)
+    lam[active], iters, converged, _ = _dual_newton(U[:, active], d, d, tol, max_iter, "solve_weighted_el")
     w = d / (1.0 + U @ lam)
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
                       iterations=iters, converged=converged, residual=residual)
 
 
+def _stacked_el(fixed: np.ndarray, p: int, tol: float, max_iter: int, name: str):
+    """``solve(front)``: ``(w, lam, iterations, converged)`` of standard EL on ``U = [front, fixed]`` for
+    many ``(n, p)`` fronts; ``fixed`` passed :func:`_check_matrix` and is sign-checked here, once."""
+    n, q = fixed.shape
+    fixed_active = _sign_precheck(fixed, name, p)
+    d = np.full(n, 1.0 / n)
+
+    def solve(front):
+        active = _sign_precheck(_check_matrix(front, name, q), name) + fixed_active
+        U = np.column_stack([front, fixed]) if p else fixed
+        lam = np.zeros(p + q)
+        lam[active], iters, converged, _ = _dual_newton(U[:, active], d, d, tol, max_iter, name)
+        return 1.0 / (n * (1.0 + U @ lam)), lam, iters, converged
+    return solve
+
+
 def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
     """Standard EL: maximize ``sum_i log w_i`` s.t. simplex and ``sum_i w_i U_i = 0``.
 
     The solution has ``w_i = 1 / (n (1 + lam'U_i))``; the constraint sums at
-    the dual optimum automatically give ``sum_i w_i = 1``.
+    the dual optimum automatically give ``sum_i w_i = 1``; :func:`_stacked_el` with an empty front.
     """
     U = _check_matrix(U, "solve_el")
     n, q = U.shape
@@ -157,10 +172,7 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
         w = np.full(n, 1.0 / n)
         return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
                           iterations=0, converged=True, residual=0.0)
-    _sign_precheck(U, "solve_el")
-    d = np.full(n, 1.0 / n)
-    lam, iters, converged, _ = _dual_newton(U, d, guard=d, tol=tol, max_iter=max_iter, name="solve_el")
-    w = 1.0 / (n * (1.0 + U @ lam))
+    w, lam, iters, converged = _stacked_el(U, 0, tol, max_iter, "solve_el")(U[:, :0])
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
                       iterations=iters, converged=converged, residual=residual)

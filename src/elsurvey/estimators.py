@@ -31,9 +31,9 @@ import numpy as np
 import scipy.optimize
 
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
-from .elcore import solve_el, solve_weighted_el
+from .elcore import _check_matrix, _stacked_el, solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError, InfeasibleError
-from .glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
+from .glm import ModelSpec, _jacobian, _score_parts, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel
 
@@ -71,14 +71,15 @@ def _newton(weights, model, data, theta0, tol, max_iter):
     """
     theta = np.asarray(theta0, dtype=float).copy()
     try:
-        svec = score(model, theta, data).T @ weights
+        A, psi, curv = _score_parts(model, theta, data)
     except ConvergenceError as exc:
         return theta, 0, np.inf, False, f"invalid start: {exc}"
+    svec = psi.T @ weights
     resid = float(np.max(np.abs(svec)))
     for it in range(1, max_iter + 1):
         if resid < tol:
             return theta, it - 1, resid, True, ""
-        J = score_jacobian(model, theta, data, weights)
+        J = _jacobian(A, weights, curv)
         try:
             step = np.linalg.solve(J, -svec)
         except np.linalg.LinAlgError:
@@ -87,7 +88,8 @@ def _newton(weights, model, data, theta0, tol, max_iter):
         while True:
             theta_new = theta + t * step
             try:
-                svec_new = score(model, theta_new, data).T @ weights
+                _, psi_new, curv_new = _score_parts(model, theta_new, data, A)
+                svec_new = psi_new.T @ weights
                 resid_new = float(np.max(np.abs(svec_new)))
                 if resid_new <= (1.0 - 1e-4 * t) * resid:
                     break
@@ -96,7 +98,7 @@ def _newton(weights, model, data, theta0, tol, max_iter):
             t *= 0.5
             if t < 1e-14:
                 return theta, it, resid, False, "line search failed on the weighted score equation"
-        theta, svec, resid = theta_new, svec_new, resid_new
+        theta, svec, curv, resid = theta_new, svec_new, curv_new, resid_new
         if np.max(np.abs(theta)) > 1e3:
             return theta, it, resid, False, "parameter norm exceeded 1e3 (separation or divergence)"
     return theta, max_iter, resid, False, f"no convergence in {max_iter} iterations (score max-norm {resid:.3e})"
@@ -242,9 +244,15 @@ class FitProblem:
                        "visibility_mode": self.vis.mode, "coef_names": list(self.model.coef_names)}
         return self._two_step("ce", w, sol.multiplier, Bp_hat, logEL, diagnostics, bp)
 
-    def _joint(self, seed: int = 0, theta0=None, multistart: int = 3) -> EstimateResult:
-        bp, cm, data, model = self._bp("profile_fit_joint"), self.cm, self.data, self.model
-        el_tol, el_max_iter, n, p = self.el_tol, self.el_max_iter, data.n, model.p
+    def _profile_objective(self, bp: np.ndarray):
+        """``(A, neg_profile)``: the design matrix, and minus the profiled composite criterion with its
+        gradient; the theta-free work (``A`` and the checked ``H / bp``) is done here, once."""
+        data, p, A = self.data, self.model.p, design_matrix(self.model, self.data)
+        try:
+            solve = _stacked_el(_check_matrix(self.cm.H / bp[:, None], "solve_el", p), p, self.el_tol,
+                                self.el_max_iter, "solve_el")
+        except InfeasibleError:  # zero is outside the hull for every theta
+            return A, lambda theta: (PENALTY, np.zeros(p))
 
         def neg_profile(theta):
             # The profile differs from the transformed standard-EL logEL by the
@@ -253,13 +261,17 @@ class FitProblem:
             if np.max(np.abs(theta)) > 1e3:
                 return PENALTY, np.zeros(p)
             try:
-                _, sol, _, _ = _composite(np.column_stack([score(model, theta, data), cm.H]), bp,
-                                          el_tol, el_max_iter)
+                _, psi, curv = _score_parts(self.model, theta, data, A)
+                w, lam, _, _ = solve(psi / bp[:, None])
             except (ConvergenceError, InfeasibleError):
                 return PENALTY, np.zeros(p)
-            J = score_jacobian(model, theta, data, sol.w / bp)
-            return -sol.logEL, n * (J @ sol.multiplier[:p])
+            return -float(np.sum(np.log(w))), data.n * (_jacobian(A, w / bp, curv) @ lam[:p])
 
+        return A, neg_profile
+
+    def _joint(self, seed: int = 0, theta0=None, multistart: int = 3) -> EstimateResult:
+        bp, cm, data, model = self._bp("profile_fit_joint"), self.cm, self.data, self.model
+        el_tol, el_max_iter, n, p = self.el_tol, self.el_max_iter, data.n, model.p
         if theta0 is None:
             start_fit = self._ce()
             if start_fit.diagnostics["converged"]:
@@ -269,6 +281,7 @@ class FitProblem:
                 if not start_ok:
                     raise ConvergenceError(f"profile_fit_joint: no usable starting value: {start_reason}")
         theta0 = np.asarray(theta0, dtype=float)
+        A, neg_profile = self._profile_objective(bp)
 
         rng = np.random.default_rng(seed)
         starts = [theta0]
@@ -301,7 +314,7 @@ class FitProblem:
                            float("nan"), diagnostics)
 
         theta = np.asarray(best.x, dtype=float)
-        psi = score(model, theta, data)
+        psi = _score_parts(model, theta, data, A)[1]
         w, sol, Bp_hat, logEL = _composite(np.column_stack([psi, cm.H]), bp, el_tol, el_max_iter)
         converged = bool(best.success and sol.converged)
         diagnostics.update(converged=converged, outer_iterations=int(best.nit),

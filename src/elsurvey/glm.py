@@ -73,22 +73,34 @@ def _check_response(family: str, y: np.ndarray) -> None:
         raise DataError("gamma-inverse: response must be strictly positive")
 
 
+def _resid_curv(family: str, eta: np.ndarray, y: np.ndarray, name: str):
+    """``(r, c)`` with ``psi_i = r_i a_i`` and ``d psi_i / d theta = -c_i a_i a_i'``, from one ``eta``."""
+    if family == "bernoulli-logit":
+        mu = expit(eta)
+        return y - mu, mu * (1.0 - mu)
+    if family == "gaussian-identity":
+        return y - eta, np.ones_like(eta)
+    if np.any(eta <= 0.0):
+        raise ConvergenceError(f"gamma-inverse {name}: nonpositive linear predictor")
+    return 1.0 / eta - y, 1.0 / eta**2
+
+
+def _jacobian(A: np.ndarray, weights: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    return -(A * (weights * curv)[:, None]).T @ A
+
+
+def _score_parts(model: ModelSpec, theta, data, A=None):
+    """``(A, psi, curv)`` at ``theta``, checked as :func:`score` checks them; ``A`` is built unless given."""
+    theta = _check_theta(model, theta)
+    A = design_matrix(model, data) if A is None else A
+    _check_response(model.family, data.y)
+    resid, curv = _resid_curv(model.family, A @ theta, data.y, "score")
+    return A, resid[:, None] * A, curv
+
+
 def score(model: ModelSpec, theta, data) -> np.ndarray:
     """Per-observation estimating functions, shape ``(n, p)``."""
-    theta = _check_theta(model, theta)
-    A = design_matrix(model, data)
-    y = data.y
-    _check_response(model.family, y)
-    eta = A @ theta
-    if model.family == "bernoulli-logit":
-        resid = y - expit(eta)
-    elif model.family == "gaussian-identity":
-        resid = y - eta
-    else:
-        if np.any(eta <= 0.0):
-            raise ConvergenceError("gamma-inverse score: nonpositive linear predictor")
-        resid = 1.0 / eta - y
-    return resid[:, None] * A
+    return _score_parts(model, theta, data)[1]
 
 
 def score_jacobian(model: ModelSpec, theta, data, weights) -> np.ndarray:
@@ -102,17 +114,7 @@ def score_jacobian(model: ModelSpec, theta, data, weights) -> np.ndarray:
     A = design_matrix(model, data)
     if weights.shape != (A.shape[0],):
         raise DataError(f"score_jacobian: weights have shape {weights.shape}, expected ({A.shape[0]},)")
-    eta = A @ theta
-    if model.family == "bernoulli-logit":
-        mu = expit(eta)
-        curv = mu * (1.0 - mu)
-    elif model.family == "gaussian-identity":
-        curv = np.ones_like(eta)
-    else:
-        if np.any(eta <= 0.0):
-            raise ConvergenceError("gamma-inverse score_jacobian: nonpositive linear predictor")
-        curv = 1.0 / eta**2
-    return -(A * (weights * curv)[:, None]).T @ A
+    return _jacobian(A, weights, _resid_curv(model.family, A @ theta, data.y, "score_jacobian")[1])
 
 
 def _wls(X: np.ndarray, z: np.ndarray, W: np.ndarray) -> np.ndarray:

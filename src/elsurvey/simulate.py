@@ -366,7 +366,7 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     estimators = tuple(estimators)
     for name in estimators:
         if name not in ESTIMATORS:
-            raise DataError(f"run_monte_carlo: unknown estimator {name!r}; expected ones of {ESTIMATORS}")
+            raise DataError(f"run_monte_carlo: unknown estimator {name!r}; expected one of {ESTIMATORS}")
     if reps < 1:
         raise DataError("run_monte_carlo: reps must be at least 1")
     master = np.random.default_rng(seed)

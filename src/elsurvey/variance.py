@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import ConstraintSpec, Dataset, build_constraint_matrix
 from .errors import DataError
-from .glm import ModelSpec, score, score_jacobian
+from .glm import ModelSpec, _jacobian, _score_parts
 
 COND_WARN = 1e12
 
@@ -63,10 +63,10 @@ def components_from_arrays(estimator: str, theta, w, data: Dataset, model: Model
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != data.n:
         raise DataError(f"components_from_arrays: H has shape {H.shape}, expected ({data.n}, q)")
-    psi = score(model, theta, data)
+    A, psi, curv = _score_parts(model, theta, data)
     if estimator in ("pl", "cs"):
         d = data.d
-        G = score_jacobian(model, theta, data, w * d)
+        G = _jacobian(A, w * d, curv)
         m1 = w * w * d
         m2 = m1 * d
         return CovarianceComponents(
@@ -85,7 +85,7 @@ def components_from_arrays(estimator: str, theta, w, data: Dataset, model: Model
             raise DataError(f"components_from_arrays: bp has shape {bp.shape}, expected ({data.n},)")
         r = (w / bp) ** 2
         return CovarianceComponents(
-            calG=score_jacobian(model, theta, data, w / bp),
+            calG=_jacobian(A, w / bp, curv),
             calGstar=psi.T @ (psi * r[:, None]),
             calK2=psi.T @ (H * r[:, None]),
             calH2=H.T @ (H * r[:, None]),

@@ -8,6 +8,7 @@ import pytest
 from elsurvey.cli import parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
 from elsurvey.errors import ConfigError
+from elsurvey.estimators import ESTIMATORS
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population
 
 SCHEMA = {"response": "y", "covariates": ["x", "v"], "pi": "pi", "design": ["v"]}
@@ -85,6 +86,12 @@ def test_parse_config_validates_scalars():
     with pytest.raises(ConfigError, match="output.format"):
         parse_config({"output": {"format": "xml"}})
     assert parse_config({"seed": 7})["seed"] == 7
+
+
+def test_parse_config_names_the_estimator_choices():
+    with pytest.raises(ConfigError) as err:
+        parse_config({"estimators": ["pl", "bogus"]})
+    assert str(err.value) == f"parse_config: unknown estimator 'bogus'; expected one of {ESTIMATORS}"
 
 
 def test_stochastic_commands_require_seed(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_feasible_u
-from elsurvey.elcore import solve_el, solve_weighted_el
+from elsurvey.elcore import _sign_precheck, solve_el, solve_weighted_el
 from elsurvey.errors import DataError, InfeasibleError
 from oracles import bisect_scalar_dual, dual_minimize_kappa, nelder_mead_dual
 
@@ -50,6 +50,31 @@ def test_two_constraint_instance_matches_derivative_free_oracle(rng):
     lam, w = nelder_mead_dual(U, np.full(25, 1 / 25))
     np.testing.assert_allclose(sol.w, w, atol=1e-7)
     np.testing.assert_allclose(sol.multiplier, lam, atol=1e-6)
+
+
+def test_sign_precheck_returns_the_non_vacuous_columns_and_skips_zero_ones(rng):
+    U = np.zeros((30, 4))
+    U[:, [1, 3]] = random_feasible_u(rng, 30, 2)
+    U[::2, 2] = -0.0
+    assert _sign_precheck(U, "solve_el") == [1, 3]
+    assert _sign_precheck(U, "solve_el", offset=2) == [3, 5]
+    sol = solve_el(U)
+    assert sol.converged and sol.multiplier[0] == 0.0 and sol.multiplier[2] == 0.0
+    np.testing.assert_allclose(sol.w, solve_el(U[:, [1, 3]]).w, rtol=1e-14, atol=0.0)
+
+
+def test_single_signed_column_names_its_index():
+    U = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, 0.0], [-0.5, 3.0]])
+    tail = "never changes sign; zero is outside the convex hull of the constraint rows"
+    with pytest.raises(InfeasibleError) as err:
+        solve_el(U)
+    assert str(err.value) == f"solve_el: constraint column 1 {tail}"
+    with pytest.raises(InfeasibleError) as err:
+        solve_weighted_el(U, np.full(4, 0.25))
+    assert str(err.value) == f"solve_weighted_el: constraint column 1 {tail}"
+    with pytest.raises(InfeasibleError) as err:
+        _sign_precheck(U, "solve_el", offset=3)
+    assert str(err.value) == f"solve_el: constraint column 4 {tail}"
 
 
 def test_q_zero_returns_uniform():

@@ -1,20 +1,22 @@
 """Point estimators: design-weighted, constrained two-step, composite, and
 the joint profile verifier."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
 from scipy.special import expit, logit
 
 from conftest import dataset_from
-from elsurvey import estimators
+from elsurvey import estimators, glm
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
 from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
 from elsurvey.estimators import (ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, newton_solve_score,
                                  profile_fit_joint)
-from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score
-from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population
+from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
+from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
 from elsurvey.visibility import VisibilityModel, visibility_from_pi
 from oracles import dual_minimize_kappa, logistic_fisher_inverse
 
@@ -387,3 +389,138 @@ def test_fit_problem_builds_constraints_only_when_needed(rng):
         problem.fit("cs")
     with pytest.raises(DataError, match="unknown estimator 'mle'"):
         problem.fit("mle")
+
+
+# ---------------------------------------------------------------------------
+# The prepared ce-joint profile objective
+
+
+def _d67_problem(N, seed):
+    """A FitProblem on one d67 sample (the acceptance gate's design)."""
+    spec = DesignSpec(
+        N=N, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
+        covariates=(
+            CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
+            CovariateSpec("v", "bernoulli", (0.5,)),
+        ),
+        design={"kind": "poisson", "lo": 0.3, "hi": 0.7, "const": -0.6,
+                "coeffs": {"v": 0.55}, "response_coef": 1.0},
+        terms=("x", "v"), fit_terms=("x",), estimand=(-0.17948213, 0.71461978),
+        constraints=(
+            {"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+             "group_value": 0.0, "gamma": 0.30617885832653025},
+            {"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+             "group_value": 1.0, "gamma": 0.6112839324775846},
+        ),
+    )
+    pop = gen_population(spec, seed=seed)
+    sample = draw_sample(pop, spec, seed=seed + 1)
+    return FitProblem(sample, spec.model, population_constraint_spec(pop, spec), visibility_from_pi(sample))
+
+
+def _composed_neg_profile(problem, theta):
+    """The profile objective composed from public calls: score, column_stack, solve_el, score_jacobian."""
+    model, data, bp, p = problem.model, problem.data, problem.vis.bp, problem.model.p
+    if np.max(np.abs(theta)) > 1e3:
+        return estimators.PENALTY, np.zeros(p)
+    try:
+        sol = solve_el(np.column_stack([score(model, theta, data), problem.cm.H]) / bp[:, None])
+    except (ConvergenceError, InfeasibleError):
+        return estimators.PENALTY, np.zeros(p)
+    J = score_jacobian(model, theta, data, sol.w / bp)
+    return -sol.logEL, data.n * (J @ sol.multiplier[:p])
+
+
+def _assert_same_objective(problem, thetas):
+    """Bitwise-equal value and gradient at every theta; returns the thetas that got PENALTY."""
+    _, neg_profile = problem._profile_objective(problem.vis.bp)
+    penalized = []
+    for theta in thetas:
+        theta = np.asarray(theta, dtype=float)
+        value, grad = neg_profile(theta)
+        ref_value, ref_grad = _composed_neg_profile(problem, theta)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), theta
+        assert grad.tobytes() == ref_grad.tobytes(), theta
+        if value == estimators.PENALTY:
+            penalized.append(tuple(theta))
+    return penalized
+
+
+def test_prepared_profile_objective_matches_the_composed_one_bitwise():
+    problem = _d67_problem(4000, seed=31)
+    center = problem.fit("ce").theta
+    offsets = (-0.5, -0.05, 0.0, 0.01, 0.3)
+    grid = [center + np.array([a, b]) for a in offsets for b in offsets]
+    saturated = np.array([40.0, 0.0])  # expit rounds to 1: the intercept score column is never positive
+    huge = np.array([2e3, 0.0])
+    penalized = _assert_same_objective(problem, grid + [saturated, huge])
+    assert penalized == [tuple(saturated), tuple(huge)]
+    with pytest.raises(InfeasibleError, match="constraint column 0 never changes sign"):
+        solve_el(np.column_stack([score(problem.model, saturated, problem.data), problem.cm.H]))
+
+
+def test_prepared_profile_objective_penalizes_a_nonpositive_gamma_predictor(rng):
+    n = 300
+    x = rng.uniform(-1.0, 1.0, size=n)
+    y = rng.gamma(shape=2.0, scale=1.0 / (2.0 * (1.0 + 0.3 * x)))
+    pi = rng.uniform(0.2, 0.8, size=n)
+    data = dataset_from({"y": y, "x": x, "pi": pi}, response="y", covariates=("x",), pi="pi")
+    model = ModelSpec("gamma-inverse", terms=("x",))
+    problem = FitProblem(data, model, _mean_constraint(data, column="x"), visibility_from_pi(data))
+    center = problem.fit("ce").theta
+    nonpositive = np.array([0.2, 0.5])  # eta = 0.2 + 0.5 x <= 0 for x <= -0.4
+    grid = [center + np.array([a, b]) for a in (-0.2, 0.0, 0.2) for b in (-0.1, 0.0, 0.1)]
+    penalized = _assert_same_objective(problem, grid + [nonpositive])
+    assert penalized == [tuple(nonpositive)]
+
+
+def test_prepared_profile_objective_penalizes_beyond_the_bound_even_where_feasible(rng):
+    n = 200
+    x = rng.uniform(-1.0, 1.0, size=n)
+    y = 1200.0 + x + rng.normal(scale=0.3, size=n)  # the fit itself lies beyond |theta| = 1e3
+    pi = rng.uniform(0.2, 0.8, size=n)
+    data = dataset_from({"y": y, "x": x, "pi": pi}, response="y", covariates=("x",), pi="pi")
+    model = ModelSpec("gaussian-identity", terms=("x",))
+    problem = FitProblem(data, model, _mean_constraint(data, column="x"), visibility_from_pi(data))
+    center = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
+    assert np.max(np.abs(center)) > 1e3
+    assert solve_el(np.column_stack([score(model, center, data), problem.cm.H]) / problem.vis.bp[:, None]).converged
+    far = [center, center + np.array([0.0, 0.1])]
+    assert len(_assert_same_objective(problem, far)) == len(far)
+
+
+def test_prepared_profile_objective_with_an_infeasible_constraint_penalizes_everywhere(rng):
+    data = _logistic_data(rng, n=120)
+    never = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=5.0),))
+    problem = FitProblem(data, MODEL, never, visibility_from_pi(data))
+    thetas = [np.array([a, b]) for a in (-0.5, 0.2) for b in (0.0, 0.8)]
+    assert len(_assert_same_objective(problem, thetas)) == len(thetas)
+    res = problem._joint(theta0=thetas[0])
+    assert not res.diagnostics["converged"] and "infeasible region" in res.diagnostics["failure"]
+
+
+def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatch):
+    original = glm.design_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if module is not None and (key == "elsurvey" or key.startswith("elsurvey.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    counts, work = [], []
+    for seed in (31, 41):
+        problem = _d67_problem(4000, seed=seed)
+        calls.clear()
+        fits = {name: problem.fit(name) for name in ESTIMATORS}
+        assert all(res.diagnostics["converged"] for res in fits.values())
+        counts.append(len(calls))
+        work.append((fits["cs"].diagnostics["newton_iterations"], fits["ce-joint"].diagnostics["outer_iterations"]))
+    # Start (IRLS + Newton), three sandwiches, the cs and ce Newton solves, the ce start of
+    # ce-joint (Newton + sandwich) and the ce-joint fit itself: 11, whatever the iteration counts.
+    assert counts == [11, 11]
+    assert work[0] != work[1]

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import dataset_from
 from elsurvey.errors import ConvergenceError, DataError
-from elsurvey.glm import FAMILIES, ModelSpec, design_matrix, irls_fit, score, score_jacobian
+from elsurvey.glm import FAMILIES, ModelSpec, _jacobian, _score_parts, design_matrix, irls_fit, score, score_jacobian
 from oracles import gamma_glm_se
 
 
@@ -96,6 +97,35 @@ def test_jacobian_symmetric(family, rng):
     model, theta, data, w = _random_instance(rng, family)
     J = score_jacobian(model, theta, data, w)
     assert np.max(np.abs(J - J.T)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one linear predictor for the score and its Jacobian
+
+
+def _two_pass_score_and_jacobian(model, theta, data, weights):
+    """The score and its weighted Jacobian written out as two separate passes."""
+    A = design_matrix(model, data)
+    eta = A @ theta
+    if model.family == "bernoulli-logit":
+        resid, curv = data.y - expit(eta), expit(eta) * (1.0 - expit(eta))
+    elif model.family == "gaussian-identity":
+        resid, curv = data.y - eta, np.ones_like(eta)
+    else:
+        resid, curv = 1.0 / eta - data.y, 1.0 / eta**2
+    return resid[:, None] * A, -(A * (weights * curv)[:, None]).T @ A
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_score_parts_give_the_two_pass_bits(family, rng):
+    for _ in range(20):
+        model, theta, data, w = _random_instance(rng, family)
+        psi, J = _two_pass_score_and_jacobian(model, theta, data, w)
+        assert score(model, theta, data).tobytes() == psi.tobytes()
+        assert score_jacobian(model, theta, data, w).tobytes() == J.tobytes()
+        A, psi_parts, curv = _score_parts(model, theta, data, design_matrix(model, data))
+        assert psi_parts.tobytes() == psi.tobytes()
+        assert _jacobian(A, w, curv).tobytes() == J.tobytes()
 
 
 # ---------------------------------------------------------------------------

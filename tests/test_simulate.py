@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from elsurvey.data import build_constraint_matrix
 from elsurvey.errors import DataError
-from elsurvey.estimators import fit_ce, fit_pl
+from elsurvey.estimators import ESTIMATORS, fit_ce, fit_pl
 from elsurvey.glm import design_matrix, irls_fit
 from elsurvey.simulate import (
     CovariateSpec,
@@ -302,6 +302,12 @@ def test_monte_carlo_counts_singular_sandwiches_as_failures():
 def test_unknown_estimator_rejected():
     with pytest.raises(DataError, match="unknown estimator"):
         run_monte_carlo(_basic_spec(N=200), ("cs", "mle"), reps=1, seed=1)
+
+
+def test_unknown_estimator_message_names_the_choices():
+    with pytest.raises(DataError) as err:
+        run_monte_carlo(_basic_spec(N=200), ("cs", "mle"), reps=1, seed=1)
+    assert str(err.value) == f"run_monte_carlo: unknown estimator 'mle'; expected one of {ESTIMATORS}"
 
 
 def test_small_batch_coverage_and_se_ordering():
