@@ -6,8 +6,11 @@ command-line overrides (``--seed``, ``--out``, ``--reps``, ``--jobs``).
 Artifacts are written as JSON and CSV; floats are serialized with 17
 significant digits so results round-trip exactly.  Large arrays are
 formatted and streamed to the file in bounded chunks, with the same bytes a
-whole-document writer gives.  CSV input is parsed in bulk, with a
-row-by-row fallback that names the row and column of any bad cell.
+whole-document writer gives.  A chunk is formatted by an exact integer
+kernel, which gives the bytes of ``format(x, ".17g")`` for zero and every
+``1e-11 <= |x| < 2**51``; a chunk holding any other value is formatted one
+value at a time.  CSV input is parsed in bulk, with a row-by-row fallback
+that names the row and column of any bad cell.
 
 Exit codes: 0 on success, 1 on input/config errors, 2 on statistical
 failures (infeasible constraints or non-convergence; partial results are
@@ -62,6 +65,90 @@ def _format_floats(values: np.ndarray) -> list[str]:
     return list(map(float.__format__, values.astype(float, copy=False).tolist(), repeat(".17g")))
 
 
+# The exact ``.17g`` kernel.  Each value becomes a row of byte codes, NUL where
+# a character is absent; a row is gathered from its 17 digits, its point and
+# its sign followed by constant characters, through the layout of its decimal
+# exponent k: fixed notation for -4 <= k < 17, ``d.ddde-XX`` below.
+_P16, _P17, _LO32 = np.uint64(10**16), np.uint64(10**17), np.uint64(2**32 - 1)
+_POW5 = np.uint64(5) ** np.arange(28, dtype=np.uint64)  # 5**27 < 2**63
+_DOT, _SIGN, _NUL = 17, 18, 19  # a row's source columns: its 17 digits, then these
+_CONSTANTS = b"\x000123456789e+-"  # the source columns from _NUL on
+
+
+def _layout(k: int) -> list[int]:
+    """The source column of each character of a value with decimal exponent ``k``."""
+    if 0 <= k < 17:
+        body = [*range(k + 1), _DOT, *range(k + 1, 17)]
+    elif -4 <= k < 0:
+        body = [_NUL + 1, _DOT] + [_NUL + 1] * (-k - 1) + list(range(17))  # 0.000ddd
+    else:
+        body = [0, _DOT, *range(1, 17), *(_NUL + _CONSTANTS.index(c) for c in f"e{k:+03d}".encode())]
+    return [_SIGN, *body] + [_NUL] * (22 - len(body))
+
+
+_LAYOUTS = np.array([_layout(k) for k in range(-11, 17)])  # the exact path's k
+
+
+def _scaled(M, E, k):
+    """``(q, rem, r, ok)``: ``M * 2**E * 10**(16 - k) = (q + rem / 2**r)``, exactly where ``ok``."""
+    s, r = 16 - k, -(E + 16 - k)
+    ok = (s >= 0) & (s <= 27) & (r >= 1) & (r <= 63)
+    P, r = _POW5[np.clip(s, 0, 27)], np.clip(r, 1, 63).astype(np.uint64)
+    # M * P < 2**116 as hi * 2**64 + lo, from four 32 x 32-bit partial products.
+    ml, mh, pl, ph = M & _LO32, M >> 32, P & _LO32, P >> 32
+    low, mid = ml * pl, ml * ph + mh * pl  # mid < 2**64 as mh < 2**21, ph < 2**31
+    lo = low + (mid << 32)
+    hi = mh * ph + (mid >> 32) + (lo < low)
+    return (hi << (64 - r)) | (lo >> r), lo & ((np.uint64(1) << r) - 1), r, ok
+
+
+def _float_rows(values: np.ndarray) -> np.ndarray | None:
+    """``format(x, ".17g")`` of each value of a 1-d float array, as NUL-padded ``uint8``
+    rows, computed by exact integer arithmetic; None if any value is outside the
+    exact path (non-finite, or nonzero outside ``1e-11 <= |x| < 2**51``)."""
+    x = values.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        return None
+    m, e = np.frexp(np.abs(x))
+    M, E = np.ldexp(m, 53).astype(np.uint64), e.astype(np.int64) - 53  # |x| = M * 2**E
+    k = np.floor(np.log10(np.where(M > 0, np.abs(x), 1.0))).astype(np.int64)
+    q, rem, r, ok = _scaled(M, E, k)
+    fix = (q >= _P17).astype(np.int64) - ((q < _P16) & (M > 0))  # log10 may be one off
+    if fix.any():
+        k += fix
+        q, rem, r, ok = _scaled(M, E, k)
+    if not (ok & ((M == 0) | ((q >= _P16) & (q < _P17)))).all():
+        return None
+    half = np.uint64(1) << (r - np.uint64(1))
+    # Round half to even.  D stays below 10**17: no double in range lies within
+    # half a unit of the 17th digit below a power of ten.
+    D = q + ((rem > half) | ((rem == half) & (q & np.uint64(1) == 1)))
+    src = np.empty((_NUL + len(_CONSTANTS), x.size), np.uint8)  # one row per source column
+    src[_NUL:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
+    for j in range(16, -1, -1):
+        q = D // np.uint64(10)
+        src[j], D = D - q * np.uint64(10), q
+    first = np.where((k >= -4) & (k < 17), np.maximum(k + 1, 0), 1)  # first fraction digit
+    # cut: the first digit not shown, after the last nonzero one and the integer part
+    cut = np.maximum(first, np.max(np.arange(1, 18, dtype=np.uint8)[:, None] * (src[:17] != 0), axis=0))
+    src[:17] += np.uint8(ord("0"))
+    src[:17] *= np.arange(17)[:, None] < cut
+    src[_DOT] = np.uint8(ord(".")) * (cut > first)
+    src[_SIGN] = np.uint8(ord("-")) * np.signbit(x)
+    rows = src[_LAYOUTS[k.min() + 11]]
+    for kk in range(k.min() + 1, k.max() + 1):  # rows grouped by k
+        rows += (src[_LAYOUTS[kk + 11]] - rows) * (k == kk)
+    return rows.T
+
+
+def _rows_text(*blocks) -> str:
+    """The text of row blocks laid side by side; a ``str`` block repeats on every row."""
+    n = len(blocks[0])
+    table = np.concatenate([np.broadcast_to(np.frombuffer(b.encode(), np.uint8), (n, len(b)))
+                            if isinstance(b, str) else b for b in blocks], axis=1).ravel()
+    return table[table != 0].tobytes().decode()
+
+
 def _json_pieces(obj, pad: str = ""):
     """Yield the indented JSON text of ``obj`` in pieces.
 
@@ -81,12 +168,18 @@ def _json_pieces(obj, pad: str = ""):
         yield json.dumps(obj)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
         inner = pad + "  "
+        sep = ",\n" + inner
         for start in range(0, obj.size, CHUNK):
             chunk = obj[start:start + CHUNK]
-            texts = _format_floats(chunk)
-            for k in np.flatnonzero(~np.isfinite(chunk)):
-                texts[k] = "null"
-            yield (",\n" if start else "[\n") + inner + (",\n" + inner).join(texts)
+            rows = _float_rows(chunk)
+            if rows is not None:
+                text = _rows_text(rows, sep)[:-len(sep)]
+            else:
+                texts = _format_floats(chunk)
+                for k in np.flatnonzero(~np.isfinite(chunk)):
+                    texts[k] = "null"
+                text = sep.join(texts)
+            yield (",\n" if start else "[\n") + inner + text
         yield "\n" + pad + "]"
     elif isinstance(obj, np.ndarray):
         items = list(np.asarray(obj)) if obj.ndim > 1 else obj.tolist()
@@ -135,11 +228,17 @@ def write_dataset_csv(path: str, data: Dataset) -> None:
     """Write every column of ``data``: the same bytes ``write_csv`` would give,
     formatted ``CHUNK`` rows at a time, column by column."""
     names = list(data.columns)
+    seps = [","] * (len(names) - 1) + ["\r\n"]  # after each column's cell
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
         for start in range(0, data.n, CHUNK):
-            cells = [_format_floats(data.columns[name][start:start + CHUNK]) for name in names]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            chunks = [data.columns[name][start:start + CHUNK] for name in names]
+            blocks = [_float_rows(chunk) for chunk in chunks]
+            if all(rows is not None for rows in blocks):
+                fh.write(_rows_text(*(piece for pair in zip(blocks, seps) for piece in pair)))
+            else:
+                cells = [_format_floats(chunk) for chunk in chunks]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,10 @@ def _composite(C, bp, el_tol, el_max_iter):
 class FitProblem:
     """One sample prepared for fitting any estimator of :data:`ESTIMATORS`.
 
-    The constraint matrix :attr:`cm` (not needed by ``pl``) and the
-    design-weighted start :attr:`start` are built on first use and shared by
-    every later fit.  ``vis`` is needed by ``ce`` and ``ce-joint`` only.
+    The constraint matrix :attr:`cm` (not needed by ``pl``), the
+    design-weighted start :attr:`start` and the ``ce`` fit (the ``ce-joint``
+    start) are built on first use and shared by every later fit.  ``vis`` is
+    needed by ``ce`` and ``ce-joint`` only, and must be set before either is fitted.
     """
 
     data: Dataset
@@ -179,6 +180,8 @@ class FitProblem:
         """Fit estimator ``name``; ``seed`` draws the ``ce-joint`` restarts."""
         if name not in ESTIMATORS:
             raise DataError(f"FitProblem.fit: unknown estimator {name!r}; expected one of {ESTIMATORS}")
+        if name == "ce":
+            return self._ce
         return self._joint(seed) if name == "ce-joint" else getattr(self, f"_{name}")()
 
     def _bp(self, caller: str) -> np.ndarray:
@@ -231,6 +234,7 @@ class FitProblem:
                        "vacuous_constraints": list(cm.vacuous), "coef_names": list(self.model.coef_names)}
         return self._two_step("cs", sol.w, sol.multiplier, None, sol.logEL, diagnostics, None)
 
+    @cached_property
     def _ce(self) -> EstimateResult:
         bp = self._bp("fit_ce")
         cm = self.cm
@@ -273,7 +277,7 @@ class FitProblem:
         bp, cm, data, model = self._bp("profile_fit_joint"), self.cm, self.data, self.model
         el_tol, el_max_iter, n, p = self.el_tol, self.el_max_iter, data.n, model.p
         if theta0 is None:
-            start_fit = self._ce()
+            start_fit = self._ce
             if start_fit.diagnostics["converged"]:
                 theta0 = start_fit.theta
             else:

@@ -380,6 +380,23 @@ def test_fit_problem_builds_shared_work_once_and_matches_standalone_fits(rng, mo
             assert getattr(res, key).tobytes() == getattr(standalone[name], key).tobytes(), (name, key)
 
 
+def test_ce_joint_starts_from_the_same_problems_ce_fit(monkeypatch):
+    problem = _d67_problem(4000, seed=31)
+    fresh = profile_fit_joint(problem.data, problem.model, problem.constraints, problem.vis)
+    sandwiches = _counting(monkeypatch, "components_from_arrays")
+    ce = problem.fit("ce")
+    joint = problem.fit("ce-joint")
+    # One sandwich for ce and one for ce-joint: its start is the ce fit above, not a refit.
+    assert len(sandwiches) == 2
+    assert problem.fit("ce") is ce and len(sandwiches) == 2
+    for key in ("theta", "se", "weights", "multiplier"):
+        assert getattr(joint, key).tobytes() == getattr(fresh, key).tobytes(), key
+    reversed_order = _d67_problem(4000, seed=31)
+    sandwiches.clear()
+    assert reversed_order.fit("ce-joint").theta.tobytes() == fresh.theta.tobytes()
+    assert reversed_order.fit("ce").theta.tobytes() == ce.theta.tobytes() and len(sandwiches) == 2
+
+
 def test_fit_problem_builds_constraints_only_when_needed(rng):
     data = _logistic_data(rng, n=60)
     missing = ConstraintSpec((ConstraintEntry("general-moment", "zz", gamma=0.0),))
@@ -520,7 +537,7 @@ def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatc
         assert all(res.diagnostics["converged"] for res in fits.values())
         counts.append(len(calls))
         work.append((fits["cs"].diagnostics["newton_iterations"], fits["ce-joint"].diagnostics["outer_iterations"]))
-    # Start (IRLS + Newton), three sandwiches, the cs and ce Newton solves, the ce start of
-    # ce-joint (Newton + sandwich) and the ce-joint fit itself: 11, whatever the iteration counts.
-    assert counts == [11, 11]
+    # Start (IRLS + Newton), three sandwiches, the cs and ce Newton solves and the ce-joint fit
+    # itself, which starts from the ce fit: 9, whatever the iteration counts.
+    assert counts == [9, 9]
     assert work[0] != work[1]

@@ -1,8 +1,11 @@
 """Artifact I/O: streamed JSON and bulk CSV against one-value-at-a-time oracles."""
 
 import json
+import math
 import tempfile
 import warnings
+from fractions import Fraction
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_columns, json_text
 
-from elsurvey.cli import CHUNK, write_csv, write_dataset_csv, write_json
+from elsurvey.cli import CHUNK, _float_rows, _rows_text, write_csv, write_dataset_csv, write_json
 from elsurvey.data import _read_columns_bulk, load_dataset, make_dataset
 from elsurvey.errors import ConfigError, DataError
 
@@ -22,6 +25,12 @@ EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623
 def _random(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+
+
+def _weights(n, seed):
+    """Values like the per-unit weights of a fit: all on the exact formatter's path."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 2.0, size=n) / n
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +63,10 @@ JSON_VALUES = {
     f"length {CHUNK + 1}": _random(CHUNK + 1, 3),
     "chunked in dict": {"w": np.concatenate([_random(2 * CHUNK + 5, 4), [np.nan, -np.inf]]),
                         "theta": np.array([0.5, -1.25]), "converged": np.bool_(True)},
+    f"weights, length {CHUNK + 1}": _weights(CHUNK + 1, 10),
+    # chunk 2 holds one value off the exact path and chunk 3 a NaN: both take the per-value path
+    "exact and per-value chunks": np.concatenate([_weights(CHUNK, 11), _weights(CHUNK // 2, 12), [1e300],
+                                                  _weights(CHUNK // 2 - 1, 13), [np.nan], _weights(9, 14)]),
 }
 
 
@@ -103,6 +116,22 @@ def test_write_dataset_csv_matches_row_writer_bytes(tmp_path):
     assert fast.read_bytes() == slow.read_bytes()
 
 
+def test_write_dataset_csv_exact_path_matches_row_writer_bytes(tmp_path):
+    n = 3 * CHUNK + 2
+    rng = np.random.default_rng(15)
+    w = _weights(n, 16)
+    w[CHUNK + 7] = np.inf  # the second chunk takes the per-value path
+    columns = {"y": rng.integers(0, 2, size=n).astype(float),
+               "x": rng.choice([-1.0, -0.0, 0.0, 1.0], size=n),
+               "pi": rng.uniform(0.3, 0.7, size=n), "w": w}
+    data = make_dataset(columns, {"response": "y"})
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_dataset_csv(str(fast), data)
+    names = list(data.columns)
+    write_csv(str(slow), names, zip(*(data.columns[name] for name in names)))
+    assert fast.read_bytes() == slow.read_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda k: st.lists(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
@@ -119,6 +148,100 @@ def test_dataset_csv_reloads_bitwise(rows):
         np.testing.assert_array_equal(back.columns[name].view(np.uint64), col.view(np.uint64))
 
 
+# ---------------------------------------------------------------------------
+# The exact .17g kernel against format(x, ".17g"), one value at a time
+
+
+def _on_exact_path(x: float) -> bool:
+    """The kernel's documented range, decided exactly: 0 and 1e-11 <= |x| < 2**51."""
+    return x == 0 or (math.isfinite(x) and Fraction(1, 10**11) <= Fraction(abs(x)) < 2**51)
+
+
+def _assert_formats_like_oracle(values):
+    """The kernel formats ``values`` exactly as ``format`` does, or declines iff one is off its path."""
+    values = np.asarray(values)
+    floats = values.astype(float).tolist()
+    rows = _float_rows(values)
+    assert (rows is not None) == all(map(_on_exact_path, floats))
+    if rows is not None:
+        assert _rows_text(rows, "\n").split("\n")[:-1] == [format(x, ".17g") for x in floats]
+
+
+def _below(j: int) -> float:
+    """The largest double below 10**j."""
+    x = float(f"1e{j}")
+    return math.nextafter(x, 0.0) if Fraction(x) >= Fraction(10) ** j else x
+
+
+ON_PATH = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(math.nextafter(1e-11, 1.0), 2.0**51, exclude_max=True),
+                    st.floats(-(2.0**51), -math.nextafter(1e-11, 1.0), exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), ON_PATH, ON_PATH), min_size=1, max_size=80),
+       st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=6))
+def test_kernel_matches_format_in_chunks_of_mixed_sizes(values, sizes):
+    start = 0
+    for size in cycle(sizes):
+        if start >= len(values):
+            break
+        _assert_formats_like_oracle(values[start:start + size])
+        start += size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ON_PATH, min_size=1, max_size=50))
+def test_kernel_takes_every_chunk_on_its_path(values):
+    assert _float_rows(np.array(values)) is not None
+    _assert_formats_like_oracle(values)
+
+
+def _neighbours(x: float, count: int) -> list[float]:
+    """``x`` and the ``count`` doubles on either side of it."""
+    down, up = [x], [x]
+    for _ in range(count):
+        down.append(math.nextafter(down[-1], -math.inf))
+        up.append(math.nextafter(up[-1], math.inf))
+    return down[::-1] + up[1:]
+
+
+EDGE = math.nextafter(1e-11, 1.0)  # the double 1e-11 itself lies below 10**-11
+KERNEL_CHUNKS = {
+    # floor(log10|x|) is one off for many of these, and the exact check must mend it
+    "powers of ten and neighbours": [y for k in range(-12, 18) for y in _neighbours(float(f"1e{k}"), 4)],
+    "ties to even at 1e15": [1e15 + 0.25 * j for j in range(-40, 41)],
+    "ties to even at 2**50": [2.0**50 + 0.125 * j for j in range(-40, 41)],
+    "trailing zeros and signed zeros": [0.0, -0.0, 1.0, -1.0, 0.5, 10.0, 100.0, 1e14, 120.5, -0.25, 1e-5, 1e-4],
+    "notation switches": [1.5e-5, 1.5e-4, 0.001, 123456789012345.6, 1234567890123456.8],
+    "inner edges": [EDGE, -EDGE, math.nextafter(2.0**51, 0.0), -math.nextafter(2.0**51, 0.0)],
+    "outer edge, small": [EDGE, 1e-11],
+    "outer edge, large": [1.0, 2.0**51],
+    "subnormal": [0.5, 5e-324],
+    "non-finite": [0.5, np.nan, np.inf],
+    "float32": np.array([0.1, -2.5, 1e-5, 3.4e10, 0.0], dtype=np.float32),
+    "float16": np.array([0.1, -2.5, 65504.0], dtype=np.float16),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CHUNKS))
+def test_kernel_matches_format_value_by_value(name):
+    values = KERNEL_CHUNKS[name]
+    _assert_formats_like_oracle(values)
+    for x in values:
+        _assert_formats_like_oracle([x])
+
+
+def test_no_value_on_the_exact_path_rounds_up_to_a_power_of_ten():
+    # Rounding to 17 digits carries into an 18th only within half a unit of the
+    # 17th digit below a power of ten.  The kernel relies on no double in its
+    # range being that close; outside the range some are, 1e-14 for one.
+    def carries(j):
+        return Fraction(format(_below(j), ".17g")) == Fraction(10) ** j
+
+    assert not any(carries(j) for j in range(-10, 16))
+    assert carries(-14) and _float_rows(np.array([_below(-14)])) is None
+    _assert_formats_like_oracle([_below(j) for j in range(-10, 16)])
 # ---------------------------------------------------------------------------
 # load_dataset: the bulk parser or its row-by-row fallback, against the oracle
 
