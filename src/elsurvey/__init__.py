@@ -8,7 +8,8 @@ visibilities with population-level moment constraints:
 * ``fit_cs``  - two-step fit with design-weighted EL under constraints;
 * ``fit_ce``  - two-step fit maximizing the composite criterion under an
   estimated (or known) conditional visibility;
-* ``profile_fit_joint`` - joint maximization of the composite criterion.
+* ``profile_fit_joint`` - joint maximization of the composite criterion,
+  whose maximizer is the ``fit_ce`` root, certified by one stacked solve.
 
 ``FitProblem`` prepares one sample and fits any of them by name.
 

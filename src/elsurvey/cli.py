@@ -420,7 +420,7 @@ def _cmd_fit(cfg: dict) -> int:
     results, failed = {}, False
     for name in names:
         try:
-            res = problem.fit(name, seed=int(cfg.get("seed", 0)))
+            res = problem.fit(name)
             results[name] = _fit_payload(res)
             failed |= not res.diagnostics.get("converged", False)
         except (InfeasibleError, ConvergenceError) as exc:

@@ -21,6 +21,9 @@ from .errors import DataError
 ROLE_KEYS = ("response", "covariates", "design", "pi", "weight", "weight_mode", "family")
 WEIGHT_MODES = ("inverse-probability", "direct")
 CONSTRAINT_KINDS = ("subgroup-moment", "general-moment")
+# Non-vacuous constraint columns scaled to unit norm are dependent when their smallest singular value is at
+# most RANK_RTOL times the largest: the sandwich's H'WH block then has condition number 1e16 or more.
+RANK_RTOL = 1e-8
 
 
 def normalize_design_weights(source, mode: str = "direct") -> np.ndarray:
@@ -393,7 +396,8 @@ def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMa
     Column ``k`` holds ``target - gamma_k`` (general) or
     ``I{group == value} * (target - gamma_k)`` (subgroup).  Identically zero
     columns are flagged as vacuous and reported with a warning; they carry no
-    information and would make the constraint system singular.
+    information and would make the constraint system singular.  Dependent
+    non-vacuous columns (see :data:`RANK_RTOL`) raise :class:`DataError` naming them.
     """
     cols = []
     labels = []
@@ -417,4 +421,15 @@ def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMa
         labels.append(entry.label)
         vacuous.append(is_vacuous)
     H = np.column_stack(cols) if cols else np.empty((data.n, 0))
+    active = [k for k, v in enumerate(vacuous) if not v]
+    if 1 < len(active) < data.n:
+        R = np.linalg.qr(H[:, active], mode="r")  # its columns have the norms of H's
+        _, s, vt = np.linalg.svd(R / np.linalg.norm(R, axis=0))
+        null = vt[s <= RANK_RTOL * s[0]]
+        if null.size:
+            # A column outside every dependency gets a null-vector weight of about eps / RANK_RTOL.
+            names = ", ".join(f"#{k} {labels[k]}" for k, c in zip(active, np.abs(null).max(axis=0))
+                              if c > np.sqrt(RANK_RTOL))
+            raise DataError(f"build_constraint_matrix: constraints {names} are linearly dependent "
+                            f"(smallest scaled singular value {s[-1]:.1e}, largest {s[0]:.1e})")
     return ConstraintMatrix(H=H, labels=tuple(labels), vacuous=tuple(vacuous))

@@ -44,21 +44,21 @@ class ELSolution:
     residual: float
 
 
-def _check_matrix(U, name: str, other_cols: int = 0) -> np.ndarray:
+def _check_matrix(U, name: str) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise DataError(f"{name}: constraint matrix must be 2-d, got ndim={U.ndim}")
     if not np.all(np.isfinite(U)):
         raise DataError(f"{name}: constraint matrix has non-finite entries")
-    n, q = U.shape[0], U.shape[1] + other_cols
+    n, q = U.shape
     if n <= q:
         raise DataError(f"{name}: need more rows than constraints (n={n}, q={q})")
     return U
 
 
-def _sign_precheck(U: np.ndarray, name: str, offset: int = 0) -> list[int]:
-    # The non-vacuous (not all-zero) columns of the finite `U`, numbered from `offset`.  Necessary condition
-    # per column: sum_i w_i U_ik = 0 with w > 0 forces every non-vacuous column to take both signs.
+def _sign_precheck(U: np.ndarray, name: str) -> list[int]:
+    # The non-vacuous (not all-zero) columns of the finite `U`.  Necessary condition per column:
+    # sum_i w_i U_ik = 0 with w > 0 forces every non-vacuous column to take both signs.
     active = []
     for k in range(U.shape[1]):
         lo, hi = U[:, k].min(), U[:, k].max()
@@ -66,10 +66,10 @@ def _sign_precheck(U: np.ndarray, name: str, offset: int = 0) -> list[int]:
             continue
         if lo >= 0.0 or hi <= 0.0:
             raise InfeasibleError(
-                f"{name}: constraint column {k + offset} never changes sign; "
+                f"{name}: constraint column {k} never changes sign; "
                 "zero is outside the convex hull of the constraint rows"
             )
-        active.append(k + offset)
+        active.append(k)
     return active
 
 
@@ -144,27 +144,11 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
                       iterations=iters, converged=converged, residual=residual)
 
 
-def _stacked_el(fixed: np.ndarray, p: int, tol: float, max_iter: int, name: str):
-    """``solve(front)``: ``(w, lam, iterations, converged)`` of standard EL on ``U = [front, fixed]`` for
-    many ``(n, p)`` fronts; ``fixed`` passed :func:`_check_matrix` and is sign-checked here, once."""
-    n, q = fixed.shape
-    fixed_active = _sign_precheck(fixed, name, p)
-    d = np.full(n, 1.0 / n)
-
-    def solve(front):
-        active = _sign_precheck(_check_matrix(front, name, q), name) + fixed_active
-        U = np.column_stack([front, fixed]) if p else fixed
-        lam = np.zeros(p + q)
-        lam[active], iters, converged, _ = _dual_newton(U[:, active], d, d, tol, max_iter, name)
-        return 1.0 / (n * (1.0 + U @ lam)), lam, iters, converged
-    return solve
-
-
 def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
     """Standard EL: maximize ``sum_i log w_i`` s.t. simplex and ``sum_i w_i U_i = 0``.
 
     The solution has ``w_i = 1 / (n (1 + lam'U_i))``; the constraint sums at
-    the dual optimum automatically give ``sum_i w_i = 1``; :func:`_stacked_el` with an empty front.
+    the dual optimum automatically give ``sum_i w_i = 1``.
     """
     U = _check_matrix(U, "solve_el")
     n, q = U.shape
@@ -172,7 +156,9 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
         w = np.full(n, 1.0 / n)
         return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
                           iterations=0, converged=True, residual=0.0)
-    w, lam, iters, converged = _stacked_el(U, 0, tol, max_iter, "solve_el")(U[:, :0])
+    active, lam, d = _sign_precheck(U, "solve_el"), np.zeros(q), np.full(n, 1.0 / n)
+    lam[active], iters, converged, _ = _dual_newton(U[:, active], d, d, tol, max_iter, "solve_el")
+    w = 1.0 / (n * (1.0 + U @ lam))
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
                       iterations=iters, converged=converged, residual=residual)

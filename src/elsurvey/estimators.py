@@ -10,7 +10,9 @@ for some weight vector ``w``:
   ``sum_i log w_i - n log(sum_i bp_i w_i)`` under the constraints, computed
   through the transformed standard-EL problem with columns ``h_i / bp_i``;
 * ``ce-joint`` - maximizes the composite criterion jointly in
-  ``(w, theta)`` by profiling out the inner weights.
+  ``(w, theta)``.  Its profile over theta is at most the weight-step optimum
+  under ``H`` alone, and meets it at the ``ce`` root, so the fit is the ``ce``
+  root, certified by one stacked solve that reaches that bound.
 
 ``FitProblem(...).fit(name)`` fits any of :data:`ESTIMATORS`, building the
 constraint matrix and the design-weighted start once for all of them;
@@ -28,17 +30,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
-from .elcore import _check_matrix, _stacked_el, solve_el, solve_weighted_el
-from .errors import ConvergenceError, DataError, InfeasibleError
+from .elcore import solve_el, solve_weighted_el
+from .errors import ConvergenceError, DataError
 from .glm import ModelSpec, _jacobian, _score_parts, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel
 
 ESTIMATORS = ("pl", "cs", "ce", "ce-joint")
-PENALTY = 1e10
+# ce-joint accepts the ce root when the stacked standard-EL objective there is within CERTIFICATE_TOL * n
+# of the H-only one; rounding in a sum of n logs of size log(n) reaches n * eps * log(n), a few 1e-15 * n.
+CERTIFICATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,9 +154,10 @@ class FitProblem:
     """One sample prepared for fitting any estimator of :data:`ESTIMATORS`.
 
     The constraint matrix :attr:`cm` (not needed by ``pl``), the
-    design-weighted start :attr:`start` and the ``ce`` fit (the ``ce-joint``
-    start) are built on first use and shared by every later fit.  ``vis`` is
-    needed by ``ce`` and ``ce-joint`` only, and must be set before either is fitted.
+    design-weighted start :attr:`start`, the ``ce`` weight step and every fit
+    (``ce-joint`` certifies the ``ce`` fit) are built on first use and kept.
+    ``vis`` is needed by ``ce`` and ``ce-joint`` only, and must be set before
+    either is fitted.
     """
 
     data: Dataset
@@ -176,13 +180,11 @@ class FitProblem:
         theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
         return _newton(data.d, model, data, theta0, self.newton_tol, self.newton_max_iter)
 
-    def fit(self, name: str, seed: int = 0) -> EstimateResult:
-        """Fit estimator ``name``; ``seed`` draws the ``ce-joint`` restarts."""
+    def fit(self, name: str) -> EstimateResult:
+        """Fit estimator ``name``."""
         if name not in ESTIMATORS:
             raise DataError(f"FitProblem.fit: unknown estimator {name!r}; expected one of {ESTIMATORS}")
-        if name == "ce":
-            return self._ce
-        return self._joint(seed) if name == "ce-joint" else getattr(self, f"_{name}")()
+        return getattr(self, "_" + name.replace("-", "_"))
 
     def _bp(self, caller: str) -> np.ndarray:
         if self.vis is None or self.vis.bp.shape != (self.data.n,):
@@ -215,6 +217,7 @@ class FitProblem:
             diagnostics["failure"] = reason
         return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)
 
+    @cached_property
     def _pl(self) -> EstimateResult:
         theta, iters, resid, converged, reason = self.start
         if not converged:
@@ -225,6 +228,7 @@ class FitProblem:
         return self._result("pl", theta.copy(), d.copy(), np.zeros(0), None, float(d @ np.log(d)),
                             diagnostics, np.empty((self.data.n, 0)), None)
 
+    @cached_property
     def _cs(self) -> EstimateResult:
         cm = self.cm
         sol = solve_weighted_el(cm.H, self.data.d, tol=self.el_tol, max_iter=self.el_max_iter)
@@ -235,10 +239,15 @@ class FitProblem:
         return self._two_step("cs", sol.w, sol.multiplier, None, sol.logEL, diagnostics, None)
 
     @cached_property
+    def _ce_weights(self):
+        """``_composite`` on ``H`` alone: the ``ce`` weight step and the ``ce-joint`` bound."""
+        return _composite(self.cm.H, self._bp("fit_ce"), self.el_tol, self.el_max_iter)
+
+    @cached_property
     def _ce(self) -> EstimateResult:
         bp = self._bp("fit_ce")
         cm = self.cm
-        w, sol, Bp_hat, logEL = _composite(cm.H, bp, self.el_tol, self.el_max_iter)
+        w, sol, Bp_hat, logEL = self._ce_weights
         # n * (bp_i + kappa'h_i) = bp_i / w*_i, which the unit-weight restriction bounds below by Bp_hat.
         diagnostics = {"el_iterations": sol.iterations, "el_residual": sol.residual,
                        "el_converged": sol.converged,
@@ -248,88 +257,34 @@ class FitProblem:
                        "visibility_mode": self.vis.mode, "coef_names": list(self.model.coef_names)}
         return self._two_step("ce", w, sol.multiplier, Bp_hat, logEL, diagnostics, bp)
 
-    def _profile_objective(self, bp: np.ndarray):
-        """``(A, neg_profile)``: the design matrix, and minus the profiled composite criterion with its
-        gradient; the theta-free work (``A`` and the checked ``H / bp``) is done here, once."""
-        data, p, A = self.data, self.model.p, design_matrix(self.model, self.data)
-        try:
-            solve = _stacked_el(_check_matrix(self.cm.H / bp[:, None], "solve_el", p), p, self.el_tol,
-                                self.el_max_iter, "solve_el")
-        except InfeasibleError:  # zero is outside the hull for every theta
-            return A, lambda theta: (PENALTY, np.zeros(p))
-
-        def neg_profile(theta):
-            # The profile differs from the transformed standard-EL logEL by the
-            # theta-free constant sum(log bp); by the envelope identity its
-            # gradient is -n * (sum_i w*_i psi'_i / bp_i) @ xi_psi.
-            if np.max(np.abs(theta)) > 1e3:
-                return PENALTY, np.zeros(p)
-            try:
-                _, psi, curv = _score_parts(self.model, theta, data, A)
-                w, lam, _, _ = solve(psi / bp[:, None])
-            except (ConvergenceError, InfeasibleError):
-                return PENALTY, np.zeros(p)
-            return -float(np.sum(np.log(w))), data.n * (_jacobian(A, w / bp, curv) @ lam[:p])
-
-        return A, neg_profile
-
-    def _joint(self, seed: int = 0, theta0=None, multistart: int = 3) -> EstimateResult:
-        bp, cm, data, model = self._bp("profile_fit_joint"), self.cm, self.data, self.model
-        el_tol, el_max_iter, n, p = self.el_tol, self.el_max_iter, data.n, model.p
-        if theta0 is None:
-            start_fit = self._ce
-            if start_fit.diagnostics["converged"]:
-                theta0 = start_fit.theta
-            else:
-                theta0, _, _, start_ok, start_reason = self.start
-                if not start_ok:
-                    raise ConvergenceError(f"profile_fit_joint: no usable starting value: {start_reason}")
-        theta0 = np.asarray(theta0, dtype=float)
-        A, neg_profile = self._profile_objective(bp)
-
-        rng = np.random.default_rng(seed)
-        starts = [theta0]
-        scale = np.maximum(0.05, 0.05 * np.abs(theta0))
-        for _ in range(max(0, multistart - 1)):
-            starts.append(theta0 + scale * rng.standard_normal(p))
-        best = None
-        optima = []
-        # Inner solves leave O(n * el_tol) noise in the outer gradient.
-        gtol = max(1e-8, 100.0 * n * el_tol)
-        for s in starts:
-            opt = scipy.optimize.minimize(neg_profile, s, method="BFGS", jac=True,
-                                          options={"gtol": gtol, "maxiter": 500})
-            if opt.fun < PENALTY:
-                optima.append(opt)
-                if best is None or opt.fun < best.fun:
-                    best = opt
+    @cached_property
+    def _ce_joint(self) -> EstimateResult:
+        """The ``ce`` root and the stacked weights there, if they meet the ``H``-only bound
+        (see :func:`profile_fit_joint`); otherwise a flagged failure."""
+        bp, cm, model = self._bp("profile_fit_joint"), self.cm, self.model
+        n, p = self.data.n, model.p
         diagnostics = {"constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
-                       "visibility_mode": self.vis.mode, "coef_names": list(model.coef_names),
-                       "multistart_count": len(starts)}
-        if len(optima) >= 2:
-            spread = max(float(np.max(np.abs(a.x - b.x)))
-                         for i, a in enumerate(optima) for b in optima[i + 1:])
-        else:
-            spread = 0.0 if optima else float("nan")
-        diagnostics["multistart_spread"] = spread
-        if best is None:
-            diagnostics.update(converged=False, failure="all outer starts landed in the infeasible region")
-            return _failed("ce-joint", p, np.full(n, np.nan), np.full(p + cm.q, np.nan), None,
+                       "visibility_mode": self.vis.mode, "coef_names": list(model.coef_names)}
+        ce = self._ce
+        if not ce.diagnostics["converged"]:
+            diagnostics.update(converged=False, failure=f"ce fit failed: {ce.diagnostics['failure']}")
+            return _failed("ce-joint", p, np.full(n, np.nan), np.full(cm.q, np.nan), None,
                            float("nan"), diagnostics)
-
-        theta = np.asarray(best.x, dtype=float)
-        psi = _score_parts(model, theta, data, A)[1]
-        w, sol, Bp_hat, logEL = _composite(np.column_stack([psi, cm.H]), bp, el_tol, el_max_iter)
-        converged = bool(best.success and sol.converged)
-        diagnostics.update(converged=converged, outer_iterations=int(best.nit),
-                           el_iterations=sol.iterations, el_residual=sol.residual,
+        psi = _score_parts(model, ce.theta, self.data)[1]
+        w, sol, Bp_hat, logEL = _composite(np.column_stack([psi, cm.H]), bp, self.el_tol, self.el_max_iter)
+        gap = self._ce_weights[1].logEL - sol.logEL
+        converged = abs(gap) <= CERTIFICATE_TOL * n
+        diagnostics.update(converged=converged, certificate_gap=gap, el_iterations=sol.iterations,
+                           el_residual=sol.residual,
                            constraint_residual=float(np.max(np.abs(w @ cm.H))) if cm.q else 0.0,
                            score_residual=float(np.max(np.abs(w @ psi))),
                            score_multiplier_norm=float(np.max(np.abs(sol.multiplier[:p]))) if p else 0.0)
         if not converged:
-            diagnostics["failure"] = f"outer optimizer reported: {best.message}"
+            diagnostics["failure"] = (f"certificate failed: the stacked objective at the ce root is {gap:.3e} "
+                                      f"from its H-only bound, beyond the tolerance {CERTIFICATE_TOL * n:.3e}")
             return _failed("ce-joint", p, w, sol.multiplier[p:], Bp_hat, logEL, diagnostics)
-        return self._result("ce-joint", theta, w, sol.multiplier[p:], Bp_hat, logEL, diagnostics, cm.H, bp)
+        return self._result("ce-joint", ce.theta.copy(), w, sol.multiplier[p:], Bp_hat, logEL, diagnostics,
+                            cm.H, bp)
 
 
 def fit_pl(data: Dataset, model: ModelSpec, newton_tol: float = 1e-10,
@@ -364,15 +319,14 @@ def fit_ce(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: Vi
 
 
 def profile_fit_joint(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: VisibilityModel,
-                      theta0=None, multistart: int = 3, seed: int = 0,
                       el_tol: float = 1e-10, el_max_iter: int = 200) -> EstimateResult:
     """Joint composite fit: maximize the profiled composite criterion over theta.
 
-    For each candidate ``theta`` the inner weights maximize the composite
-    criterion under the score constraint ``sum_i w_i psi_i(theta) = 0``
-    stacked with the population constraints (solved through the transformed
-    standard-EL problem).  The outer maximization runs BFGS from the two-step
-    estimate plus jittered restarts; the spread of the restart optima is
-    reported in ``diagnostics["multistart_spread"]``.
+    The profile at ``theta`` maximizes the composite criterion under the score
+    constraint ``sum_i w_i psi_i(theta) = 0`` stacked with the population ones.
+    Dropping the score constraint can only raise it, and the ``ce`` root reaches
+    that ``H``-only optimum, so the root is the maximizer (Qin and Lawless, 1994).
+    The fit is the ``ce`` root once one stacked solve there meets the bound to
+    within ``CERTIFICATE_TOL * n`` (``diagnostics["certificate_gap"]``).
     """
-    return FitProblem(data, model, constraints, vis, el_tol, el_max_iter)._joint(seed, theta0, multistart)
+    return FitProblem(data, model, constraints, vis, el_tol, el_max_iter).fit("ce-joint")

@@ -3,7 +3,8 @@
 Everything here deliberately follows a different algorithmic path than the
 production code: scalar bisection instead of multivariate Newton, Nelder-Mead
 on a penalized dual instead of a dedicated solver, the composite dual solved
-directly instead of through transformed standard EL, central finite differences
+directly instead of through transformed standard EL, a Nelder-Mead search of
+the joint profile instead of its certificate, central finite differences
 instead of analytic Jacobians, plain Python accumulation loops instead of
 vectorized matrix products, exact enumeration over discrete designs instead
 of sampling, and whole-string recursive serialization and cell-by-cell CSV
@@ -175,15 +176,44 @@ def dual_minimize_kappa(H, bp, tol: float = 1e-10, max_iter: int = 200) -> Kappa
     raise ConvergenceError(f"dual_minimize_kappa: no convergence in {max_iter} iterations")
 
 
+def composite_profile(theta, psi, H, bp) -> float:
+    """The composite criterion profiled at ``theta``: its optimum under ``[psi(theta), H]``.
+
+    Solved by :func:`dual_minimize_kappa`; a ``theta`` outside the score's
+    domain (``psi`` raises ``ValueError``) or with zero outside the hull of
+    the stacked rows scores ``-inf``.
+    """
+    try:
+        return dual_minimize_kappa(np.column_stack([psi(theta), H]), bp).logEL
+    except (ValueError, InfeasibleError, ConvergenceError):
+        return -np.inf
+
+
+def nelder_mead_profile(psi, H, bp, start, maxiter=4000):
+    """Maximize :func:`composite_profile` over theta by Nelder-Mead; returns ``(theta, profile)``."""
+    res = scipy.optimize.minimize(
+        lambda theta: -composite_profile(theta, psi, H, bp), np.asarray(start, dtype=float),
+        method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter, "maxfev": maxiter})
+    return res.x, -res.fun
+
+
 # ---------------------------------------------------------------------------
-# Hand-written bernoulli-logit estimating functions (independent of the
-# package's glm module) and plug-in component sums as plain Python loops
+# Hand-written bernoulli-logit and gamma estimating functions (independent of
+# the package's glm module) and plug-in component sums as plain Python loops
 
 
 def logit_psi(theta, A, y):
     """Per-observation logistic score rows ``(y_i - expit(a_i'theta)) a_i``."""
     mu = expit(A @ theta)
     return (y - mu)[:, None] * A
+
+
+def gamma_inverse_psi(theta, A, y):
+    """Per-observation gamma inverse-link score rows ``(1 / a_i'theta - y_i) a_i``."""
+    eta = A @ theta
+    if np.any(eta <= 0.0):
+        raise ValueError("the gamma inverse-link predictor must stay positive")
+    return (1.0 / eta - y)[:, None] * A
 
 
 def logit_psi_prime(theta, A):

@@ -190,8 +190,9 @@ def test_fit_unknown_estimator_fails_before_loading(tmp_path, capsys):
     assert "'bogus'" in err and "absent.csv" not in err
 
 
-def test_fit_singular_sandwich_is_flagged_not_raised(tmp_path):
-    # Two identical constraints: the EL weights exist, but H1 and calH2 are singular.
+def test_fit_singular_sandwich_is_flagged_not_raised(tmp_path, capsys):
+    # Two identical constraints would leave H1 and calH2 singular; the rank check of the
+    # constraint matrix rejects them as an input error before any fit.
     spec = DesignSpec(
         N=4000, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
         covariates=(CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
@@ -204,14 +205,9 @@ def test_fit_singular_sandwich_is_flagged_not_raised(tmp_path):
     out = tmp_path / "run"
     cfg = _fit_config(data_path, out, {1.0: 0.6112839324775846})
     cfg["constraints"] *= 2
-    with pytest.warns(UserWarning, match="condition number"):
-        assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
-    results = json.loads((out / "fit.json").read_text())
-    assert results["pl"]["diagnostics"]["converged"] is True
-    for name in ("cs", "ce"):
-        assert results[name]["diagnostics"]["converged"] is False
-        assert "singular" in results[name]["diagnostics"]["failure"]
-        assert all(t is None for t in results[name]["theta"])
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 1
+    assert "constraints #0 v=1|y, #1 v=1|y are linearly dependent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_ce_joint_uses_the_configured_newton_settings(tmp_path):
@@ -219,8 +215,9 @@ def test_fit_ce_joint_uses_the_configured_newton_settings(tmp_path):
     out = tmp_path / "run"
     cfg = _fit_config(data_path, out, gammas, estimators=["ce-joint"], solver={"newton_max_iter": 0})
     assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
-    results = json.loads((out / "fit.json").read_text())
-    assert "no usable starting value" in results["ce-joint"]["error"]
+    diagnostics = json.loads((out / "fit.json").read_text())["ce-joint"]["diagnostics"]
+    assert diagnostics["converged"] is False
+    assert diagnostics["failure"].startswith("ce fit failed: design-weighted start failed: no convergence in 0 ")
 
 
 def test_fit_unknown_visibility_mode_exits_1(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import dataset_from
 from elsurvey.data import (
+    RANK_RTOL,
     ConstraintEntry,
     ConstraintSpec,
     build_constraint_matrix,
@@ -261,3 +262,46 @@ def test_vacuous_constraint_warned_and_flagged():
         cm = build_constraint_matrix(data, spec)
     assert cm.vacuous == (True,)
     np.testing.assert_allclose(cm.H[:, 0], [0.0, 0.0])
+
+
+def _general_moments(columns):
+    data = dataset_from(columns)
+    return data, ConstraintSpec(tuple(ConstraintEntry("general-moment", name, gamma=0.0) for name in columns))
+
+
+def _scaled_singular_ratio(H):
+    s = np.linalg.svd(H / np.sqrt((H * H).sum(axis=0)), compute_uv=False)
+    return s[-1] / s[0]
+
+
+def test_dependent_constraints_rejected_on_either_side_of_the_rank_tolerance():
+    rng = np.random.default_rng(7)
+    a, z, c = rng.normal(size=(3, 500))
+
+    def columns(eps):
+        return {"a": a, "b": a + eps * z, "c": c}
+
+    ratio = _scaled_singular_ratio(np.column_stack(list(columns(1e-6).values())))
+    below, above = (1e-6 * f * RANK_RTOL / ratio for f in (0.5, 2.0))
+    assert _scaled_singular_ratio(np.column_stack(list(columns(below).values()))) < RANK_RTOL
+    assert _scaled_singular_ratio(np.column_stack(list(columns(above).values()))) > RANK_RTOL
+    cm = build_constraint_matrix(*_general_moments(columns(above)))
+    assert cm.labels == ("a", "b", "c")
+    with pytest.raises(DataError, match=r"constraints #0 a, #1 b are linearly dependent"):
+        build_constraint_matrix(*_general_moments(columns(below)))
+
+
+def test_dependent_constraints_named_and_vacuous_ones_skipped():
+    rng = np.random.default_rng(8)
+    a, b, c = rng.normal(size=(3, 200))
+    with pytest.raises(DataError, match=r"constraints #0 a, #1 b, #3 ab are linearly dependent"):
+        build_constraint_matrix(*_general_moments({"a": a, "b": b, "c": c, "ab": a - 2.0 * b}))
+    data = dataset_from({"x": [1.0, -1.0, 2.0, 0.5], "g": [0.0, 0.0, 0.0, 0.0]})
+    vacuous = ConstraintEntry("subgroup-moment", "x", gamma=0.5, group_column="g", group_value=1.0)
+    with pytest.warns(UserWarning, match="vacuous"):
+        spec = ConstraintSpec((vacuous, vacuous, ConstraintEntry("general-moment", "x", gamma=0.5)))
+        cm = build_constraint_matrix(data, spec)
+    assert cm.vacuous == (True, True, False)
+    # With no more rows than constraints the columns cannot be told apart; the EL solvers reject that.
+    tiny = build_constraint_matrix(*_general_moments({"a": [1.0, -1.0], "b": [2.0, 0.5]}))
+    assert tiny.q == 2

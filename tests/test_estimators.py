@@ -1,5 +1,5 @@
 """Point estimators: design-weighted, constrained two-step, composite, and
-the joint profile verifier."""
+the certified joint fit."""
 
 import sys
 
@@ -10,15 +10,16 @@ from scipy.special import expit, logit
 
 from conftest import dataset_from
 from elsurvey import estimators, glm
-from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
+from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, build_constraint_matrix
 from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
 from elsurvey.estimators import (ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, newton_solve_score,
                                  profile_fit_joint)
-from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
+from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
 from elsurvey.visibility import VisibilityModel, visibility_from_pi
-from oracles import dual_minimize_kappa, logistic_fisher_inverse
+from oracles import (composite_profile, dual_minimize_kappa, gamma_inverse_psi, logistic_fisher_inverse,
+                     logit_psi, nelder_mead_profile)
 
 
 def _logistic_data(rng, n=80, theta=(0.2, 0.8), informative=True):
@@ -291,15 +292,6 @@ def test_joint_agrees_with_two_step_on_well_conditioned_instance(rng):
     assert np.all(np.abs(joint.theta - two_step.theta) < 1e-3)
 
 
-def test_joint_reports_infeasible_region_instead_of_guessing(rng):
-    data = _logistic_data(rng, n=40)
-    vis = visibility_from_pi(data)
-    res = profile_fit_joint(data, MODEL, NO_CONSTRAINTS, vis, theta0=np.array([60.0, 0.0]))
-    assert not res.diagnostics["converged"]
-    assert "infeasible" in res.diagnostics["failure"]
-    assert np.all(np.isnan(res.theta))
-
-
 # ---------------------------------------------------------------------------
 # newton_solve_score
 
@@ -386,7 +378,7 @@ def test_ce_joint_starts_from_the_same_problems_ce_fit(monkeypatch):
     sandwiches = _counting(monkeypatch, "components_from_arrays")
     ce = problem.fit("ce")
     joint = problem.fit("ce-joint")
-    # One sandwich for ce and one for ce-joint: its start is the ce fit above, not a refit.
+    # One sandwich for ce and one for ce-joint: it certifies the ce fit above, not a refit.
     assert len(sandwiches) == 2
     assert problem.fit("ce") is ce and len(sandwiches) == 2
     for key in ("theta", "se", "weights", "multiplier"):
@@ -409,7 +401,7 @@ def test_fit_problem_builds_constraints_only_when_needed(rng):
 
 
 # ---------------------------------------------------------------------------
-# The prepared ce-joint profile objective
+# ce-joint: the certified ce root
 
 
 def _d67_problem(N, seed):
@@ -435,85 +427,85 @@ def _d67_problem(N, seed):
     return FitProblem(sample, spec.model, population_constraint_spec(pop, spec), visibility_from_pi(sample))
 
 
-def _composed_neg_profile(problem, theta):
-    """The profile objective composed from public calls: score, column_stack, solve_el, score_jacobian."""
-    model, data, bp, p = problem.model, problem.data, problem.vis.bp, problem.model.p
-    if np.max(np.abs(theta)) > 1e3:
-        return estimators.PENALTY, np.zeros(p)
-    try:
-        sol = solve_el(np.column_stack([score(model, theta, data), problem.cm.H]) / bp[:, None])
-    except (ConvergenceError, InfeasibleError):
-        return estimators.PENALTY, np.zeros(p)
-    J = score_jacobian(model, theta, data, sol.w / bp)
-    return -sol.logEL, data.n * (J @ sol.multiplier[:p])
-
-
-def _assert_same_objective(problem, thetas):
-    """Bitwise-equal value and gradient at every theta; returns the thetas that got PENALTY."""
-    _, neg_profile = problem._profile_objective(problem.vis.bp)
-    penalized = []
-    for theta in thetas:
-        theta = np.asarray(theta, dtype=float)
-        value, grad = neg_profile(theta)
-        ref_value, ref_grad = _composed_neg_profile(problem, theta)
-        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), theta
-        assert grad.tobytes() == ref_grad.tobytes(), theta
-        if value == estimators.PENALTY:
-            penalized.append(tuple(theta))
-    return penalized
-
-
-def test_prepared_profile_objective_matches_the_composed_one_bitwise():
-    problem = _d67_problem(4000, seed=31)
-    center = problem.fit("ce").theta
-    offsets = (-0.5, -0.05, 0.0, 0.01, 0.3)
-    grid = [center + np.array([a, b]) for a in offsets for b in offsets]
-    saturated = np.array([40.0, 0.0])  # expit rounds to 1: the intercept score column is never positive
-    huge = np.array([2e3, 0.0])
-    penalized = _assert_same_objective(problem, grid + [saturated, huge])
-    assert penalized == [tuple(saturated), tuple(huge)]
-    with pytest.raises(InfeasibleError, match="constraint column 0 never changes sign"):
-        solve_el(np.column_stack([score(problem.model, saturated, problem.data), problem.cm.H]))
-
-
-def test_prepared_profile_objective_penalizes_a_nonpositive_gamma_predictor(rng):
-    n = 300
+def _gamma_problem(rng, n=300):
     x = rng.uniform(-1.0, 1.0, size=n)
     y = rng.gamma(shape=2.0, scale=1.0 / (2.0 * (1.0 + 0.3 * x)))
     pi = rng.uniform(0.2, 0.8, size=n)
     data = dataset_from({"y": y, "x": x, "pi": pi}, response="y", covariates=("x",), pi="pi")
     model = ModelSpec("gamma-inverse", terms=("x",))
-    problem = FitProblem(data, model, _mean_constraint(data, column="x"), visibility_from_pi(data))
-    center = problem.fit("ce").theta
-    nonpositive = np.array([0.2, 0.5])  # eta = 0.2 + 0.5 x <= 0 for x <= -0.4
-    grid = [center + np.array([a, b]) for a in (-0.2, 0.0, 0.2) for b in (-0.1, 0.0, 0.1)]
-    penalized = _assert_same_objective(problem, grid + [nonpositive])
-    assert penalized == [tuple(nonpositive)]
+    return FitProblem(data, model, _mean_constraint(data, column="x"), visibility_from_pi(data))
 
 
-def test_prepared_profile_objective_penalizes_beyond_the_bound_even_where_feasible(rng):
-    n = 200
-    x = rng.uniform(-1.0, 1.0, size=n)
-    y = 1200.0 + x + rng.normal(scale=0.3, size=n)  # the fit itself lies beyond |theta| = 1e3
-    pi = rng.uniform(0.2, 0.8, size=n)
-    data = dataset_from({"y": y, "x": x, "pi": pi}, response="y", covariates=("x",), pi="pi")
-    model = ModelSpec("gaussian-identity", terms=("x",))
-    problem = FitProblem(data, model, _mean_constraint(data, column="x"), visibility_from_pi(data))
-    center = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
-    assert np.max(np.abs(center)) > 1e3
-    assert solve_el(np.column_stack([score(model, center, data), problem.cm.H]) / problem.vis.bp[:, None]).converged
-    far = [center, center + np.array([0.0, 0.1])]
-    assert len(_assert_same_objective(problem, far)) == len(far)
+def _assert_oracle_profile_maximum_is_certified(problem, psi, rng):
+    """The certified theta is the oracle's profile maximizer, and no jittered theta beats its value."""
+    joint = problem.fit("ce-joint")
+    assert joint.diagnostics["converged"]
+    H, bp = problem.cm.H, problem.vis.bp
+    theta, best = nelder_mead_profile(psi, H, bp, joint.theta + np.array([0.1, -0.1]))
+    np.testing.assert_allclose(theta, joint.theta, rtol=0.0, atol=1e-6)
+    bound = dual_minimize_kappa(H, bp).logEL
+    tol = 1e-9
+    assert abs(joint.logEL - bound) < tol and best <= bound + tol
+    assert abs(composite_profile(joint.theta, psi, H, bp) - joint.logEL) < tol
+    for scale in (1e-4, 1e-2, 1e-1):
+        for _ in range(5):
+            jittered = joint.theta + scale * rng.standard_normal(2)
+            assert composite_profile(jittered, psi, H, bp) <= joint.logEL + tol, jittered
 
 
-def test_prepared_profile_objective_with_an_infeasible_constraint_penalizes_everywhere(rng):
-    data = _logistic_data(rng, n=120)
-    never = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=5.0),))
-    problem = FitProblem(data, MODEL, never, visibility_from_pi(data))
-    thetas = [np.array([a, b]) for a in (-0.5, 0.2) for b in (0.0, 0.8)]
-    assert len(_assert_same_objective(problem, thetas)) == len(thetas)
-    res = problem._joint(theta0=thetas[0])
-    assert not res.diagnostics["converged"] and "infeasible region" in res.diagnostics["failure"]
+def test_ce_joint_is_the_oracle_profile_maximizer_logit(rng):
+    data = _logistic_data(rng, n=300)
+    problem = FitProblem(data, MODEL, _mean_constraint(data, group=("x", 1.0)), visibility_from_pi(data))
+    A = np.column_stack([np.ones(data.n), data.columns["x"]])
+    _assert_oracle_profile_maximum_is_certified(problem, lambda theta: logit_psi(theta, A, data.y), rng)
+
+
+def test_ce_joint_is_the_oracle_profile_maximizer_gamma(rng):
+    problem = _gamma_problem(rng)
+    A = np.column_stack([np.ones(problem.data.n), problem.data.columns["x"]])
+    _assert_oracle_profile_maximum_is_certified(problem, lambda theta: gamma_inverse_psi(theta, A, problem.data.y), rng)
+
+
+def test_ce_joint_converges_where_a_bfgs_profile_search_lost_precision():
+    # A BFGS search of the profile from the ce root stopped here with "precision loss".
+    problem = _d67_problem(4000, seed=9)
+    joint = problem.fit("ce-joint")
+    assert joint.diagnostics["converged"]
+    assert joint.theta.tobytes() == problem.fit("ce").theta.tobytes()
+    assert abs(joint.diagnostics["certificate_gap"]) <= estimators.CERTIFICATE_TOL * problem.data.n
+    assert np.all(np.isfinite(joint.se)) and joint.diagnostics["score_multiplier_norm"] < 1e-8
+
+
+def test_ce_joint_flags_a_failed_certificate(rng, monkeypatch):
+    problem = _gamma_problem(rng)
+    monkeypatch.setattr(estimators, "CERTIFICATE_TOL", -1.0)  # no gap can pass
+    joint = problem.fit("ce-joint")
+    assert not joint.diagnostics["converged"] and "certificate failed" in joint.diagnostics["failure"]
+    assert np.all(np.isnan(joint.theta)) and np.all(np.isfinite(joint.weights))
+    assert problem.fit("ce").diagnostics["converged"]
+
+
+def test_ce_joint_carries_the_ce_failure():
+    problem = _d67_problem(4000, seed=31)
+    problem.newton_max_iter = 0
+    joint = problem.fit("ce-joint")
+    reason = problem.fit("ce").diagnostics["failure"]
+    assert not joint.diagnostics["converged"] and joint.diagnostics["failure"] == f"ce fit failed: {reason}"
+    assert np.all(np.isnan(joint.theta)) and joint.multiplier.shape == (problem.cm.q,)
+
+
+def test_singular_sandwich_is_flagged_not_raised():
+    # Every constraint column twice, passed around build_constraint_matrix's rank check:
+    # the EL weights exist, but H1 and calH2 are singular.
+    problem = _d67_problem(4000, seed=0)
+    cm = problem.cm
+    problem.cm = ConstraintMatrix(np.column_stack([cm.H, cm.H]), cm.labels * 2, cm.vacuous * 2)
+    with pytest.warns(UserWarning, match="condition number"):
+        fits = {name: problem.fit(name) for name in ("cs", "ce", "ce-joint")}
+    for res in fits.values():
+        assert not res.diagnostics["converged"] and "singular sandwich covariance" in res.diagnostics["failure"]
+        assert np.all(np.isnan(res.theta))
+    assert np.all(np.isfinite(fits["cs"].weights)) and np.all(np.isfinite(fits["ce"].weights))
 
 
 def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatch):
@@ -536,8 +528,8 @@ def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatc
         fits = {name: problem.fit(name) for name in ESTIMATORS}
         assert all(res.diagnostics["converged"] for res in fits.values())
         counts.append(len(calls))
-        work.append((fits["cs"].diagnostics["newton_iterations"], fits["ce-joint"].diagnostics["outer_iterations"]))
-    # Start (IRLS + Newton), three sandwiches, the cs and ce Newton solves and the ce-joint fit
-    # itself, which starts from the ce fit: 9, whatever the iteration counts.
+        work.append((fits["cs"].diagnostics["newton_iterations"], fits["ce"].diagnostics["newton_iterations"]))
+    # Start (IRLS + Newton), four sandwiches, the cs and ce Newton solves and the score of the
+    # ce-joint certificate at the ce root: 9, whatever the iteration counts.
     assert counts == [9, 9]
     assert work[0] != work[1]
