@@ -24,6 +24,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import MISSING, asdict, fields
 from itertools import repeat
 
 import numpy as np
@@ -31,27 +32,22 @@ import numpy as np
 from . import __version__
 from .data import ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, decluster, load_dataset
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
-from .estimators import ESTIMATORS, FitProblem
+from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
 from .glm import ModelSpec
 from .simulate import (CovariateSpec, DesignSpec, draw_sample, gen_population,
                        population_constraint_spec, run_monte_carlo)
-from .visibility import estimate_visibility, visibility_from_pi
+from .visibility import VisibilitySpec
 
-TOP_KEYS = ("data", "model", "constraints", "visibility", "estimators", "solver",
-            "seed", "reps", "jobs", "output", "design")
+# A section that builds a package object (model, constraints, visibility, design) takes its class's fields.
+FIT_SECTIONS = ("data", "model", "constraints", "visibility", "solver")  # read by fit alone
+OVERRIDES = ("seed", "reps", "jobs")  # integer config keys that a command-line flag of the same name sets
+TOP_KEYS = FIT_SECTIONS + OVERRIDES + ("estimators", "output", "design")
 DATA_KEYS = ("path", "schema")
-MODEL_KEYS = ("family", "terms", "intercept")
-CONSTRAINT_KEYS = ("kind", "target_column", "gamma", "group_column", "group_value")
-VISIBILITY_KEYS = ("mode", "formula", "nf_adjust")
 SOLVER_KEYS = ("el_tol", "el_max_iter", "newton_tol", "newton_max_iter")
 OUTPUT_KEYS = ("path", "format")
-DESIGN_KEYS = ("N", "family", "theta0", "covariates", "terms", "intercept", "dummies",
-               "design", "constraints", "visibility", "fixed_population",
-               "fit_terms", "estimand")
-COVARIATE_KEYS = ("name", "dist", "params")
-POISSON_KEYS = ("kind", "lo", "hi", "const", "coeffs", "response_coef", "latent_sd", "mask_latent")
-STRATA_KEYS = ("kind", "column", "rates", "family_sizes")
-SIM_CONSTRAINT_KEYS = ("kind", "target_column", "group_column", "group_value", "gamma")
+SAMPLING_KEYS = {  # design.design: kind -> (allowed keys, required keys)
+    "poisson": (("kind", "lo", "hi", "const", "coeffs", "response_coef", "latent_sd", "mask_latent"), ("lo", "hi")),
+    "two-strata": (("kind", "column", "rates", "family_sizes"), ("column", "rates"))}
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +249,25 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 
 
 def _need(section: dict, key: str, where: str):
-    if key not in section:
+    if not isinstance(section, dict) or key not in section:
         raise ConfigError(f"parse_config: missing required key {key!r} in {where!r}")
     return section[key]
+
+
+def _check_fields(section: dict, cls, where: str, optional=()) -> None:
+    """Check that ``section`` holds only fields of ``cls``, and each one that has no default and is not ``optional``."""
+    _check_keys(section, [f.name for f in fields(cls)], where)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in optional:
+            _need(section, f.name, where)
+
+
+def _check_list(section: dict, key: str, cls, where: str, optional=()) -> None:
+    """Check that ``section[key]``, if given, is a list of sections that :func:`_check_fields` accepts."""
+    if not isinstance(section.get(key, []), list):
+        raise ConfigError(f"parse_config: {where!r} must be a list")
+    for i, entry in enumerate(section.get(key, [])):
+        _check_fields(entry, cls, f"{where}[{i}]", optional)
 
 
 def parse_config(source) -> dict:
@@ -282,21 +294,16 @@ def parse_config(source) -> dict:
         schema = _need(cfg["data"], "schema", "data")
         _check_keys(schema, ROLE_KEYS, "data.schema")
     if "model" in cfg:
-        _check_keys(cfg["model"], MODEL_KEYS, "model")
-        _need(cfg["model"], "family", "model")
-    if "constraints" in cfg:
-        if not isinstance(cfg["constraints"], list):
-            raise ConfigError("parse_config: 'constraints' must be a list")
-        for i, entry in enumerate(cfg["constraints"]):
-            _check_keys(entry, CONSTRAINT_KEYS, f"constraints[{i}]")
-            _need(entry, "kind", f"constraints[{i}]")
-            _need(entry, "target_column", f"constraints[{i}]")
-            _need(entry, "gamma", f"constraints[{i}]")
+        _check_fields(cfg["model"], ModelSpec, "model")
+    _check_list(cfg, "constraints", ConstraintEntry, "constraints")
     if "visibility" in cfg:
-        _check_keys(cfg["visibility"], VISIBILITY_KEYS, "visibility")
-        _need(cfg["visibility"], "mode", "visibility")
+        _check_fields(cfg["visibility"], VisibilitySpec, "visibility")
     if "solver" in cfg:
         _check_keys(cfg["solver"], SOLVER_KEYS, "solver")
+        for key, value in cfg["solver"].items():
+            kind = int if key.endswith("max_iter") else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"parse_config: solver.{key} must be {'an integer' if kind is int else 'a number'}")
     if "output" in cfg:
         _check_keys(cfg["output"], OUTPUT_KEYS, "output")
         fmt = cfg["output"].get("format", "both")
@@ -308,88 +315,47 @@ def parse_config(source) -> dict:
         unknown = [e for e in cfg["estimators"] if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"parse_config: unknown estimator {unknown[0]!r}; expected one of {ESTIMATORS}")
-    for key in ("seed", "reps", "jobs"):
+    for key in OVERRIDES:
         if key in cfg and not isinstance(cfg[key], int):
             raise ConfigError(f"parse_config: {key!r} must be an integer")
     if "design" in cfg:
         d = cfg["design"]
-        _check_keys(d, DESIGN_KEYS, "design")
-        for key in ("N", "family", "theta0", "covariates", "design"):
-            _need(d, key, "design")
-        for i, cov in enumerate(d["covariates"]):
-            _check_keys(cov, COVARIATE_KEYS, f"design.covariates[{i}]")
-            for key in COVARIATE_KEYS:
-                _need(cov, key, f"design.covariates[{i}]")
+        _check_fields(d, DesignSpec, "design")
+        _check_list(d, "covariates", CovariateSpec, "design.covariates")
         kind = _need(d["design"], "kind", "design.design")
-        if kind == "poisson":
-            _check_keys(d["design"], POISSON_KEYS, "design.design")
-            _need(d["design"], "lo", "design.design")
-            _need(d["design"], "hi", "design.design")
-        elif kind == "two-strata":
-            _check_keys(d["design"], STRATA_KEYS, "design.design")
-            _need(d["design"], "column", "design.design")
-            _need(d["design"], "rates", "design.design")
-        else:
+        if kind not in tuple(SAMPLING_KEYS):  # a tuple: the JSON value may be unhashable
             raise ConfigError(f"parse_config: design.design.kind must be poisson or two-strata, got {kind!r}")
-        for i, entry in enumerate(d.get("constraints", [])):
-            _check_keys(entry, SIM_CONSTRAINT_KEYS, f"design.constraints[{i}]")
-            _need(entry, "kind", f"design.constraints[{i}]")
-            _need(entry, "target_column", f"design.constraints[{i}]")
-        if "visibility" in d and d["visibility"] is not None:
-            _check_keys(d["visibility"], VISIBILITY_KEYS, "design.visibility")
+        allowed, required = SAMPLING_KEYS[kind]
+        _check_keys(d["design"], allowed, "design.design")
+        for key in required:
+            _need(d["design"], key, "design.design")
+        _check_list(d, "constraints", ConstraintEntry, "design.constraints", optional=("gamma",))
+        if d.get("visibility") is not None:
+            _check_fields(d["visibility"], VisibilitySpec, "design.visibility")
     return cfg
 
 
-def _model_from(cfg: dict) -> ModelSpec:
-    if "model" not in cfg:
-        raise ConfigError("run: this command needs a 'model' section")
-    m = cfg["model"]
-    return ModelSpec(family=m["family"], terms=tuple(m.get("terms", ())),
-                     intercept=bool(m.get("intercept", True)))
+def _required(cfg: dict, key: str, command: str):
+    if cfg.get(key) is None:
+        hint = f" (config key or --{key})" if key in OVERRIDES else ""
+        raise ConfigError(f"run {command}: {key!r} is required{hint}")
+    return cfg[key]
 
 
-def _constraints_from(cfg: dict) -> ConstraintSpec:
-    entries = []
-    for entry in cfg.get("constraints", []):
-        entries.append(ConstraintEntry(
-            kind=entry["kind"], target_column=entry["target_column"], gamma=float(entry["gamma"]),
-            group_column=entry.get("group_column"),
-            group_value=None if entry.get("group_value") is None else float(entry["group_value"])))
-    return ConstraintSpec(entries=tuple(entries))
+def _build(cls, section: dict, where: str):
+    """``cls(**section)``, with a TypeError or ValueError it raises reported as a ConfigError naming ``where``."""
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run: section {where!r}: {exc}") from exc
 
 
-def _design_from(cfg: dict) -> DesignSpec:
-    if "design" not in cfg:
-        raise ConfigError("run: this command needs a 'design' section")
-    d = cfg["design"]
-    covs = tuple(CovariateSpec(name=c["name"], dist=c["dist"], params=tuple(c["params"]))
-                 for c in d["covariates"])
-    dummies = {parent: tuple(values) for parent, values in d.get("dummies", {}).items()}
-    return DesignSpec(N=int(d["N"]), family=d["family"], theta0=tuple(d["theta0"]),
-                      covariates=covs, design=dict(d["design"]),
-                      terms=tuple(d.get("terms", ())), intercept=bool(d.get("intercept", True)),
-                      dummies=dummies, constraints=tuple(d.get("constraints", ())),
-                      visibility=d.get("visibility"),
-                      fixed_population=bool(d.get("fixed_population", False)),
-                      fit_terms=tuple(d.get("fit_terms", ())),
-                      estimand=tuple(d.get("estimand", ())))
-
-
-def _visibility_from(cfg: dict, data: Dataset):
-    vcfg = cfg.get("visibility", {"mode": "given-pi"})
-    if vcfg["mode"] == "given-pi":
-        return visibility_from_pi(data)
-    if vcfg["mode"] == "gamma-regression":
-        if "formula" not in vcfg:
-            raise ConfigError("run: visibility.formula is required for gamma-regression")
-        return estimate_visibility(data, vcfg["formula"], nf_adjust=bool(vcfg.get("nf_adjust", False)))
-    raise ConfigError(f"run: unknown visibility mode {vcfg['mode']!r}")
-
-
-def _require_seed(cfg: dict, command: str) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigError(f"run {command}: a 'seed' is required (config key or --seed)")
-    return int(cfg["seed"])
+def _design(cfg: dict, command: str) -> DesignSpec:
+    """The ``design`` section of ``simulate`` and ``mc``, which read no section of :data:`FIT_SECTIONS`."""
+    for key in FIT_SECTIONS:
+        if key in cfg:
+            raise ConfigError(f"run {command}: section {key!r} is read by fit only; {command} reads 'design'")
+    return _build(DesignSpec, _required(cfg, "design", command), "design")
 
 
 def _outdir(cfg: dict) -> str:
@@ -398,49 +364,50 @@ def _outdir(cfg: dict) -> str:
     return path
 
 
+def _write_outputs(cfg: dict, stem: str, payload, header, rows) -> None:
+    """``{stem}.json`` and ``{stem}.csv`` in the output directory, as ``output.format`` asks."""
+    out = _outdir(cfg)
+    fmt = cfg.get("output", {}).get("format", "both")
+    if fmt in ("json", "both"):
+        write_json(os.path.join(out, f"{stem}.json"), payload)
+    if fmt in ("csv", "both"):
+        write_csv(os.path.join(out, f"{stem}.csv"), header, rows)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
-def _fit_payload(res) -> dict:
-    return {"estimator": res.estimator, "theta": res.theta, "se": res.se,
-            "covariance": res.covariance, "weights": res.weights,
-            "multiplier": res.multiplier,
-            "Bp_hat": res.Bp_hat, "logEL": res.logEL, "diagnostics": res.diagnostics}
-
-
 def _cmd_fit(cfg: dict) -> int:
-    if "data" not in cfg:
-        raise ConfigError("run fit: a 'data' section is required")
-    data = load_dataset(cfg["data"]["path"], cfg["data"]["schema"])
-    problem = FitProblem(data, _model_from(cfg), _constraints_from(cfg), **cfg.get("solver", {}))
+    source = _required(cfg, "data", "fit")
+    model = _build(ModelSpec, _required(cfg, "model", "fit"), "model")
+    constraints = ConstraintSpec(tuple(_build(ConstraintEntry, entry, f"constraints[{i}]")
+                                       for i, entry in enumerate(cfg.get("constraints", []))))
+    visibility = _build(VisibilitySpec, cfg.get("visibility", {"mode": "given-pi"}), "visibility")
+    data = load_dataset(source["path"], source["schema"])
+    problem = FitProblem(data, model, constraints, **cfg.get("solver", {}))
     problem.cm  # fail fast on unknown constraint columns before any fitting work
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
-    if any(n in ("ce", "ce-joint") for n in names):
-        problem.vis = _visibility_from(cfg, data)
+    if any(n in NEEDS_VISIBILITY for n in names):
+        problem.vis = visibility.resolve(data)
     results, failed = {}, False
     for name in names:
         try:
             res = problem.fit(name)
-            results[name] = _fit_payload(res)
+            results[name] = vars(res)
             failed |= not res.diagnostics.get("converged", False)
         except (InfeasibleError, ConvergenceError) as exc:
             results[name] = {"estimator": name, "error": f"{type(exc).__name__}: {exc}"}
             failed = True
-    out = _outdir(cfg)
-    fmt = cfg.get("output", {}).get("format", "both")
-    if fmt in ("json", "both"):
-        write_json(os.path.join(out, "fit.json"), results)
-    if fmt in ("csv", "both"):
-        rows = [[name, coef, payload["theta"][k], payload["se"][k]]
-                for name, payload in results.items() if "error" not in payload
-                for k, coef in enumerate(payload["diagnostics"]["coef_names"])]
-        write_csv(os.path.join(out, "fit.csv"), ["estimator", "coefficient", "estimate", "se"], rows)
+    rows = [[name, coef, payload["theta"][k], payload["se"][k]]
+            for name, payload in results.items() if "error" not in payload
+            for k, coef in enumerate(payload["diagnostics"]["coef_names"])]
+    _write_outputs(cfg, "fit", results, ["estimator", "coefficient", "estimate", "se"], rows)
     return 2 if failed else 0
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    spec = _design_from(cfg)
-    seed = _require_seed(cfg, "simulate")
+    spec = _design(cfg, "simulate")
+    seed = _required(cfg, "seed", "simulate")
     rng = np.random.default_rng(seed)
     pop_seed, sample_seed = (int(s) for s in rng.integers(0, 2**62, size=2))
     population = gen_population(spec, pop_seed)
@@ -450,44 +417,31 @@ def _cmd_simulate(cfg: dict) -> int:
     write_dataset_csv(os.path.join(out, "population.csv"), population)
     write_dataset_csv(os.path.join(out, "sample.csv"), sample)
     meta = {"seed": seed, "population_rows": population.n, "sample_rows": sample.n,
-            "sample_schema": {k: (list(v) if isinstance(v, (list, tuple)) else v)
-                              for k, v in sample.roles.items()},
-            "constraints": [{"kind": e.kind, "target_column": e.target_column, "gamma": e.gamma,
-                             "group_column": e.group_column, "group_value": e.group_value}
-                            for e in constraints.entries]}
+            "sample_schema": sample.roles,
+            "constraints": [asdict(e) for e in constraints.entries]}
     write_json(os.path.join(out, "sim.json"), meta)
     return 0
 
 
 def _cmd_mc(cfg: dict) -> int:
-    spec = _design_from(cfg)
-    seed = _require_seed(cfg, "mc")
-    reps = cfg.get("reps")
-    if reps is None:
-        raise ConfigError("run mc: 'reps' is required (config key or --reps)")
+    spec = _design(cfg, "mc")
+    seed = _required(cfg, "seed", "mc")
+    reps = _required(cfg, "reps", "mc")
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
     summary = run_monte_carlo(spec, names, reps=int(reps), seed=seed, jobs=int(cfg.get("jobs", 1)))
-    out = _outdir(cfg)
-    fmt = cfg.get("output", {}).get("format", "both")
-    if fmt in ("json", "both"):
-        write_json(os.path.join(out, "mc.json"), summary.as_dict())
-    if fmt in ("csv", "both"):
-        rows = []
-        for name, s in summary.estimators.items():
-            for k, coef in enumerate(summary.coef_names):
-                rows.append([name, coef, summary.theta0[k], s.mean[k], s.bias[k], s.sd[k],
-                             s.rmse[k], s.mean_se[k], s.coverage[k], s.n_converged, s.n_failed])
-        write_csv(os.path.join(out, "mc.csv"),
-                  ["estimator", "coefficient", "theta0", "mean", "bias", "sd", "rmse",
-                   "mean_se", "coverage", "n_converged", "n_failed"], rows)
+    rows = [[name, coef, summary.theta0[k], s.mean[k], s.bias[k], s.sd[k],
+             s.rmse[k], s.mean_se[k], s.coverage[k], s.n_converged, s.n_failed]
+            for name, s in summary.estimators.items() for k, coef in enumerate(summary.coef_names)]
+    _write_outputs(cfg, "mc", summary.as_dict(),
+                   ["estimator", "coefficient", "theta0", "mean", "bias", "sd", "rmse",
+                    "mean_se", "coverage", "n_converged", "n_failed"], rows)
     return 2 if any(s.n_converged == 0 for s in summary.estimators.values()) else 0
 
 
 def _cmd_decluster(cfg: dict) -> int:
-    if "data" not in cfg:
-        raise ConfigError("run decluster: a 'data' section is required")
-    data = load_dataset(cfg["data"]["path"], cfg["data"]["schema"])
-    seed = _require_seed(cfg, "decluster")
+    source = _required(cfg, "data", "decluster")
+    data = load_dataset(source["path"], source["schema"])
+    seed = _required(cfg, "seed", "decluster")
     result = decluster(data, seed)
     out = _outdir(cfg)
     write_dataset_csv(os.path.join(out, "declustered.csv"), result)
@@ -514,12 +468,9 @@ def run_command(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.reps is not None:
-            cfg["reps"] = args.reps
-        if args.jobs is not None:
-            cfg["jobs"] = args.jobs
+        for key in OVERRIDES:
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
         if args.out is not None:
             cfg.setdefault("output", {})["path"] = args.out
         command = {"fit": _cmd_fit, "simulate": _cmd_simulate,

@@ -43,6 +43,12 @@ def normalize_design_weights(source, mode: str = "direct") -> np.ndarray:
     numpy.ndarray
         Weights scaled to sum exactly to one.
     """
+    base = _raw_weights(source, mode)
+    return base / base.sum()
+
+
+def _raw_weights(source, mode: str) -> np.ndarray:
+    """The validated weights of ``source`` before normalization (see :func:`normalize_design_weights`)."""
     if mode not in WEIGHT_MODES:
         raise DataError(
             f"normalize_design_weights: unknown mode {mode!r}; expected one of {WEIGHT_MODES}"
@@ -54,8 +60,23 @@ def normalize_design_weights(source, mode: str = "direct") -> np.ndarray:
         raise DataError("normalize_design_weights: source contains non-finite values")
     if np.any(source <= 0.0):
         raise DataError("normalize_design_weights: source must be strictly positive")
-    base = 1.0 / source if mode == "inverse-probability" else source.copy()
-    return base / base.sum()
+    return 1.0 / source if mode == "inverse-probability" else source.copy()
+
+
+def _weight_source(columns: dict, roles: dict) -> np.ndarray:
+    """The design weights before normalization, from the tagged weight source (see :func:`make_dataset`)."""
+    if roles.get("weight"):
+        return _raw_weights(columns[roles["weight"]], roles["weight_mode"])
+    if roles.get("pi"):
+        return _raw_weights(columns[roles["pi"]], "inverse-probability")
+    return np.ones(len(next(iter(columns.values()))))
+
+
+def as_tuple(value, what: str) -> tuple:
+    """``tuple(value)`` for a list of names or specs; a lone string is rejected, not split into characters."""
+    if isinstance(value, str):
+        raise DataError(f"{what} must be a list, got the string {value!r}")
+    return tuple(value)
 
 
 def _validate_roles(roles: dict, columns: dict) -> dict:
@@ -76,9 +97,7 @@ def _validate_roles(roles: dict, columns: dict) -> dict:
         if names is None:
             out[key] = ()
             continue
-        if isinstance(names, str):
-            raise DataError(f"dataset roles: role {key!r} must be a list of column names")
-        names = tuple(names)
+        names = as_tuple(names, f"dataset roles: role {key!r}")
         for name in names:
             if name not in columns:
                 raise DataError(f"dataset roles: column {name!r} tagged as {key!r} is not present")
@@ -165,14 +184,8 @@ def make_dataset(columns: dict, roles: dict) -> Dataset:
     neither tag the design weights are uniform.
     """
     roles = _validate_roles(roles, columns)
-    n = len(next(iter(columns.values())))
-    if roles.get("weight"):
-        d = normalize_design_weights(columns[roles["weight"]], roles["weight_mode"])
-    elif roles.get("pi"):
-        d = normalize_design_weights(columns[roles["pi"]], "inverse-probability")
-    else:
-        d = np.full(n, 1.0 / n)
-    return Dataset(columns=dict(columns), roles=roles, d=d)
+    base = _weight_source(columns, roles)
+    return Dataset(columns=dict(columns), roles=roles, d=base / base.sum())
 
 
 def _count_lines(path: str) -> int | None:
@@ -292,14 +305,7 @@ def decluster(data: Dataset, seed: int) -> Dataset:
     if fam_col is None:
         raise DataError("decluster: no column is tagged as the family identifier")
     fam = data.columns[fam_col]
-    if data.roles.get("weight"):
-        raw = data.columns[data.roles["weight"]]
-        if data.roles["weight_mode"] == "inverse-probability":
-            raw = 1.0 / raw
-    elif data.roles.get("pi"):
-        raw = 1.0 / data.columns[data.roles["pi"]]
-    else:
-        raw = np.ones(data.n)
+    raw = _weight_source(data.columns, data.roles)
 
     rng = np.random.default_rng(seed)
     # Group by first appearance so the iteration order never depends on id values.
@@ -336,7 +342,8 @@ class ConstraintEntry:
 
     ``general-moment``: the weighted mean of ``target_column`` equals
     ``gamma``.  ``subgroup-moment``: the weighted mean of
-    ``I{group_column == group_value} * (target_column - gamma)`` equals zero.
+    ``I{group_column == group_value} * (target_column - gamma)`` equals zero
+    (a general moment holds None as its group fields).
     """
 
     kind: str
@@ -348,13 +355,20 @@ class ConstraintEntry:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise DataError(f"constraint: unknown kind {self.kind!r}; expected one of {CONSTRAINT_KINDS}")
+        object.__setattr__(self, "gamma", float(self.gamma))
         if not np.isfinite(self.gamma):
             raise DataError(f"constraint on {self.target_column!r}: gamma must be finite")
-        if self.kind == "subgroup-moment":
-            if self.group_column is None or self.group_value is None:
-                raise DataError(
-                    f"constraint on {self.target_column!r}: subgroup-moment needs group_column and group_value"
-                )
+        if self.kind == "general-moment":
+            object.__setattr__(self, "group_column", None)
+            object.__setattr__(self, "group_value", None)
+        elif self.group_column is None or self.group_value is None:
+            raise DataError(
+                f"constraint on {self.target_column!r}: subgroup-moment needs group_column and group_value"
+            )
+        else:
+            object.__setattr__(self, "group_value", float(self.group_value))
+        if not isinstance(self.target_column, str) or not isinstance(self.group_column or "", str):
+            raise DataError(f"constraint: column names must be strings: {self.target_column!r}, {self.group_column!r}")
 
     @property
     def label(self) -> str:

@@ -33,7 +33,8 @@ class ELSolution:
     ``w`` is the weight vector (sums to one, strictly positive),
     ``multiplier`` the dual vector, ``logEL`` the value of the entry point's
     own objective at the solution, and ``residual`` the max-norm of the
-    weighted constraint sums.
+    weighted constraint sums.  ``converged`` is always true: a failed solve
+    raises :class:`InfeasibleError` or :class:`ConvergenceError`.
     """
 
     w: np.ndarray
@@ -73,25 +74,25 @@ def _sign_precheck(U: np.ndarray, name: str) -> list[int]:
     return active
 
 
-def _dual_newton(Ua: np.ndarray, d: np.ndarray, guard: np.ndarray, tol: float, max_iter: int, name: str):
-    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'Ua_i)`` over ``1 + lam'Ua_i > guard_i``.
+def _dual_newton(Ua: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name: str):
+    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'Ua_i)`` over ``1 + lam'Ua_i > d_i``.
 
     ``Ua`` holds the non-vacuous columns.  Newton steps are
     backtracked on the gradient max-norm: for a strictly convex dual the
     Newton direction always decreases it, and unlike an objective-based test
     this cannot stall once improvements in ``phi`` fall below double-precision
-    resolution.  Returns ``(lam, iterations, converged, grad_norm)``.
+    resolution.  Returns ``(lam, iterations)``; raises when no solution is found.
     """
     n, k = Ua.shape
     lam = np.zeros(k)
     if not k:
-        return lam, 0, True, 0.0
+        return lam, 0
     s = np.ones(n)
     grad = -Ua.T @ (d / s)
     for it in range(1, max_iter + 1):
         gnorm = np.abs(grad).max()
         if gnorm < tol:
-            return lam, it - 1, True, gnorm
+            return lam, it - 1
         r = d / s
         hess = (Ua * (r / s)[:, None]).T @ Ua
         try:
@@ -102,7 +103,7 @@ def _dual_newton(Ua: np.ndarray, d: np.ndarray, guard: np.ndarray, tol: float, m
         while True:
             lam_new = lam + t * step
             s_new = 1.0 + Ua @ lam_new
-            if (s_new > guard).all():
+            if (s_new > d).all():
                 grad_new = -Ua.T @ (d / s_new)
                 if np.abs(grad_new).max() <= (1.0 - ARMIJO_C1 * t) * gnorm:
                     break
@@ -137,11 +138,11 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
         return ELSolution(w=d.copy(), multiplier=np.zeros(0), logEL=float(d @ np.log(d)),
                           iterations=0, converged=True, residual=0.0)
     active, lam = _sign_precheck(U, "solve_weighted_el"), np.zeros(q)
-    lam[active], iters, converged, _ = _dual_newton(U[:, active], d, d, tol, max_iter, "solve_weighted_el")
+    lam[active], iters = _dual_newton(U[:, active], d, tol, max_iter, "solve_weighted_el")
     w = d / (1.0 + U @ lam)
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
-                      iterations=iters, converged=converged, residual=residual)
+                      iterations=iters, converged=True, residual=residual)
 
 
 def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
@@ -157,8 +158,8 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
         return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
                           iterations=0, converged=True, residual=0.0)
     active, lam, d = _sign_precheck(U, "solve_el"), np.zeros(q), np.full(n, 1.0 / n)
-    lam[active], iters, converged, _ = _dual_newton(U[:, active], d, d, tol, max_iter, "solve_el")
+    lam[active], iters = _dual_newton(U[:, active], d, tol, max_iter, "solve_el")
     w = 1.0 / (n * (1.0 + U @ lam))
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
-                      iterations=iters, converged=converged, residual=residual)
+                      iterations=iters, converged=True, residual=residual)

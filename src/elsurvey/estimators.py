@@ -39,6 +39,7 @@ from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel
 
 ESTIMATORS = ("pl", "cs", "ce", "ce-joint")
+NEEDS_VISIBILITY = ("ce", "ce-joint")  # the estimators that read FitProblem.vis
 # ce-joint accepts the ce root when the stacked standard-EL objective there is within CERTIFICATE_TOL * n
 # of the H-only one; rounding in a sum of n logs of size log(n) reaches n * eps * log(n), a few 1e-15 * n.
 CERTIFICATE_TOL = 1e-12
@@ -53,12 +54,13 @@ class EstimateResult:
     dual vector of the weight step (empty for ``pl``), ``Bp_hat`` the
     estimated normalizing constant of the composite criterion (None for
     ``pl``/``cs``), and ``logEL`` the weight-step objective at the solution.
+    ``fit.json`` holds each fit's fields in this order.
     """
 
     estimator: str
     theta: np.ndarray
-    covariance: np.ndarray
     se: np.ndarray
+    covariance: np.ndarray
     weights: np.ndarray
     multiplier: np.ndarray
     Bp_hat: float | None
@@ -153,10 +155,11 @@ def _composite(C, bp, el_tol, el_max_iter):
 class FitProblem:
     """One sample prepared for fitting any estimator of :data:`ESTIMATORS`.
 
-    The constraint matrix :attr:`cm` (not needed by ``pl``), the
+    The constraint matrix :attr:`cm` (not needed by ``pl``; a matrix
+    rejected with :class:`DataError` is kept as that error), the
     design-weighted start :attr:`start`, the ``ce`` weight step and every fit
     (``ce-joint`` certifies the ``ce`` fit) are built on first use and kept.
-    ``vis`` is needed by ``ce`` and ``ce-joint`` only, and must be set before
+    ``vis`` is needed by :data:`NEEDS_VISIBILITY` only, and must be set before
     either is fitted.
     """
 
@@ -171,7 +174,12 @@ class FitProblem:
 
     @cached_property
     def cm(self) -> ConstraintMatrix:
-        return build_constraint_matrix(self.data, self.constraints)
+        if "_cm_error" not in vars(self):
+            try:
+                return build_constraint_matrix(self.data, self.constraints)
+            except DataError as exc:
+                self._cm_error = exc  # kept: every estimator fitted on this problem gets it without a rebuild
+        raise self._cm_error
 
     @cached_property
     def start(self):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .data import as_tuple
 from .errors import ConvergenceError, DataError
 
 FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
@@ -23,16 +24,16 @@ FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Outcome model: family, covariate columns, and intercept flag."""
+    """Outcome model: family, covariate columns (a list, not a string), and intercept flag."""
 
     family: str
-    terms: tuple[str, ...]
+    terms: tuple[str, ...] = ()
     intercept: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataError(f"ModelSpec: unknown family {self.family!r}; expected one of {FAMILIES}")
-        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", as_tuple(self.terms, "ModelSpec: terms"))
         if not self.intercept and not self.terms:
             raise DataError("ModelSpec: model has no intercept and no terms")
 

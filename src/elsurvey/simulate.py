@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import ConstraintEntry, ConstraintSpec, Dataset, make_dataset
+from .data import ConstraintEntry, ConstraintSpec, Dataset, as_tuple, make_dataset
 from .errors import ConvergenceError, DataError, InfeasibleError
-from .estimators import ESTIMATORS, FitProblem
+from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
 from .glm import FAMILIES, ModelSpec
-from .visibility import estimate_visibility, visibility_from_pi
+from .visibility import VisibilitySpec
 
 GAMMA_SHAPE = 5.0  # shape of the gamma outcome; only the mean enters the estimand
 COVARIATE_DISTS = ("normal", "uniform", "bernoulli", "choice", "map")
@@ -41,7 +41,7 @@ class CovariateSpec:
     def __post_init__(self):
         if self.dist not in COVARIATE_DISTS:
             raise DataError(f"CovariateSpec {self.name!r}: unknown dist {self.dist!r}")
-        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "params", as_tuple(self.params, f"CovariateSpec {self.name!r}: params"))
         if self.dist == "map":
             if len(self.params) != 3 or len(self.params[1]) != len(self.params[2]):
                 raise DataError(f"CovariateSpec {self.name!r}: map needs (source, values, outputs)"
@@ -52,14 +52,13 @@ class CovariateSpec:
 class DesignSpec:
     """Everything needed to generate one replicate.
 
-    ``theta0`` lines up with ``(intercept,) + terms``; ``dummies`` maps a
+    ``theta0`` lines up with ``(intercept,) + terms``; ``covariates`` holds
+    :class:`CovariateSpec` objects or dicts of their fields; ``dummies`` maps a
     categorical column to the values that get 0/1 columns named
-    ``"{parent}_{value:g}"``; ``constraints`` holds dicts with keys
-    ``kind`` / ``target_column`` / ``group_column`` / ``group_value`` plus an
-    optional explicit ``gamma`` (the true superpopulation moment; without it
-    the target is evaluated on the realized population); ``visibility`` is
-    ``{"mode": "given-pi"}`` or ``{"mode": "gamma-regression",
-    "formula": [...], "nf_adjust": false}`` (default: given-pi).
+    ``"{parent}_{value:g}"``; ``constraints`` holds dicts of ``ConstraintEntry``
+    fields with an optional ``gamma`` (the true superpopulation moment; without
+    it the target is evaluated on the realized population); ``visibility`` is a
+    ``VisibilitySpec`` or a dict of its fields (default: given-pi).
 
     ``fit_terms`` lets the fitted model be coarser than the generating one
     (omitted-covariate designs); ``estimand`` is then the root of the
@@ -76,28 +75,37 @@ class DesignSpec:
     intercept: bool = True
     dummies: dict = field(default_factory=dict)
     constraints: tuple = ()
-    visibility: dict | None = None
+    visibility: VisibilitySpec | dict | None = None
     fixed_population: bool = False
     fit_terms: tuple[str, ...] = ()
     estimand: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "N", int(self.N))
         if self.N < 2:
             raise DataError("DesignSpec: N must be at least 2")
         if self.family not in FAMILIES:
             raise DataError(f"DesignSpec: unknown family {self.family!r}")
-        object.__setattr__(self, "theta0", tuple(float(t) for t in self.theta0))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        terms = tuple(self.terms) if self.terms else tuple(c.name for c in self.covariates)
+        object.__setattr__(self, "theta0", tuple(float(t) for t in as_tuple(self.theta0, "DesignSpec: theta0")))
+        covariates = tuple(c if isinstance(c, CovariateSpec) else CovariateSpec(**c)
+                           for c in as_tuple(self.covariates, "DesignSpec: covariates"))
+        object.__setattr__(self, "covariates", covariates)
+        terms = as_tuple(self.terms, "DesignSpec: terms") if self.terms else tuple(c.name for c in covariates)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "dummies", {parent: as_tuple(values, f"DesignSpec: dummies[{parent!r}]")
+                                             for parent, values in dict(self.dummies).items()})
         object.__setattr__(self, "constraints", tuple(dict(c) for c in self.constraints))
+        for c in self.constraints:
+            ConstraintEntry(**{"gamma": 0.0, **c})  # checks each entry's fields; its target waits for a population
+        if not isinstance(self.visibility, VisibilitySpec):
+            object.__setattr__(self, "visibility", VisibilitySpec(**(self.visibility or {"mode": "given-pi"})))
         p = len(terms) + (1 if self.intercept else 0)
         if len(self.theta0) != p:
             raise DataError(f"DesignSpec: theta0 has length {len(self.theta0)}, model needs {p}")
-        fit_terms = tuple(self.fit_terms) if self.fit_terms else terms
+        fit_terms = as_tuple(self.fit_terms, "DesignSpec: fit_terms") if self.fit_terms else terms
         object.__setattr__(self, "fit_terms", fit_terms)
-        estimand = tuple(float(t) for t in self.estimand) if self.estimand else self.theta0
-        object.__setattr__(self, "estimand", estimand)
+        estimand = as_tuple(self.estimand, "DesignSpec: estimand") if self.estimand else self.theta0
+        object.__setattr__(self, "estimand", tuple(float(t) for t in estimand))
         p_fit = len(fit_terms) + (1 if self.intercept else 0)
         if len(estimand) != p_fit:
             raise DataError(f"DesignSpec: estimand has length {len(estimand)}, fitted model needs {p_fit}")
@@ -267,22 +275,14 @@ def population_constraint_spec(population: Dataset, spec: DesignSpec) -> Constra
     """
     entries = []
     for c in spec.constraints:
-        target = population.columns[c["target_column"]]
-        if c["kind"] == "subgroup-moment":
-            if "gamma" in c:
-                gamma = float(c["gamma"])
-            else:
-                mask = population.columns[c["group_column"]] == c["group_value"]
-                if not mask.any():
+        if "gamma" not in c:
+            target = population.columns[c["target_column"]]
+            if c["kind"] == "subgroup-moment":
+                target = target[population.columns[c["group_column"]] == c["group_value"]]
+                if not target.size:
                     raise DataError(f"population_constraint_spec: empty group {c['group_column']}={c['group_value']}")
-                gamma = float(target[mask].mean())
-            entries.append(ConstraintEntry(kind="subgroup-moment", target_column=c["target_column"],
-                                           gamma=gamma, group_column=c["group_column"],
-                                           group_value=float(c["group_value"])))
-        else:
-            gamma = float(c["gamma"]) if "gamma" in c else float(target.mean())
-            entries.append(ConstraintEntry(kind="general-moment", target_column=c["target_column"],
-                                           gamma=gamma))
+            c = dict(c, gamma=float(target.mean()))
+        entries.append(ConstraintEntry(**c))
     return ConstraintSpec(entries=tuple(entries))
 
 
@@ -292,12 +292,8 @@ def _replicate(spec: DesignSpec, estimators, pop_seed: int, sample_seed: int, po
         pop = population if population is not None else gen_population(spec, pop_seed)
         constraints = population_constraint_spec(pop, spec)
         sample = draw_sample(pop, spec, sample_seed)
-        vis = None
-        if any(name in ("ce", "ce-joint") for name in estimators):
-            visibility = spec.visibility or {"mode": "given-pi"}
-            vis = visibility_from_pi(sample) if visibility["mode"] == "given-pi" else estimate_visibility(
-                sample, visibility.get("formula", list(sample.roles["design"])),
-                nf_adjust=bool(visibility.get("nf_adjust", False)))
+        needs_vis = any(name in NEEDS_VISIBILITY for name in estimators)
+        vis = spec.visibility.resolve(sample) if needs_vis else None
     except (DataError, InfeasibleError, ConvergenceError) as exc:
         return {name: {"error": f"{type(exc).__name__}: {exc}"} for name in estimators}
     problem = FitProblem(sample, spec.model, constraints, vis)

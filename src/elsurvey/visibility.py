@@ -8,7 +8,7 @@ weights on design variables (:func:`estimate_visibility`).  Since the
 sample-side mean of the design weight given ``V`` is proportional to
 ``1 / bp``, the inverse canonical link makes ``bp`` proportional to the
 regression's linear predictor.  Every downstream use of ``bp`` is invariant
-to its positive scale.
+to its positive scale.  A :class:`VisibilitySpec` names the source.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_tuple
 from .errors import DataError
 from .glm import irls_fit
 
@@ -95,3 +95,26 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
         fitted = fitted * nf
     bp = 1.0 / fitted
     return VisibilityModel(mode="gamma-regression", bp=bp, alpha=alpha, formula_columns=formula_columns)
+
+
+@dataclass(frozen=True)
+class VisibilitySpec:
+    """The visibility source: ``given-pi``, or ``gamma-regression`` on ``formula`` (default: the
+    data's ``design`` role), with the family-size adjustment when ``nf_adjust`` is set."""
+
+    mode: str
+    formula: tuple[str, ...] | None = None
+    nf_adjust: bool = False
+
+    def __post_init__(self):
+        if self.mode not in VISIBILITY_MODES:
+            raise DataError(f"unknown visibility mode {self.mode!r}; expected one of {VISIBILITY_MODES}")
+        if self.formula is not None:
+            object.__setattr__(self, "formula", as_tuple(self.formula, "visibility formula"))
+
+    def resolve(self, data: Dataset) -> VisibilityModel:
+        """The visibility of ``data`` from this source."""
+        if self.mode == "given-pi":
+            return visibility_from_pi(data)
+        formula = data.roles["design"] if self.formula is None else self.formula
+        return estimate_visibility(data, formula, nf_adjust=self.nf_adjust)

@@ -1,9 +1,15 @@
 """End-to-end command-line interface tests: configs, artifacts, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elsurvey.cli import parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
@@ -332,3 +338,139 @@ def test_decluster_command_keeps_one_row_per_family(tmp_path):
     assert by_family[7.0] == (3.0, 3.0)
     assert by_family[2.0] == (1.0, 2.0)
     assert by_family[5.0] == (2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# One set-up for fit and mc: config sections build the package's specs
+
+
+@pytest.mark.parametrize("visibility", [{"mode": "given_pi"}, {"formula": ["v"]}])
+def test_mc_rejects_a_bad_or_missing_visibility_mode(tmp_path, capsys, visibility):
+    out = tmp_path / "mc"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg["design"]["visibility"] = visibility
+    cfg["estimators"] = ["ce"]
+    assert run_command(["mc", "--config", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "design" in err and ("visibility mode 'given_pi'" in err or "'mode' in 'design.visibility'" in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+@pytest.mark.parametrize("section, value", [
+    ("solver", {"newton_max_iter": 0}), ("data", {"path": "x.csv", "schema": {}}),
+    ("model", {"family": "bernoulli-logit"}), ("visibility", {"mode": "given-pi"}),
+    ("constraints", []),
+])
+def test_mc_and_simulate_reject_the_sections_only_fit_reads(tmp_path, capsys, command, section, value):
+    out = tmp_path / "run"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg[section] = value
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert f"section {section!r} is read by fit only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_gamma_regression_formula_defaults_to_the_design_role(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    outputs = []
+    for k, visibility in enumerate([{"mode": "gamma-regression", "formula": SCHEMA["design"]},
+                                    {"mode": "gamma-regression"}]):
+        out = tmp_path / f"run{k}"
+        cfg = _fit_config(data_path, out, gammas, visibility=visibility, estimators=["ce", "ce-joint"])
+        assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("fit.json", "fit.csv")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["ce"]["diagnostics"]["visibility_mode"] == "gamma-regression"
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("constraints", "gamma", "abc", "section 'constraints[0]'"),
+    ("solver", "el_tol", "a", "solver.el_tol must be a number"),
+    ("solver", "newton_max_iter", 2.5, "solver.newton_max_iter must be an integer"),
+    ("model", "terms", "xv", "section 'model': ModelSpec: terms must be a list"),
+    ("visibility", "formula", "v", "section 'visibility': visibility formula must be a list"),
+])
+def test_fit_rejects_wrong_typed_values_before_fitting(tmp_path, capsys, section, key, value, message):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, gammas, solver={}, visibility={"mode": "gamma-regression"})
+    (cfg[section][0] if section == "constraints" else cfg[section])[key] = value
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fuzz_configs(root):
+    """A valid fit config and a valid mc config, each with every key of its sections set."""
+    spec = DesignSpec(N=400, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
+                      covariates=(CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
+                                  CovariateSpec("v", "bernoulli", (0.5,))),
+                      design={"kind": "poisson", "lo": 0.3, "hi": 0.7, "const": -0.6,
+                              "coeffs": {"v": 0.55}, "response_coef": 1.0},
+                      terms=("x", "v"))
+    data_path = root / "sample.csv"
+    write_dataset_csv(str(data_path), draw_sample(gen_population(spec, 5), spec, 6))
+    subgroups = [{"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+                  "group_value": gv, "gamma": g} for gv, g in ((0.0, 0.31), (1.0, 0.61))]
+    visibility = {"mode": "gamma-regression", "formula": ["v"], "nf_adjust": False}
+    fit = {"data": {"path": str(data_path), "schema": SCHEMA},
+           "model": {"family": "bernoulli-logit", "terms": ["x", "v"], "intercept": True},
+           "constraints": subgroups, "visibility": visibility,
+           "solver": {"el_tol": 1e-10, "el_max_iter": 200, "newton_tol": 1e-10, "newton_max_iter": 100},
+           "estimators": ["pl", "cs", "ce", "ce-joint"]}
+    design = {"N": 400, "family": "bernoulli-logit", "theta0": [-0.9, 0.8, 1.4],
+              "covariates": [{"name": "x", "dist": "choice", "params": [[-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]]},
+                             {"name": "v", "dist": "bernoulli", "params": [0.5]}],
+              "design": dict(spec.design), "terms": ["x", "v"], "intercept": True, "dummies": {"x": [1.0]},
+              "constraints": subgroups, "visibility": visibility, "fixed_population": False,
+              "fit_terms": ["x", "v"], "estimand": [-0.9, 0.8, 1.4]}
+    mc = {"design": design, "estimators": ["pl", "cs", "ce"], "seed": 3, "reps": 2}
+    return {"fit": fit, "mc": mc}
+
+
+def _fuzz_keys(cfg):
+    """``(section path, key)`` of every key of the sections the fuzz mutates."""
+    paths = [(name,) for name in ("model", "visibility", "solver", "design") if name in cfg]
+    paths += [("constraints", i) for i in range(len(cfg.get("constraints", [])))]
+    paths += [("design", "visibility")] if "design" in cfg else []
+    keys = []
+    for path in paths:
+        section = cfg
+        for step in path:
+            section = section[step]
+        keys += [(path, key) for key in section]
+    return keys
+
+
+_DROP = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(tmp_path_factory):
+    return _fuzz_configs(tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(fuzz_configs, tmp_path_factory, data):
+    command = data.draw(st.sampled_from(["fit", "mc"]))
+    cfg = copy.deepcopy(fuzz_configs[command])
+    path, key = data.draw(st.sampled_from(_fuzz_keys(cfg)))
+    value = data.draw(st.sampled_from([_DROP, "abc", ["a"], None, -1]))
+    section = cfg
+    for step in path:
+        section = section[step]
+    if value is _DROP:
+        del section[key]
+    else:
+        section[key] = value
+    out = tmp_path_factory.mktemp("run")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_command([command, "--config", _write_config(out, cfg), "--out", str(out / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2:
+        assert (out / "o" / f"{command}.json").exists()

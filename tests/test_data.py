@@ -253,6 +253,15 @@ def test_unknown_columns_and_kind_rejected():
         ConstraintEntry("subgroup-moment", "x", gamma=0.0)
 
 
+def test_constraint_entry_takes_config_values():
+    entry = ConstraintEntry("subgroup-moment", "y", gamma="0.25", group_column="v", group_value=1)
+    assert (entry.gamma, entry.group_value) == (0.25, 1.0) and isinstance(entry.group_value, float)
+    general = ConstraintEntry("general-moment", "y", gamma=1, group_column="v", group_value=1)
+    assert (general.gamma, general.group_column, general.group_value) == (1.0, None, None)
+    with pytest.raises(ValueError):
+        ConstraintEntry("general-moment", "y", gamma="abc")
+
+
 def test_vacuous_constraint_warned_and_flagged():
     data = dataset_from({"x": [1.0, 2.0], "g": [0.0, 0.0]})
     spec = ConstraintSpec((
@@ -305,3 +314,17 @@ def test_dependent_constraints_named_and_vacuous_ones_skipped():
     # With no more rows than constraints the columns cannot be told apart; the EL solvers reject that.
     tiny = build_constraint_matrix(*_general_moments({"a": [1.0, -1.0], "b": [2.0, 0.5]}))
     assert tiny.q == 2
+
+
+def test_decluster_reads_the_weight_source_as_make_dataset_does():
+    # Regression guard: a pi-tagged dataset and one whose weight column holds the same
+    # probabilities in inverse-probability mode decluster to the same weights, bitwise.
+    pi = [0.5, 0.25, 0.5, 0.2, 0.5, 0.8]
+    cols = {"y": [1.0, 0.0, 1.0, 0.0, 1.0, 0.0], "fam": [7.0, 7.0, 7.0, 2.0, 5.0, 5.0], "p": pi}
+    tagged = dataset_from(cols, response="y", family="fam", pi="p")
+    weighted = dataset_from(cols, response="y", family="fam", weight="p", weight_mode="inverse-probability")
+    np.testing.assert_array_equal(tagged.d, weighted.d)
+    a, b = decluster(tagged, seed=4), decluster(weighted, seed=4)
+    np.testing.assert_array_equal(a.columns["declustered_weight"], b.columns["declustered_weight"])
+    np.testing.assert_array_equal(a.d, b.d)
+    np.testing.assert_array_equal(a.columns["declustered_weight"], 1.0 / a.columns["p"] * a.columns["nf"])

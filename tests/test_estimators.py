@@ -533,3 +533,21 @@ def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatc
     # ce-joint certificate at the ce root: 9, whatever the iteration counts.
     assert counts == [9, 9]
     assert work[0] != work[1]
+
+
+def test_a_rejected_constraint_matrix_is_built_once(monkeypatch):
+    # Duplicated constraints fail the rank check; the DataError is kept and raised again for
+    # every estimator fitted on the problem, without rebuilding the matrix.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return build_constraint_matrix(*args)
+
+    monkeypatch.setattr(estimators, "build_constraint_matrix", counted)
+    problem = _d67_problem(1500, seed=3)
+    problem.constraints = ConstraintSpec(problem.constraints.entries * 2)
+    for name in ("cs", "ce", "ce-joint"):
+        with pytest.raises(DataError, match="linearly dependent"):
+            problem.fit(name)
+    assert len(calls) == 1

@@ -9,7 +9,7 @@ from scipy.special import expit
 from elsurvey.data import build_constraint_matrix
 from elsurvey.errors import DataError
 from elsurvey.estimators import ESTIMATORS, fit_ce, fit_pl
-from elsurvey.glm import design_matrix, irls_fit
+from elsurvey.glm import ModelSpec, design_matrix, irls_fit
 from elsurvey.simulate import (
     CovariateSpec,
     DesignSpec,
@@ -18,7 +18,7 @@ from elsurvey.simulate import (
     population_constraint_spec,
     run_monte_carlo,
 )
-from elsurvey.visibility import VisibilityModel, estimate_visibility
+from elsurvey.visibility import VisibilityModel, VisibilitySpec, estimate_visibility
 
 
 def _basic_spec(N=2000, **overrides):
@@ -42,6 +42,27 @@ def _basic_spec(N=2000, **overrides):
     )
     base.update(overrides)
     return DesignSpec(**base)
+
+
+def test_specs_build_from_config_values():
+    spec = _basic_spec(N="400", covariates=({"name": "x", "dist": "choice",
+                                             "params": [[-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]]},
+                                            {"name": "v", "dist": "bernoulli", "params": [0.5]}),
+                       terms=["x", "v"], dummies={"x": [1.0]}, visibility={"mode": "gamma-regression"})
+    assert spec.N == 400 and spec.terms == ("x", "v")
+    assert spec.covariates[1] == CovariateSpec("v", "bernoulli", (0.5,))
+    assert spec.dummies == {"x": (1.0,)} and spec.visibility == VisibilitySpec("gamma-regression")
+    assert _basic_spec().visibility == VisibilitySpec("given-pi")
+    assert ModelSpec("bernoulli-logit", ["x"], intercept=1) == ModelSpec("bernoulli-logit", ("x",))
+    # A string where a list belongs is rejected, not split into one-letter names.
+    for build in (lambda: _basic_spec(terms="xv"), lambda: _basic_spec(theta0="123"),
+                  lambda: ModelSpec("bernoulli-logit", "xv"), lambda: VisibilitySpec("gamma-regression", "v")):
+        with pytest.raises(DataError, match="must be a list"):
+            build()
+    with pytest.raises(DataError, match="visibility mode 'given_pi'"):
+        _basic_spec(visibility={"mode": "given_pi"})
+    with pytest.raises(DataError, match="unknown kind"):
+        _basic_spec(constraints=({"kind": "subgroup_moment", "target_column": "y"},))
 
 
 # ---------------------------------------------------------------------------
