@@ -9,8 +9,10 @@ formatted and streamed to the file in bounded chunks, with the same bytes a
 whole-document writer gives.  A chunk is formatted by an exact integer
 kernel, which gives the bytes of ``format(x, ".17g")`` for zero and every
 ``1e-11 <= |x| < 2**51``; a chunk holding any other value is formatted one
-value at a time.  CSV input is parsed in bulk, with a row-by-row fallback
-that names the row and column of any bad cell.
+value at a time.  CSV input is parsed in bulk, by an exact kernel that
+shares that integer helper (``_decimal``) where it settles every cell, else
+by ``np.loadtxt``, with a row-by-row fallback that names the row and column
+of any bad cell.  A seed must be non-negative.
 
 Exit codes: 0 on success, 1 on input/config errors, 2 on statistical
 failures (infeasible constraints or non-convergence; partial results are
@@ -30,6 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
+from ._decimal import P16, P17, _scaled, binary, round_half_even
 from .data import ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, decluster, load_dataset
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
@@ -65,8 +68,6 @@ def _format_floats(values: np.ndarray) -> list[str]:
 # a character is absent; a row is gathered from its 17 digits, its point and
 # its sign followed by constant characters, through the layout of its decimal
 # exponent k: fixed notation for -4 <= k < 17, ``d.ddde-XX`` below.
-_P16, _P17, _LO32 = np.uint64(10**16), np.uint64(10**17), np.uint64(2**32 - 1)
-_POW5 = np.uint64(5) ** np.arange(28, dtype=np.uint64)  # 5**27 < 2**63
 _DOT, _SIGN, _NUL = 17, 18, 19  # a row's source columns: its 17 digits, then these
 _CONSTANTS = b"\x000123456789e+-"  # the source columns from _NUL on
 
@@ -85,19 +86,6 @@ def _layout(k: int) -> list[int]:
 _LAYOUTS = np.array([_layout(k) for k in range(-11, 17)])  # the exact path's k
 
 
-def _scaled(M, E, k):
-    """``(q, rem, r, ok)``: ``M * 2**E * 10**(16 - k) = (q + rem / 2**r)``, exactly where ``ok``."""
-    s, r = 16 - k, -(E + 16 - k)
-    ok = (s >= 0) & (s <= 27) & (r >= 1) & (r <= 63)
-    P, r = _POW5[np.clip(s, 0, 27)], np.clip(r, 1, 63).astype(np.uint64)
-    # M * P < 2**116 as hi * 2**64 + lo, from four 32 x 32-bit partial products.
-    ml, mh, pl, ph = M & _LO32, M >> 32, P & _LO32, P >> 32
-    low, mid = ml * pl, ml * ph + mh * pl  # mid < 2**64 as mh < 2**21, ph < 2**31
-    lo = low + (mid << 32)
-    hi = mh * ph + (mid >> 32) + (lo < low)
-    return (hi << (64 - r)) | (lo >> r), lo & ((np.uint64(1) << r) - 1), r, ok
-
-
 def _float_rows(values: np.ndarray) -> np.ndarray | None:
     """``format(x, ".17g")`` of each value of a 1-d float array, as NUL-padded ``uint8``
     rows, computed by exact integer arithmetic; None if any value is outside the
@@ -105,20 +93,18 @@ def _float_rows(values: np.ndarray) -> np.ndarray | None:
     x = values.astype(float, copy=False)
     if not np.isfinite(x).all():
         return None
-    m, e = np.frexp(np.abs(x))
-    M, E = np.ldexp(m, 53).astype(np.uint64), e.astype(np.int64) - 53  # |x| = M * 2**E
+    M, E = binary(x)
     k = np.floor(np.log10(np.where(M > 0, np.abs(x), 1.0))).astype(np.int64)
     q, rem, r, ok = _scaled(M, E, k)
-    fix = (q >= _P17).astype(np.int64) - ((q < _P16) & (M > 0))  # log10 may be one off
+    fix = (q >= P17).astype(np.int64) - ((q < P16) & (M > 0))  # log10 may be one off
     if fix.any():
         k += fix
         q, rem, r, ok = _scaled(M, E, k)
-    if not (ok & ((M == 0) | ((q >= _P16) & (q < _P17)))).all():
+    if not (ok & ((M == 0) | ((q >= P16) & (q < P17)))).all():
         return None
-    half = np.uint64(1) << (r - np.uint64(1))
-    # Round half to even.  D stays below 10**17: no double in range lies within
-    # half a unit of the 17th digit below a power of ten.
-    D = q + ((rem > half) | ((rem == half) & (q & np.uint64(1) == 1)))
+    # D stays below 10**17: no double in range lies within half a unit of the
+    # 17th digit below a power of ten.
+    D = round_half_even(q, rem, r)
     src = np.empty((_NUL + len(_CONSTANTS), x.size), np.uint8)  # one row per source column
     src[_NUL:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
     for j in range(16, -1, -1):
@@ -342,6 +328,14 @@ def _required(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
+def _seed(cfg: dict, command: str) -> int:
+    """The seed that ``command`` draws from (the config key, or ``--seed``), which must be non-negative."""
+    seed = _required(cfg, "seed", command)
+    if seed < 0:
+        raise ConfigError(f"run {command}: 'seed' must be non-negative, got {seed}")
+    return seed
+
+
 def _build(cls, section: dict, where: str):
     """``cls(**section)``, with a TypeError or ValueError it raises reported as a ConfigError naming ``where``."""
     try:
@@ -407,7 +401,7 @@ def _cmd_fit(cfg: dict) -> int:
 
 def _cmd_simulate(cfg: dict) -> int:
     spec = _design(cfg, "simulate")
-    seed = _required(cfg, "seed", "simulate")
+    seed = _seed(cfg, "simulate")
     rng = np.random.default_rng(seed)
     pop_seed, sample_seed = (int(s) for s in rng.integers(0, 2**62, size=2))
     population = gen_population(spec, pop_seed)
@@ -425,7 +419,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
 def _cmd_mc(cfg: dict) -> int:
     spec = _design(cfg, "mc")
-    seed = _required(cfg, "seed", "mc")
+    seed = _seed(cfg, "mc")
     reps = _required(cfg, "reps", "mc")
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
     summary = run_monte_carlo(spec, names, reps=int(reps), seed=seed, jobs=int(cfg.get("jobs", 1)))
@@ -441,7 +435,7 @@ def _cmd_mc(cfg: dict) -> int:
 def _cmd_decluster(cfg: dict) -> int:
     source = _required(cfg, "data", "decluster")
     data = load_dataset(source["path"], source["schema"])
-    seed = _required(cfg, "seed", "decluster")
+    seed = _seed(cfg, "decluster")
     result = decluster(data, seed)
     out = _outdir(cfg)
     write_dataset_csv(os.path.join(out, "declustered.csv"), result)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _decimal
 from .errors import DataError
 
 ROLE_KEYS = ("response", "covariates", "design", "pi", "weight", "weight_mode", "family")
@@ -24,6 +25,7 @@ CONSTRAINT_KINDS = ("subgroup-moment", "general-moment")
 # Non-vacuous constraint columns scaled to unit norm are dependent when their smallest singular value is at
 # most RANK_RTOL times the largest: the sandwich's H'WH block then has condition number 1e16 or more.
 RANK_RTOL = 1e-8
+BLOCK = 1 << 20  # bytes of rows that the exact CSV kernel parses at a time
 
 
 def normalize_design_weights(source, mode: str = "direct") -> np.ndarray:
@@ -79,6 +81,15 @@ def as_tuple(value, what: str) -> tuple:
     return tuple(value)
 
 
+def as_names(value, what: str) -> tuple:
+    """:func:`as_tuple` for a list of column names, each of which must be a string."""
+    names = as_tuple(value, what)
+    for name in names:
+        if not isinstance(name, str):
+            raise DataError(f"{what} must be a list of column names, got the element {name!r}")
+    return names
+
+
 def _validate_roles(roles: dict, columns: dict) -> dict:
     unknown = set(roles) - set(ROLE_KEYS)
     if unknown:
@@ -97,7 +108,7 @@ def _validate_roles(roles: dict, columns: dict) -> dict:
         if names is None:
             out[key] = ()
             continue
-        names = as_tuple(names, f"dataset roles: role {key!r}")
+        names = as_names(names, f"dataset roles: role {key!r}")
         for name in names:
             if name not in columns:
                 raise DataError(f"dataset roles: column {name!r} tagged as {key!r} is not present")
@@ -188,50 +199,84 @@ def make_dataset(columns: dict, roles: dict) -> Dataset:
     return Dataset(columns=dict(columns), roles=roles, d=base / base.sum())
 
 
-def _count_lines(path: str) -> int | None:
-    """Number of lines in the file, or None if the bulk parser must not read it.
-
-    The file is scanned in 1 MiB binary chunks.  Files with quotes, NUL bytes
-    or a carriage return outside a CRLF pair are left to the row parser.
-    """
-    n_lf = n_cr = n_crlf = 0
-    last = b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if b'"' in chunk or b"\0" in chunk:
-                return None
-            n_lf += chunk.count(b"\n")
-            n_cr += chunk.count(b"\r")
-            n_crlf += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
-            last = chunk[-1:]
-    if n_cr != n_crlf:
-        return None
-    return n_lf + (last not in (b"", b"\n"))
-
-
 def _read_columns_bulk(path: str) -> dict | None:
-    """Parse the whole file with ``np.loadtxt``, or return None.
+    """Parse a clean file in bulk, or return None.
 
-    The result is accepted only if it has one row per line after the header
-    and one column per header name, so a file with blank lines, short rows or
-    any cell ``loadtxt`` cannot parse is left to :func:`_read_columns_by_row`.
+    The exact kernel (:func:`_read_columns_exact`) parses a file whose every
+    cell it settles; it reads the bytes once.  Any other file that is clean
+    (UTF-8 with no quote, NUL byte or carriage return outside a CRLF pair) is
+    parsed by ``np.loadtxt``.  Either result is accepted only if it has one row
+    per line after the header and one column per header name, so a file with
+    blank lines, short rows or any cell neither parser takes is left to
+    :func:`_read_columns_by_row`.
     """
     try:
-        lines = _count_lines(path)
-        if lines is None or lines < 2:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        body = raw.find(b"\n") + 1  # the offset of the first row
+        line = raw[:body].decode("utf-8-sig").removesuffix("\n").removesuffix("\r")
+    except (OSError, UnicodeDecodeError):
+        return None
+    header = [name.strip() for name in line.split(",")] if line else []  # as csv.reader splits it
+    if not 0 < body < len(raw) or len(set(header)) != len(header):
+        return None
+    columns = None
+    if header and not any(c in line for c in '"\0\r'):
+        columns = _read_columns_exact(raw, body, len(header))
+    if columns is None:
+        if b'"' in raw or b"\0" in raw or raw.count(b"\r") != raw.count(b"\r\n"):
             return None
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = [name.strip() for name in next(csv.reader(fh))]
-            if len(set(header)) != len(header):
-                return None
-            with warnings.catch_warnings():
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
                 warnings.simplefilter("ignore")
+                fh.readline()
                 table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except (OSError, ValueError, csv.Error):
+        except (OSError, ValueError):
+            return None
+        if table.shape != (raw.count(b"\n", body) + (raw[-1:] != b"\n"), len(header)):
+            return None
+        columns = [np.ascontiguousarray(table[:, j]) for j in range(len(header))]
+    return dict(zip(header, columns))
+
+
+def _read_columns_exact(raw: bytes, start: int, ncols: int) -> list | None:
+    """The columns of the rows from offset ``start`` on, parsed by :func:`_decimal.parse_tokens`
+    in blocks of about :data:`BLOCK` bytes cut at line ends; None unless every line has
+    ``ncols`` cells and every cell is settled.  Lines end in LF, or in CRLF, the same way
+    within a block."""
+    if raw.endswith(b"\r"):
         return None
-    if table.shape != (lines - 1, len(header)):
-        return None
-    return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(header)}
+    lines = np.count_nonzero(np.frombuffer(raw, np.uint8, offset=start) == ord("\n")) + (raw[-1:] != b"\n")
+    columns = np.empty((ncols, lines))
+    done = 0  # rows filled
+    while start < len(raw):
+        stop = raw.find(b"\n", start + BLOCK - 1) + 1 or len(raw)
+        buf = np.frombuffer(raw, np.uint8, stop - start, start)
+        if buf[-1] != ord("\n"):  # an unended last line takes the line end of the one before
+            last = raw.rfind(b"\n")
+            buf = np.append(buf, np.frombuffer(b"\r\n" if raw[last - 1:last] == b"\r" else b"\n", np.uint8))
+        # The bytes below "-": commas and line ends, and bytes no settled cell holds but the "+" of
+        # an exponent.
+        sep = np.flatnonzero(buf < ord("-"))
+        marks = buf[sep]
+        if (marks == ord("+")).any():
+            sep = sep[marks != ord("+")]
+            marks = buf[sep]
+        line_end = b"\r\n" if buf.size > 1 and buf[-2] == ord("\r") else b"\n"
+        width = ncols - 1 + len(line_end)
+        rows = sep.size // width
+        if sep.size != rows * width or not (marks.reshape(rows, width) == np.frombuffer(
+                b"," * (ncols - 1) + line_end, np.uint8)).all():
+            return None
+        sep = np.ascontiguousarray(sep.reshape(rows, width).T)  # a row of cell ends per column
+        for j, column in enumerate(columns):
+            starts = sep[j - 1] + 1 if j else np.concatenate(([0], sep[-1, :-1] + 1))
+            values = _decimal.parse_tokens(buf, starts, sep[j])
+            if values is None:
+                return None
+            column[done:done + rows] = values
+        start, done = stop, done + rows
+    return list(columns)
 
 
 def _read_columns_by_row(path: str) -> dict:
@@ -276,8 +321,12 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     non-numeric entries are rejected with the offending row and column named.
     ``schema`` is a role map with keys drawn from ``ROLE_KEYS``.  The file is
     read as UTF-8, with or without a byte-order mark.  A well-formed file is
-    parsed in bulk; any other goes to a row-by-row parser, which alone decides
-    what is accepted and words every error.
+    parsed in bulk: by the exact kernel of :mod:`._decimal` when it settles
+    every cell (for one, every file ``write_dataset_csv`` writes from zeros
+    and values ``1e-11 <= |x| < 2**51``), else by ``np.loadtxt``.  Any other
+    file goes to a row-by-row parser, which alone decides what is accepted
+    and words every error.  Every parser gives ``float`` of each cell, bit
+    for bit.
     """
     columns = _read_columns_bulk(path)
     if columns is None:

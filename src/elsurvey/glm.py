@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import as_tuple
+from .data import as_names
 from .errors import ConvergenceError, DataError
 
 FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
@@ -33,7 +33,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataError(f"ModelSpec: unknown family {self.family!r}; expected one of {FAMILIES}")
-        object.__setattr__(self, "terms", as_tuple(self.terms, "ModelSpec: terms"))
+        object.__setattr__(self, "terms", as_names(self.terms, "ModelSpec: terms"))
         if not self.intercept and not self.terms:
             raise DataError("ModelSpec: model has no intercept and no terms")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import ConstraintEntry, ConstraintSpec, Dataset, as_tuple, make_dataset
+from .data import ConstraintEntry, ConstraintSpec, Dataset, as_names, as_tuple, make_dataset
 from .errors import ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
 from .glm import FAMILIES, ModelSpec
@@ -90,7 +90,7 @@ class DesignSpec:
         covariates = tuple(c if isinstance(c, CovariateSpec) else CovariateSpec(**c)
                            for c in as_tuple(self.covariates, "DesignSpec: covariates"))
         object.__setattr__(self, "covariates", covariates)
-        terms = as_tuple(self.terms, "DesignSpec: terms") if self.terms else tuple(c.name for c in covariates)
+        terms = as_names(self.terms, "DesignSpec: terms") if self.terms else tuple(c.name for c in covariates)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "dummies", {parent: as_tuple(values, f"DesignSpec: dummies[{parent!r}]")
                                              for parent, values in dict(self.dummies).items()})
@@ -102,7 +102,7 @@ class DesignSpec:
         p = len(terms) + (1 if self.intercept else 0)
         if len(self.theta0) != p:
             raise DataError(f"DesignSpec: theta0 has length {len(self.theta0)}, model needs {p}")
-        fit_terms = as_tuple(self.fit_terms, "DesignSpec: fit_terms") if self.fit_terms else terms
+        fit_terms = as_names(self.fit_terms, "DesignSpec: fit_terms") if self.fit_terms else terms
         object.__setattr__(self, "fit_terms", fit_terms)
         estimand = as_tuple(self.estimand, "DesignSpec: estimand") if self.estimand else self.theta0
         object.__setattr__(self, "estimand", tuple(float(t) for t in estimand))
@@ -276,6 +276,9 @@ def population_constraint_spec(population: Dataset, spec: DesignSpec) -> Constra
     entries = []
     for c in spec.constraints:
         if "gamma" not in c:
+            for key in ("target_column", "group_column")[:1 + (c["kind"] == "subgroup-moment")]:
+                if c[key] not in population.columns:
+                    raise DataError(f"population_constraint_spec: {key} {c[key]!r} is not a population column")
             target = population.columns[c["target_column"]]
             if c["kind"] == "subgroup-moment":
                 target = target[population.columns[c["group_column"]] == c["group_value"]]

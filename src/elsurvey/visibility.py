@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_tuple
+from .data import Dataset, as_names
 from .errors import DataError
 from .glm import irls_fit
 
@@ -110,7 +110,7 @@ class VisibilitySpec:
         if self.mode not in VISIBILITY_MODES:
             raise DataError(f"unknown visibility mode {self.mode!r}; expected one of {VISIBILITY_MODES}")
         if self.formula is not None:
-            object.__setattr__(self, "formula", as_tuple(self.formula, "visibility formula"))
+            object.__setattr__(self, "formula", as_names(self.formula, "visibility formula"))
 
     def resolve(self, data: Dataset) -> VisibilityModel:
         """The visibility of ``data`` from this source."""

@@ -401,6 +401,68 @@ def test_fit_rejects_wrong_typed_values_before_fitting(tmp_path, capsys, section
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc", "decluster"])
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+def test_a_negative_seed_exits_1(tmp_path, capsys, command, spelling):
+    out = tmp_path / "run"
+    if command == "decluster":
+        src = tmp_path / "fam.csv"
+        src.write_text("y,fam\n1,7\n0,7\n1,2\n")
+        cfg = {"data": {"path": str(src), "schema": {"response": "y", "family": "fam"}}, "seed": 12,
+               "output": {"path": str(out)}}
+    else:
+        cfg = _mc_config(tmp_path, out, reps=2)
+    argv = [command, "--config"]
+    if spelling == "config":
+        cfg["seed"] = -1
+    else:
+        argv = [command, "--seed", "-1", "--config"]
+    assert run_command(argv + [_write_config(tmp_path, cfg)]) == 1
+    assert f"run {command}: 'seed' must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"kind": "general-moment", "target_column": "zz"}, "target_column"),
+    ({"kind": "subgroup-moment", "target_column": "y", "group_column": "zz", "group_value": 1.0}, "group_column"),
+])
+def test_a_design_constraint_on_a_missing_column_fails_each_replicate(tmp_path, capsys, entry, key):
+    out = tmp_path / "mc"
+    cfg = _mc_config(tmp_path, out, reps=3)
+    cfg["design"]["constraints"].append(entry)
+    path = _write_config(tmp_path, cfg)
+    message = f"population_constraint_spec: {key} 'zz' is not a population column"
+    assert run_command(["mc", "--config", path]) == 2
+    summary = json.loads((out / "mc.json").read_text())
+    for name in ("pl", "cs"):
+        s = summary["estimators"][name]
+        assert (s["n_converged"], s["n_failed"]) == (0, 3)
+        assert all(message in failure for failure in s["failures"])
+    assert run_command(["simulate", "--config", path]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key, message", [
+    ("fit", "model", "terms", "section 'model': ModelSpec: terms must be a list of column names, got the element ['x']"),
+    ("fit", "visibility", "formula", "section 'visibility': visibility formula must be a list of column names"),
+    ("fit", "schema", "covariates", "dataset roles: role 'covariates' must be a list of column names"),
+    ("mc", "design", "terms", "section 'design': DesignSpec: terms must be a list of column names"),
+    ("mc", "design", "fit_terms", "section 'design': DesignSpec: fit_terms must be a list of column names"),
+])
+def test_a_nested_list_of_column_names_exits_1(tmp_path, capsys, command, section, key, message):
+    out = tmp_path / "run"
+    if command == "fit":
+        data_path, _, gammas = _informative_sample(tmp_path, N=900)
+        cfg = _fit_config(data_path, out, gammas, visibility={"mode": "gamma-regression"})
+        cfg["data"]["schema"] = dict(SCHEMA)
+    else:
+        cfg = _mc_config(tmp_path, out, reps=2)
+    (cfg["data"]["schema"] if section == "schema" else cfg[section])[key] = [["x"], "v"]
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _fuzz_configs(root):
     """A valid fit config and a valid mc config, each with every key of its sections set."""
     spec = DesignSpec(N=400, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
