@@ -1,15 +1,16 @@
-"""Exact conversions between doubles and decimal digits, a whole array at a time.
+"""Exact conversions between doubles and ``.17g`` decimal text, a whole array at a time.
 
-The CSV writer and reader share one exact helper, :func:`_scaled`, which
-forms ``M * 2**E * 10**(16 - k)`` in 128-bit integer arithmetic from
-``uint64`` partial products.  The writer uses it to print the 17 significant
-digits of ``format(x, ".17g")``; the reader uses it to check that a parsed
-double is the one a 17-digit token names, by the round-trip property of
-17 digits.
+Both directions cover one exact range: zero and the doubles whose decimal exponent lies
+in ``K_LO..K_HI`` and whose magnitude is below ``2**51``, that is ``1e-11 <= |x| < 2**51``.
+They share one exact helper, :func:`_scaled`, which forms ``M * 2**E * 10**(16 - k)`` in
+128-bit integer arithmetic from ``uint64`` partial products.
 
-:func:`parse_tokens` turns ASCII number tokens of the form
-``-?digits[.digits][e[+-]digits]`` into the doubles ``float(token)`` gives,
-bit for bit, or returns None when it cannot prove that for every token.
+:func:`format_rows` gives the bytes of ``format(x, ".17g")`` for an array of values in the
+range.  :func:`parse_tokens` turns ASCII number tokens of the form
+``-?digits[.digits][e[+-]digits]`` into the doubles ``float(token)`` gives, bit for bit, or
+returns None when it cannot prove that for every token; a token outside Clinger's fast path
+is checked against the ``.17g`` digits of its candidate, by the round-trip property of 17
+digits.
 """
 
 from __future__ import annotations
@@ -17,21 +18,23 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-P16, P17, _LO32 = np.uint64(10**16), np.uint64(10**17), np.uint64(2**32 - 1)
-_POW5 = np.uint64(5) ** np.arange(28, dtype=np.uint64)  # 5**27 < 2**63
+K_LO, K_HI = -11, 16  # the decimal exponents of the exact range
+_P16, _P17, _LO32 = np.uint64(10**16), np.uint64(10**17), np.uint64(2**32 - 1)
+_POW5 = np.uint64(5) ** np.arange(16 - K_LO + 1, dtype=np.uint64)  # 5**27 < 2**63
 
 
-def binary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _binary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(M, E)`` with ``|x| = M * 2**E`` and ``M < 2**53``, for finite ``x``."""
     m, e = np.frexp(np.abs(x))
     return np.ldexp(m, 53).astype(np.uint64), e.astype(np.int64) - 53
 
 
 def _scaled(M, E, k):
-    """``(q, rem, r, ok)``: ``M * 2**E * 10**(16 - k) = (q + rem / 2**r)``, exactly where ``ok``."""
-    s, r = 16 - k, -(E + 16 - k)
-    ok = (s >= 0) & (s <= 27) & (r >= 1) & (r <= 63)
-    P, r = _POW5[np.clip(s, 0, 27)], np.clip(r, 1, 63).astype(np.uint64)
+    """``(q, rem, r, ok)``: ``M * 2**E * 10**(16 - k) = (q + rem / 2**r)``, exactly where ``ok``:
+    ``k`` in the exact range and ``1 <= r <= 63``."""
+    r = -(E + 16 - k)
+    ok = (k >= K_LO) & (k <= K_HI) & (r >= 1) & (r <= 63)
+    P, r = _POW5[np.clip(16 - k, 0, 16 - K_LO)], np.clip(r, 1, 63).astype(np.uint64)
     # M * P < 2**116 as hi * 2**64 + lo, from four 32 x 32-bit partial products.
     ml, mh, pl, ph = M & _LO32, M >> 32, P & _LO32, P >> 32
     low, mid = ml * pl, ml * ph + mh * pl  # mid < 2**64 as mh < 2**21, ph < 2**31
@@ -40,10 +43,73 @@ def _scaled(M, E, k):
     return (hi << (64 - r)) | (lo >> r), lo & ((np.uint64(1) << r) - 1), r, ok
 
 
-def round_half_even(q, rem, r):
+def _round_half_even(q, rem, r):
     """``q + rem / 2**r`` rounded to an integer, ties to even."""
     half = np.uint64(1) << (r - np.uint64(1))
     return q + ((rem > half) | ((rem == half) & (q & np.uint64(1) == 1)))
+
+
+# ---------------------------------------------------------------------------
+# Formatting doubles
+#
+# Each value becomes a row of byte codes, NUL where a character is absent; a row is
+# gathered from its 17 digits, its point and its sign followed by constant characters,
+# through the layout of its decimal exponent k: fixed notation for -4 <= k < 17,
+# ``d.ddde-XX`` below.
+
+_SRC_POINT, _SRC_SIGN, _SRC_NUL = 17, 18, 19  # a row's source columns: its 17 digits, then these
+_CONSTANTS = b"\x000123456789e+-"  # the source columns from _SRC_NUL on
+
+
+def _layout(k: int) -> list[int]:
+    """The source column of each character of a value with decimal exponent ``k``."""
+    if 0 <= k < 17:
+        body = [*range(k + 1), _SRC_POINT, *range(k + 1, 17)]
+    elif -4 <= k < 0:
+        body = [_SRC_NUL + 1, _SRC_POINT] + [_SRC_NUL + 1] * (-k - 1) + list(range(17))  # 0.000ddd
+    else:
+        body = [0, _SRC_POINT, *range(1, 17), *(_SRC_NUL + _CONSTANTS.index(c) for c in f"e{k:+03d}".encode())]
+    return [_SRC_SIGN, *body] + [_SRC_NUL] * (22 - len(body))
+
+
+_LAYOUTS = np.array([_layout(k) for k in range(K_LO, K_HI + 1)])
+
+
+def format_rows(values: np.ndarray) -> np.ndarray | None:
+    """``format(x, ".17g")`` of each value of a 1-d float array, as NUL-padded ``uint8``
+    rows, computed by exact integer arithmetic; None if any value is outside the
+    exact range (non-finite, or nonzero outside ``1e-11 <= |x| < 2**51``)."""
+    x = values.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        return None
+    M, E = _binary(x)
+    k = np.floor(np.log10(np.where(M > 0, np.abs(x), 1.0))).astype(np.int64)
+    q, rem, r, ok = _scaled(M, E, k)
+    fix = (q >= _P17).astype(np.int64) - ((q < _P16) & (M > 0))  # log10 may be one off
+    if fix.any():
+        k += fix
+        q, rem, r, ok = _scaled(M, E, k)
+    if not (ok & ((M == 0) | ((q >= _P16) & (q < _P17)))).all():
+        return None
+    # D stays below 10**17: no double in range lies within half a unit of the
+    # 17th digit below a power of ten.
+    D = _round_half_even(q, rem, r)
+    src = np.empty((_SRC_NUL + len(_CONSTANTS), x.size), np.uint8)  # one row per source column
+    src[_SRC_NUL:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
+    for j in range(16, -1, -1):
+        q = D // np.uint64(10)
+        src[j], D = D - q * np.uint64(10), q
+    first = np.where((k >= -4) & (k < 17), np.maximum(k + 1, 0), 1)  # first fraction digit
+    # cut: the first digit not shown, after the last nonzero one and the integer part
+    cut = np.maximum(first, np.max(np.arange(1, 18, dtype=np.uint8)[:, None] * (src[:17] != 0), axis=0))
+    src[:17] += np.uint8(ord("0"))
+    src[:17] *= np.arange(17)[:, None] < cut
+    src[_SRC_POINT] = np.uint8(ord(".")) * (cut > first)
+    src[_SRC_SIGN] = np.uint8(ord("-")) * np.signbit(x)
+    rows = src[_LAYOUTS[k.min() - K_LO]]
+    for kk in range(k.min() + 1, k.max() + 1):  # rows grouped by k
+        rows += (src[_LAYOUTS[kk - K_LO]] - rows) * (k == kk)
+    return rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +210,7 @@ def _layout_values(buf, starts, length, point, exp, sign):
     if not (D <= 9).all() or len(mant) > 19 and D[:, mant[:-19]].any():
         return None
     M = _horner(D, mant[-19:])  # below 10**19 < 2**64
-    if M.max() >= P17:
+    if M.max() >= _P17:
         return None
     e10 = -(mant_end - point - 1 if point else 0)
     if exp:
@@ -165,8 +231,8 @@ def _times_power_of_ten(Mf, e10):
 def _digits_are(x, k, want):
     """Whether the ``.17g`` digits of each ``x`` are ``want`` (an integer of 17 digits) at
     decimal exponent ``k``, by the writer's exact kernel."""
-    q, rem, r, ok = _scaled(*binary(x), k)
-    return ok & (q >= P16) & (q < P17) & (round_half_even(q, rem, r) == want)
+    q, rem, r, ok = _scaled(*_binary(x), k)
+    return ok & (q >= _P16) & (q < _P17) & (_round_half_even(q, rem, r) == want)
 
 
 def _settle(x, M, e10):
@@ -175,11 +241,11 @@ def _settle(x, M, e10):
 
     A candidate is ``float(token)`` when its ``.17g`` digits are the token's digits padded to
     17: every double is the one nearest its 17-digit decimal.  Values outside the exact
-    kernel's range (about ``1e-11 <= x < 2**51``) are left unsettled.
+    range are left unsettled.
     """
     n_sig = np.searchsorted(_P10U, M, side="right")  # 0 for M == 0
     k = e10 + n_sig - 1  # the decimal exponent
-    if not ((n_sig >= 1) & (k >= -11) & (k <= 16)).all():
+    if not ((n_sig >= 1) & (k >= K_LO) & (k <= K_HI)).all():
         return None
     want = M * _P10U[17 - n_sig]
     miss = ~_digits_are(x, k, want)

@@ -6,13 +6,11 @@ command-line overrides (``--seed``, ``--out``, ``--reps``, ``--jobs``).
 Artifacts are written as JSON and CSV; floats are serialized with 17
 significant digits so results round-trip exactly.  Large arrays are
 formatted and streamed to the file in bounded chunks, with the same bytes a
-whole-document writer gives.  A chunk is formatted by an exact integer
-kernel, which gives the bytes of ``format(x, ".17g")`` for zero and every
-``1e-11 <= |x| < 2**51``; a chunk holding any other value is formatted one
-value at a time.  CSV input is parsed in bulk, by an exact kernel that
-shares that integer helper (``_decimal``) where it settles every cell, else
-by ``np.loadtxt``, with a row-by-row fallback that names the row and column
-of any bad cell.  A seed must be non-negative.
+whole-document writer gives.  A chunk is formatted by the exact kernel of
+``_decimal.format_rows``, which gives the bytes of ``format(x, ".17g")`` for
+zero and every ``1e-11 <= |x| < 2**51``; a chunk holding any other value is
+formatted one value at a time.  CSV input is read by ``data.load_dataset``.
+A seed must be non-negative.
 
 Exit codes: 0 on success, 1 on input/config errors, 2 on statistical
 failures (infeasible constraints or non-convergence; partial results are
@@ -32,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from ._decimal import P16, P17, _scaled, binary, round_half_even
+from ._decimal import format_rows
 from .data import ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, decluster, load_dataset
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
@@ -62,65 +60,6 @@ CHUNK = 8192  # array values formatted per piece of streamed output
 def _format_floats(values: np.ndarray) -> list[str]:
     """``format(x, ".17g")`` of each value of a 1-d float array."""
     return list(map(float.__format__, values.astype(float, copy=False).tolist(), repeat(".17g")))
-
-
-# The exact ``.17g`` kernel.  Each value becomes a row of byte codes, NUL where
-# a character is absent; a row is gathered from its 17 digits, its point and
-# its sign followed by constant characters, through the layout of its decimal
-# exponent k: fixed notation for -4 <= k < 17, ``d.ddde-XX`` below.
-_DOT, _SIGN, _NUL = 17, 18, 19  # a row's source columns: its 17 digits, then these
-_CONSTANTS = b"\x000123456789e+-"  # the source columns from _NUL on
-
-
-def _layout(k: int) -> list[int]:
-    """The source column of each character of a value with decimal exponent ``k``."""
-    if 0 <= k < 17:
-        body = [*range(k + 1), _DOT, *range(k + 1, 17)]
-    elif -4 <= k < 0:
-        body = [_NUL + 1, _DOT] + [_NUL + 1] * (-k - 1) + list(range(17))  # 0.000ddd
-    else:
-        body = [0, _DOT, *range(1, 17), *(_NUL + _CONSTANTS.index(c) for c in f"e{k:+03d}".encode())]
-    return [_SIGN, *body] + [_NUL] * (22 - len(body))
-
-
-_LAYOUTS = np.array([_layout(k) for k in range(-11, 17)])  # the exact path's k
-
-
-def _float_rows(values: np.ndarray) -> np.ndarray | None:
-    """``format(x, ".17g")`` of each value of a 1-d float array, as NUL-padded ``uint8``
-    rows, computed by exact integer arithmetic; None if any value is outside the
-    exact path (non-finite, or nonzero outside ``1e-11 <= |x| < 2**51``)."""
-    x = values.astype(float, copy=False)
-    if not np.isfinite(x).all():
-        return None
-    M, E = binary(x)
-    k = np.floor(np.log10(np.where(M > 0, np.abs(x), 1.0))).astype(np.int64)
-    q, rem, r, ok = _scaled(M, E, k)
-    fix = (q >= P17).astype(np.int64) - ((q < P16) & (M > 0))  # log10 may be one off
-    if fix.any():
-        k += fix
-        q, rem, r, ok = _scaled(M, E, k)
-    if not (ok & ((M == 0) | ((q >= P16) & (q < P17)))).all():
-        return None
-    # D stays below 10**17: no double in range lies within half a unit of the
-    # 17th digit below a power of ten.
-    D = round_half_even(q, rem, r)
-    src = np.empty((_NUL + len(_CONSTANTS), x.size), np.uint8)  # one row per source column
-    src[_NUL:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
-    for j in range(16, -1, -1):
-        q = D // np.uint64(10)
-        src[j], D = D - q * np.uint64(10), q
-    first = np.where((k >= -4) & (k < 17), np.maximum(k + 1, 0), 1)  # first fraction digit
-    # cut: the first digit not shown, after the last nonzero one and the integer part
-    cut = np.maximum(first, np.max(np.arange(1, 18, dtype=np.uint8)[:, None] * (src[:17] != 0), axis=0))
-    src[:17] += np.uint8(ord("0"))
-    src[:17] *= np.arange(17)[:, None] < cut
-    src[_DOT] = np.uint8(ord(".")) * (cut > first)
-    src[_SIGN] = np.uint8(ord("-")) * np.signbit(x)
-    rows = src[_LAYOUTS[k.min() + 11]]
-    for kk in range(k.min() + 1, k.max() + 1):  # rows grouped by k
-        rows += (src[_LAYOUTS[kk + 11]] - rows) * (k == kk)
-    return rows.T
 
 
 def _rows_text(*blocks) -> str:
@@ -153,7 +92,7 @@ def _json_pieces(obj, pad: str = ""):
         sep = ",\n" + inner
         for start in range(0, obj.size, CHUNK):
             chunk = obj[start:start + CHUNK]
-            rows = _float_rows(chunk)
+            rows = format_rows(chunk)
             if rows is not None:
                 text = _rows_text(rows, sep)[:-len(sep)]
             else:
@@ -215,7 +154,7 @@ def write_dataset_csv(path: str, data: Dataset) -> None:
         csv.writer(fh).writerow(names)
         for start in range(0, data.n, CHUNK):
             chunks = [data.columns[name][start:start + CHUNK] for name in names]
-            blocks = [_float_rows(chunk) for chunk in chunks]
+            blocks = [format_rows(chunk) for chunk in chunks]
             if all(rows is not None for rows in blocks):
                 fh.write(_rows_text(*(piece for pair in zip(blocks, seps) for piece in pair)))
             else:

@@ -175,13 +175,6 @@ class Dataset:
         return self.columns[name]
 
     @property
-    def covariate_matrix(self) -> np.ndarray:
-        names = self.roles["covariates"]
-        if not names:
-            return np.empty((self.n, 0))
-        return np.column_stack([self.columns[name] for name in names])
-
-    @property
     def pi(self) -> np.ndarray | None:
         name = self.roles.get("pi")
         return None if name is None else self.columns[name]
@@ -200,54 +193,27 @@ def make_dataset(columns: dict, roles: dict) -> Dataset:
 
 
 def _read_columns_bulk(path: str) -> dict | None:
-    """Parse a clean file in bulk, or return None.
+    """Parse a clean file in bulk by :func:`_decimal.parse_tokens`, or return None.
 
-    The exact kernel (:func:`_read_columns_exact`) parses a file whose every
-    cell it settles; it reads the bytes once.  Any other file that is clean
-    (UTF-8 with no quote, NUL byte or carriage return outside a CRLF pair) is
-    parsed by ``np.loadtxt``.  Either result is accepted only if it has one row
-    per line after the header and one column per header name, so a file with
-    blank lines, short rows or any cell neither parser takes is left to
-    :func:`_read_columns_by_row`.
+    The file is read once, and its rows are parsed in blocks of about :data:`BLOCK`
+    bytes cut at line ends.  The columns are returned only if the header holds distinct
+    names and no quote, NUL byte or carriage return outside its line end, every line has
+    one cell per name, and every cell is settled; lines end in LF, or in CRLF, the same way
+    within a block.  Any other file is left to :func:`_read_columns_by_row`.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        body = raw.find(b"\n") + 1  # the offset of the first row
-        line = raw[:body].decode("utf-8-sig").removesuffix("\n").removesuffix("\r")
+        start = raw.find(b"\n") + 1  # the offset of the first row
+        line = raw[:start].decode("utf-8-sig").removesuffix("\n").removesuffix("\r")
     except (OSError, UnicodeDecodeError):
         return None
-    header = [name.strip() for name in line.split(",")] if line else []  # as csv.reader splits it
-    if not 0 < body < len(raw) or len(set(header)) != len(header):
-        return None
-    columns = None
-    if header and not any(c in line for c in '"\0\r'):
-        columns = _read_columns_exact(raw, body, len(header))
-    if columns is None:
-        if b'"' in raw or b"\0" in raw or raw.count(b"\r") != raw.count(b"\r\n"):
-            return None
-        try:
-            with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fh.readline()
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except (OSError, ValueError):
-            return None
-        if table.shape != (raw.count(b"\n", body) + (raw[-1:] != b"\n"), len(header)):
-            return None
-        columns = [np.ascontiguousarray(table[:, j]) for j in range(len(header))]
-    return dict(zip(header, columns))
-
-
-def _read_columns_exact(raw: bytes, start: int, ncols: int) -> list | None:
-    """The columns of the rows from offset ``start`` on, parsed by :func:`_decimal.parse_tokens`
-    in blocks of about :data:`BLOCK` bytes cut at line ends; None unless every line has
-    ``ncols`` cells and every cell is settled.  Lines end in LF, or in CRLF, the same way
-    within a block."""
-    if raw.endswith(b"\r"):
+    header = [name.strip() for name in line.split(",")]  # as csv.reader splits it
+    if (not line or any(c in line for c in '"\0\r') or len(set(header)) != len(header)
+            or not 0 < start < len(raw) or raw.endswith(b"\r")):
         return None
     lines = np.count_nonzero(np.frombuffer(raw, np.uint8, offset=start) == ord("\n")) + (raw[-1:] != b"\n")
-    columns = np.empty((ncols, lines))
+    columns = np.empty((len(header), lines))
     done = 0  # rows filled
     while start < len(raw):
         stop = raw.find(b"\n", start + BLOCK - 1) + 1 or len(raw)
@@ -263,10 +229,10 @@ def _read_columns_exact(raw: bytes, start: int, ncols: int) -> list | None:
             sep = sep[marks != ord("+")]
             marks = buf[sep]
         line_end = b"\r\n" if buf.size > 1 and buf[-2] == ord("\r") else b"\n"
-        width = ncols - 1 + len(line_end)
+        width = len(header) - 1 + len(line_end)
         rows = sep.size // width
         if sep.size != rows * width or not (marks.reshape(rows, width) == np.frombuffer(
-                b"," * (ncols - 1) + line_end, np.uint8)).all():
+                b"," * (len(header) - 1) + line_end, np.uint8)).all():
             return None
         sep = np.ascontiguousarray(sep.reshape(rows, width).T)  # a row of cell ends per column
         for j, column in enumerate(columns):
@@ -276,7 +242,7 @@ def _read_columns_exact(raw: bytes, start: int, ncols: int) -> list | None:
                 return None
             column[done:done + rows] = values
         start, done = stop, done + rows
-    return list(columns)
+    return dict(zip(header, columns))
 
 
 def _read_columns_by_row(path: str) -> dict:
@@ -307,7 +273,7 @@ def _read_columns_by_row(path: str) -> dict:
                         raise DataError(
                             f"load_dataset: non-numeric value {cell!r} at row {rownum}, column {name!r}"
                         ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"load_dataset: cannot read {path!r}: {exc}") from exc
     if not raw or not next(iter(raw.values())):
         raise DataError(f"load_dataset: {path!r} has no data rows")
@@ -320,13 +286,13 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     Every column in the file is parsed as a float; empty cells and
     non-numeric entries are rejected with the offending row and column named.
     ``schema`` is a role map with keys drawn from ``ROLE_KEYS``.  The file is
-    read as UTF-8, with or without a byte-order mark.  A well-formed file is
-    parsed in bulk: by the exact kernel of :mod:`._decimal` when it settles
-    every cell (for one, every file ``write_dataset_csv`` writes from zeros
-    and values ``1e-11 <= |x| < 2**51``), else by ``np.loadtxt``.  Any other
-    file goes to a row-by-row parser, which alone decides what is accepted
-    and words every error.  Every parser gives ``float`` of each cell, bit
-    for bit.
+    read as UTF-8, with or without a byte-order mark; a file that is not
+    UTF-8 is a :class:`DataError`.  A well-formed file is parsed in bulk by
+    the exact kernel of :mod:`._decimal` when it settles every cell (for one,
+    every file ``write_dataset_csv`` writes from zeros and values
+    ``1e-11 <= |x| < 2**51``).  Any other file goes to a row-by-row parser,
+    which alone decides what is accepted and words every error.  Both
+    parsers give ``float`` of each cell, bit for bit.
     """
     columns = _read_columns_bulk(path)
     if columns is None:

@@ -12,6 +12,7 @@ and nominal-95% coverage per coefficient.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,37 @@ from .glm import FAMILIES, ModelSpec
 from .visibility import VisibilitySpec
 
 GAMMA_SHAPE = 5.0  # shape of the gamma outcome; only the mean enters the estimand
-COVARIATE_DISTS = ("normal", "uniform", "bernoulli", "choice", "map")
+COVARIATE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("lo", "hi"), "bernoulli": ("p",),
+                    "choice": ("values", "probs"), "map": ("source", "values", "outputs")}
 DESIGN_KINDS = ("poisson", "two-strata")
+PROBS_ATOL = np.sqrt(np.finfo(float).eps)  # how far from 1 numpy's Generator.choice lets probabilities sum
+
+
+def _float(value, what: str) -> float:
+    """``float(value)``, or a DataError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} must be a number, got {value!r}") from None
+
+
+def _floats(value, what: str, n: int | None = None) -> tuple[float, ...]:
+    """A list of numbers (``n`` of them, if given) as floats, or a DataError naming ``what``."""
+    try:
+        values = as_tuple(value, what)
+    except TypeError:
+        values = None
+    if values is None or n is not None and len(values) != n:
+        raise DataError(f"{what} must be a list of {'' if n is None else f'{n} '}numbers, got {value!r}")
+    return tuple(_float(v, what) for v in values)
+
+
+def _probabilities(value, n: int, what: str) -> tuple[float, ...]:
+    """``n`` probabilities as ``Generator.choice`` takes them: non-negative and summing to 1."""
+    probs = _floats(value, what, n)
+    if not all(p >= 0.0 for p in probs) or abs(math.fsum(probs) - 1.0) > PROBS_ATOL:
+        raise DataError(f"{what} must be non-negative and sum to 1, got {value!r}")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -39,13 +69,63 @@ class CovariateSpec:
     params: tuple
 
     def __post_init__(self):
-        if self.dist not in COVARIATE_DISTS:
-            raise DataError(f"CovariateSpec {self.name!r}: unknown dist {self.dist!r}")
-        object.__setattr__(self, "params", as_tuple(self.params, f"CovariateSpec {self.name!r}: params"))
-        if self.dist == "map":
-            if len(self.params) != 3 or len(self.params[1]) != len(self.params[2]):
-                raise DataError(f"CovariateSpec {self.name!r}: map needs (source, values, outputs)"
-                                " with matching lengths")
+        where = f"CovariateSpec {self.name!r}"
+        if not isinstance(self.name, str):
+            raise DataError(f"{where}: name must be a string")
+        if self.dist not in tuple(COVARIATE_PARAMS):  # a tuple: dist may be unhashable
+            raise DataError(f"{where}: unknown dist {self.dist!r}")
+        names = COVARIATE_PARAMS[self.dist]
+        params = as_tuple(self.params, f"{where}: params")
+        if len(params) != len(names):
+            raise DataError(f"{where}: {self.dist} needs params ({', '.join(names)}), got {params!r}")
+        if self.dist == "choice":
+            values = _floats(params[0], f"{where}: choice values")
+            if not values:
+                raise DataError(f"{where}: choice values must not be empty")
+            probs = None if params[1] is None else _probabilities(params[1], len(values), f"{where}: choice probs")
+            params = (values, probs)
+        elif self.dist == "map":
+            if not isinstance(params[0], str):
+                raise DataError(f"{where}: map source must be a column name, got {params[0]!r}")
+            values = _floats(params[1], f"{where}: map values")
+            params = (params[0], values, _floats(params[2], f"{where}: map outputs", len(values)))
+        else:
+            params = tuple(_float(v, f"{where}: {key}") for key, v in zip(names, params))
+            if self.dist == "normal" and not params[1] >= 0.0:
+                raise DataError(f"{where}: sd must be non-negative, got {params[1]!r}")
+        object.__setattr__(self, "params", params)
+
+
+def _sampling_design(design) -> dict:
+    """A copy of the ``design`` of a :class:`DesignSpec`, with each value it reads checked and
+    its numbers as floats; a value outside its range is left to :func:`gen_population`."""
+    if not isinstance(design, dict):
+        raise DataError(f"DesignSpec: design must be a dict, got {design!r}")
+    kind = design.get("kind")
+    if kind not in DESIGN_KINDS:
+        raise DataError(f"DesignSpec: unknown sampling design kind {kind!r}")
+    out = dict(design)
+    if kind == "poisson":
+        for key in ("lo", "hi", "const", "response_coef", "latent_sd"):
+            if key in out or key in ("lo", "hi"):
+                out[key] = _float(out.get(key), f"DesignSpec: design.{key}")
+        coeffs = out.get("coeffs", {})
+        if not isinstance(coeffs, dict):
+            raise DataError(f"DesignSpec: design.coeffs must map column names to numbers, got {coeffs!r}")
+        if coeffs:
+            out["coeffs"] = {name: _float(c, f"DesignSpec: design.coeffs[{name!r}]") for name, c in coeffs.items()}
+        return out
+    if not isinstance(out.get("column"), str):
+        raise DataError(f"DesignSpec: design.column must be a column name, got {out.get('column')!r}")
+    out["rates"] = _floats(out.get("rates"), "DesignSpec: design.rates", 2)
+    fam = out.get("family_sizes")
+    if fam:
+        if not isinstance(fam, dict) or not {"values", "probs"} <= set(fam):
+            raise DataError(f"DesignSpec: design.family_sizes must hold values and probs, got {fam!r}")
+        values = _floats(fam["values"], "DesignSpec: design.family_sizes.values")
+        out["family_sizes"] = {"values": values, "probs": _probabilities(
+            fam["probs"], len(values), "DesignSpec: design.family_sizes.probs")}
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,13 +166,13 @@ class DesignSpec:
             raise DataError("DesignSpec: N must be at least 2")
         if self.family not in FAMILIES:
             raise DataError(f"DesignSpec: unknown family {self.family!r}")
-        object.__setattr__(self, "theta0", tuple(float(t) for t in as_tuple(self.theta0, "DesignSpec: theta0")))
+        object.__setattr__(self, "theta0", _floats(self.theta0, "DesignSpec: theta0"))
         covariates = tuple(c if isinstance(c, CovariateSpec) else CovariateSpec(**c)
                            for c in as_tuple(self.covariates, "DesignSpec: covariates"))
         object.__setattr__(self, "covariates", covariates)
         terms = as_names(self.terms, "DesignSpec: terms") if self.terms else tuple(c.name for c in covariates)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "dummies", {parent: as_tuple(values, f"DesignSpec: dummies[{parent!r}]")
+        object.__setattr__(self, "dummies", {parent: _floats(values, f"DesignSpec: dummies[{parent!r}]")
                                              for parent, values in dict(self.dummies).items()})
         object.__setattr__(self, "constraints", tuple(dict(c) for c in self.constraints))
         for c in self.constraints:
@@ -104,14 +184,12 @@ class DesignSpec:
             raise DataError(f"DesignSpec: theta0 has length {len(self.theta0)}, model needs {p}")
         fit_terms = as_names(self.fit_terms, "DesignSpec: fit_terms") if self.fit_terms else terms
         object.__setattr__(self, "fit_terms", fit_terms)
-        estimand = as_tuple(self.estimand, "DesignSpec: estimand") if self.estimand else self.theta0
-        object.__setattr__(self, "estimand", tuple(float(t) for t in estimand))
+        estimand = _floats(self.estimand, "DesignSpec: estimand") if self.estimand else self.theta0
+        object.__setattr__(self, "estimand", estimand)
         p_fit = len(fit_terms) + (1 if self.intercept else 0)
         if len(estimand) != p_fit:
             raise DataError(f"DesignSpec: estimand has length {len(estimand)}, fitted model needs {p_fit}")
-        kind = self.design.get("kind")
-        if kind not in DESIGN_KINDS:
-            raise DataError(f"DesignSpec: unknown sampling design kind {kind!r}")
+        object.__setattr__(self, "design", _sampling_design(self.design))
 
     @property
     def model(self) -> ModelSpec:
@@ -375,7 +453,7 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     tasks = [(spec, estimators, int(rep_seeds[r, 0]), int(rep_seeds[r, 1]), population)
              for r in range(reps)]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
             results = list(pool.map(_replicate_task, tasks, chunksize=max(1, reps // (8 * jobs))))
     else:
         results = [_replicate_task(t) for t in tasks]

@@ -463,6 +463,30 @@ def test_a_nested_list_of_column_names_exits_1(tmp_path, capsys, command, sectio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, key, value, message", [
+    (("design",), "lo", "abc", "DesignSpec: design.lo must be a number, got 'abc'"),
+    (("design",), "coeffs", ["a"], "DesignSpec: design.coeffs must map column names to numbers"),
+    ((), "design", {"kind": "two-strata", "column": "v", "rates": "ab"},
+     "DesignSpec: design.rates must be a list, got the string 'ab'"),
+    (("covariates", 1), "params", ["a"], "CovariateSpec 'v': p must be a number, got 'a'"),
+    (("covariates",), 1, {"name": "v", "dist": "normal", "params": [0.5]},
+     "CovariateSpec 'v': normal needs params (mean, sd)"),
+    (("covariates", 0), "params", [[-1.0, 0.0, 1.0], [0.5, 0.5]],
+     "CovariateSpec 'x': choice probs must be a list of 3 numbers"),
+    ((), "dummies", {"x": ["a"]}, "DesignSpec: dummies['x'] must be a number, got 'a'"),
+], ids=["lo", "coeffs", "rates", "bernoulli", "normal", "choice", "dummies"])
+def test_a_bad_value_in_the_design_section_exits_1_before_any_replicate(tmp_path, capsys, path, key, value, message):
+    out = tmp_path / "mc"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    section = cfg["design"]
+    for step in path:
+        section = section[step]
+    section[key] = value
+    assert run_command(["mc", "--config", _write_config(tmp_path, cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _fuzz_configs(root):
     """A valid fit config and a valid mc config, each with every key of its sections set."""
     spec = DesignSpec(N=400, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
@@ -495,7 +519,9 @@ def _fuzz_keys(cfg):
     """``(section path, key)`` of every key of the sections the fuzz mutates."""
     paths = [(name,) for name in ("model", "visibility", "solver", "design") if name in cfg]
     paths += [("constraints", i) for i in range(len(cfg.get("constraints", [])))]
-    paths += [("design", "visibility")] if "design" in cfg else []
+    if "design" in cfg:
+        paths += [("design", "visibility"), ("design", "design")]
+        paths += [("design", "covariates", i) for i in range(len(cfg["design"]["covariates"]))]
     keys = []
     for path in paths:
         section = cfg

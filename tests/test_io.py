@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 import warnings
 from fractions import Fraction
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_columns, json_text
 
-from elsurvey.cli import CHUNK, _float_rows, _rows_text, write_csv, write_dataset_csv, write_json
+from elsurvey._decimal import format_rows
+from elsurvey.cli import CHUNK, _rows_text, run_command, write_csv, write_dataset_csv, write_json
 from elsurvey.data import _read_columns_bulk, load_dataset, make_dataset
 from elsurvey.errors import ConfigError, DataError
 
@@ -161,7 +163,7 @@ def _assert_formats_like_oracle(values):
     """The kernel formats ``values`` exactly as ``format`` does, or declines iff one is off its path."""
     values = np.asarray(values)
     floats = values.astype(float).tolist()
-    rows = _float_rows(values)
+    rows = format_rows(values)
     assert (rows is not None) == all(map(_on_exact_path, floats))
     if rows is not None:
         assert _rows_text(rows, "\n").split("\n")[:-1] == [format(x, ".17g") for x in floats]
@@ -193,7 +195,7 @@ def test_kernel_matches_format_in_chunks_of_mixed_sizes(values, sizes):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(ON_PATH, min_size=1, max_size=50))
 def test_kernel_takes_every_chunk_on_its_path(values):
-    assert _float_rows(np.array(values)) is not None
+    assert format_rows(np.array(values)) is not None
     _assert_formats_like_oracle(values)
 
 
@@ -240,7 +242,7 @@ def test_no_value_on_the_exact_path_rounds_up_to_a_power_of_ten():
         return Fraction(format(_below(j), ".17g")) == Fraction(10) ** j
 
     assert not any(carries(j) for j in range(-10, 16))
-    assert carries(-14) and _float_rows(np.array([_below(-14)])) is None
+    assert carries(-14) and format_rows(np.array([_below(-14)])) is None
     _assert_formats_like_oracle([_below(j) for j in range(-10, 16)])
 # ---------------------------------------------------------------------------
 # load_dataset: the bulk parser or its row-by-row fallback, against the oracle
@@ -253,17 +255,17 @@ CSV_FILES = {
     "cr only": ("y,pi\r1,0.5\r0,0.25\r", False),
     "lone cr": ("y,pi\n1,0.5\r0,0.25\n", False),
     "lone cr and blank line": ("y,pi\n1,0.5\r0,0.25\n\n", False),
-    "padded cells": (" y , pi \n  1 ,\t0.5 \n0,  0.25\n", True),
+    "padded cells": (" y , pi \n  1 ,\t0.5 \n0,  0.25\n", False),
     "blank line in middle": ("y,pi\n1,0.5\n\n0,0.25\n", False),
     "blank line at end": ("y,pi\n1,0.5\n0,0.25\n\n", False),
     "crlf blank line": ("y,pi\r\n1,0.5\r\n\r\n0,0.25\r\n", False),
     "whitespace-only line": ("y,pi\n1,0.5\n   \n0,0.25\n", False),
     "whitespace-only line, one column": ("y\n1\n \t \n0\n", False),
-    "non-finite spellings": ("y,a\n1,nan\n0,inf\n1,NaN\n0,-Infinity\n1,-inf\n", True),
+    "non-finite spellings": ("y,a\n1,nan\n0,inf\n1,NaN\n0,-Infinity\n1,-inf\n", False),
     "underscore digits": ("y,a\n1,1_0\n", False),
     "hex": ("y,a\n1,0x1\n", False),
-    "sign and bare point": ("y,a\n1,+1\n0,.25\n1,-.5\n", True),
-    "exponents": ("y,a\n1,1e5\n0,-2.5E-3\n1,1e400\n0,1e-400\n1,-0\n", True),
+    "sign and bare point": ("y,a\n1,+1\n0,.25\n1,-.5\n", False),
+    "exponents": ("y,a\n1,1e5\n0,-2.5E-3\n1,1e400\n0,1e-400\n1,-0\n", False),
     "empty cell": ("y,a\n1,\n", False),
     "non-numeric text": ("y,a\n1,0.5\noops,0.25\n", False),
     "extra field": ("y,a\n1,0.5,7\n", False),
@@ -338,9 +340,22 @@ def test_load_dataset_strips_byte_order_mark(tmp_path):
     np.testing.assert_array_equal(data.y, [1.0, 0.0])
 
 
+def test_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,a\n1,0.5\n0,\xff25\n1,0.75\n")
+    message = f"load_dataset: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_dataset(str(path), {})
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"data": {"path": str(path), "schema": {"response": "y"}},
+                                  "model": {"family": "bernoulli-logit", "terms": ["a"]}}))
+    assert run_command(["fit", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_load_dataset_counts_crlf_split_across_scan_chunks(tmp_path):
-    # The line count reads 1 MiB at a time; pad the header so that one CRLF
-    # falls across the first chunk boundary.
+    # Pad the header so that one CRLF falls across the first 1 MiB boundary.  Most cells
+    # are outside the exact kernel's range, so the row parser reads the file.
     body = "".join(f"{k % 2},{v!r}\r\n" for k, v in enumerate(_random(70_000, 9).tolist()))
     boundary = (1 << 20) - 1
     header = "y,a"
@@ -350,4 +365,3 @@ def test_load_dataset_counts_crlf_split_across_scan_chunks(tmp_path):
     path = tmp_path / "big.csv"
     path.write_bytes(text.encode())
     _assert_same(_load(str(path)), _oracle(str(path)))
-    assert _read_columns_bulk(str(path)) is not None

@@ -1,11 +1,13 @@
 """Synthetic populations, informative sampling, and the Monte Carlo runner."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from elsurvey import simulate
 from elsurvey.data import build_constraint_matrix
 from elsurvey.errors import DataError
 from elsurvey.estimators import ESTIMATORS, fit_ce, fit_pl
@@ -156,6 +158,28 @@ def test_invalid_specs_are_rejected():
         gen_population(_basic_spec(design={"kind": "poisson", "lo": 0.0, "hi": 0.5}), seed=1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CovariateSpec("z", "normal", (0.0, -1.0)), "CovariateSpec 'z': sd must be non-negative"),
+    (lambda: CovariateSpec("z", "choice", ((0.0, 1.0), (0.5, 0.4))),
+     "CovariateSpec 'z': choice probs must be non-negative and sum to 1"),
+    (lambda: CovariateSpec("z", "choice", ((), None)), "CovariateSpec 'z': choice values must not be empty"),
+    (lambda: CovariateSpec("z", "map", (["x"], (0.0,), (1.0,))),
+     "CovariateSpec 'z': map source must be a column name"),
+    (lambda: CovariateSpec(["z"], "bernoulli", (0.5,)), "CovariateSpec ['z']: name must be a string"),
+    (lambda: _basic_spec(design={"kind": "two-strata", "column": "v", "rates": (0.5, 0.5, 0.5)}),
+     "DesignSpec: design.rates must be a list of 2 numbers"),
+    (lambda: _basic_spec(design={"kind": "two-strata", "column": "v", "rates": (0.5, 0.5), "family_sizes": "ab"}),
+     "DesignSpec: design.family_sizes must hold values and probs"),
+    (lambda: _basic_spec(design={"kind": "two-strata", "column": "v", "rates": (0.5, 0.5),
+                                 "family_sizes": {"values": (1.0, 2.0), "probs": (0.5, 0.4)}}),
+     "DesignSpec: design.family_sizes.probs must be non-negative and sum to 1"),
+], ids=["normal sd", "choice probs", "choice values", "map source", "name", "rates", "family sizes",
+        "family probs"])
+def test_design_values_that_would_crash_a_replicate_are_rejected_when_built(build, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # draw_sample
 
@@ -278,6 +302,32 @@ def test_monte_carlo_deterministic_across_worker_counts():
     a = run_monte_carlo(spec, ("pl", "cs"), reps=12, seed=5, jobs=1)
     b = run_monte_carlo(spec, ("pl", "cs"), reps=12, seed=5, jobs=2)
     assert a.as_dict() == b.as_dict()
+
+
+def test_monte_carlo_never_asks_for_more_workers_than_replicates(monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        """A stand-in for ``ProcessPoolExecutor`` that records its worker count and runs in-process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    spec = _basic_spec(N=400)
+    want = run_monte_carlo(spec, ("pl",), reps=3, seed=5, jobs=1).as_dict()
+    monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for jobs in (5000, 2):
+        assert run_monte_carlo(spec, ("pl",), reps=3, seed=5, jobs=jobs).as_dict() == want
+    assert workers == [3, 2]
 
 
 def test_monte_carlo_counts_failures_without_aborting():
