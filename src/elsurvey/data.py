@@ -75,10 +75,14 @@ def _weight_source(columns: dict, roles: dict) -> np.ndarray:
 
 
 def as_tuple(value, what: str) -> tuple:
-    """``tuple(value)`` for a list of names or specs; a lone string is rejected, not split into characters."""
+    """``tuple(value)`` for a list of names or specs; a lone string is rejected, not split into characters,
+    and so is any value that is not iterable."""
     if isinstance(value, str):
         raise DataError(f"{what} must be a list, got the string {value!r}")
-    return tuple(value)
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DataError(f"{what} must be a list, got {value!r}") from None
 
 
 def as_names(value, what: str) -> tuple:
@@ -449,7 +453,7 @@ def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMa
         cols.append(resid)
         labels.append(entry.label)
         vacuous.append(is_vacuous)
-    H = np.column_stack(cols) if cols else np.empty((data.n, 0))
+    H = np.stack(cols).T if cols else np.empty((data.n, 0))
     active = [k for k, v in enumerate(vacuous) if not v]
     if 1 < len(active) < data.n:
         R = np.linalg.qr(H[:, active], mode="r")  # its columns have the norms of H's

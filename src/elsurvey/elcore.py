@@ -74,27 +74,28 @@ def _sign_precheck(U: np.ndarray, name: str) -> list[int]:
     return active
 
 
-def _dual_newton(Ua: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name: str):
-    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'Ua_i)`` over ``1 + lam'Ua_i > d_i``.
+def _dual_newton(Ut: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name: str):
+    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'u_i)`` over ``1 + lam'u_i > d_i``.
 
-    ``Ua`` holds the non-vacuous columns.  Newton steps are
-    backtracked on the gradient max-norm: for a strictly convex dual the
-    Newton direction always decreases it, and unlike an objective-based test
+    ``Ut`` is the ``(k, n)`` transpose of the non-vacuous columns, C-contiguous,
+    so the Hessian ``(Ut * v) @ Ut.T`` scales and sums contiguous rows.  Newton
+    steps are backtracked on the gradient max-norm: for a strictly convex dual
+    the Newton direction always decreases it, and unlike an objective-based test
     this cannot stall once improvements in ``phi`` fall below double-precision
     resolution.  Returns ``(lam, iterations)``; raises when no solution is found.
     """
-    n, k = Ua.shape
+    k, n = Ut.shape
     lam = np.zeros(k)
     if not k:
         return lam, 0
     s = np.ones(n)
-    grad = -Ua.T @ (d / s)
+    grad = -Ut @ (d / s)
     for it in range(1, max_iter + 1):
         gnorm = np.abs(grad).max()
         if gnorm < tol:
             return lam, it - 1
         r = d / s
-        hess = (Ua * (r / s)[:, None]).T @ Ua
+        hess = (Ut * (r / s)) @ Ut.T
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -102,9 +103,9 @@ def _dual_newton(Ua: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name:
         t = 1.0
         while True:
             lam_new = lam + t * step
-            s_new = 1.0 + Ua @ lam_new
+            s_new = 1.0 + lam_new @ Ut
             if (s_new > d).all():
-                grad_new = -Ua.T @ (d / s_new)
+                grad_new = -Ut @ (d / s_new)
                 if np.abs(grad_new).max() <= (1.0 - ARMIJO_C1 * t) * gnorm:
                     break
             t *= 0.5
@@ -138,7 +139,7 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
         return ELSolution(w=d.copy(), multiplier=np.zeros(0), logEL=float(d @ np.log(d)),
                           iterations=0, converged=True, residual=0.0)
     active, lam = _sign_precheck(U, "solve_weighted_el"), np.zeros(q)
-    lam[active], iters = _dual_newton(U[:, active], d, tol, max_iter, "solve_weighted_el")
+    lam[active], iters = _dual_newton(np.ascontiguousarray(U.T[active]), d, tol, max_iter, "solve_weighted_el")
     w = d / (1.0 + U @ lam)
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
@@ -158,7 +159,7 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
         return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
                           iterations=0, converged=True, residual=0.0)
     active, lam, d = _sign_precheck(U, "solve_el"), np.zeros(q), np.full(n, 1.0 / n)
-    lam[active], iters = _dual_newton(U[:, active], d, tol, max_iter, "solve_el")
+    lam[active], iters = _dual_newton(np.ascontiguousarray(U.T[active]), d, tol, max_iter, "solve_el")
     w = 1.0 / (n * (1.0 + U @ lam))
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),

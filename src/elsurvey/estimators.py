@@ -34,7 +34,8 @@ import numpy as np
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError
-from .glm import ModelSpec, _jacobian, _score_parts, design_matrix, irls_fit
+from .glm import (ModelSpec, _check_response, _check_theta, _jacobian, _resid_curv, _score_parts, design_matrix,
+                  irls_fit)
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel
 
@@ -69,17 +70,22 @@ class EstimateResult:
 
 
 def _newton(weights, model, data, theta0, tol, max_iter):
-    """Damped Newton on the weighted score equation.
+    """Damped Newton on the weighted score equation, with ``theta0`` and the response checked once.
 
-    Returns ``(theta, iterations, residual, converged, reason)``; never
-    raises for non-convergence (callers decide whether to flag or raise).
+    Each iterate and line-search candidate forms the score sum ``A'(weights * r)``,
+    never the ``(n, p)`` score matrix; one outside the score's domain, or with a
+    non-finite score sum, shortens the step.  Returns ``(theta, iterations,
+    residual, converged, reason)``; never raises for non-convergence (callers
+    decide whether to flag or raise).
     """
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = _check_theta(model, theta0).copy()
+    A, y = design_matrix(model, data), data.y
+    _check_response(model.family, y)
     try:
-        A, psi, curv = _score_parts(model, theta, data)
+        r, curv = _resid_curv(model.family, A @ theta, y, "score")
     except ConvergenceError as exc:
         return theta, 0, np.inf, False, f"invalid start: {exc}"
-    svec = psi.T @ weights
+    svec = A.T @ (weights * r)
     resid = float(np.max(np.abs(svec)))
     for it in range(1, max_iter + 1):
         if resid < tol:
@@ -93,10 +99,10 @@ def _newton(weights, model, data, theta0, tol, max_iter):
         while True:
             theta_new = theta + t * step
             try:
-                _, psi_new, curv_new = _score_parts(model, theta_new, data, A)
-                svec_new = psi_new.T @ weights
+                r, curv_new = _resid_curv(model.family, A @ theta_new, y, "score")
+                svec_new = A.T @ (weights * r)
                 resid_new = float(np.max(np.abs(svec_new)))
-                if resid_new <= (1.0 - 1e-4 * t) * resid:
+                if resid_new <= (1.0 - 1e-4 * t) * resid:  # false for a NaN score sum
                     break
             except ConvergenceError:
                 pass  # candidate outside the score's domain; shorten the step
@@ -143,7 +149,7 @@ def _composite(C, bp, el_tol, el_max_iter):
     ``w*``; the composite weights are ``(w*_i / bp_i) / sum_j (w*_j / bp_j)``
     and the normalizing constant is ``Bp_hat = 1 / sum_j (w*_j / bp_j)``.
     """
-    sol = solve_el(C / bp[:, None], tol=el_tol, max_iter=el_max_iter)
+    sol = solve_el((C.T / bp).T, tol=el_tol, max_iter=el_max_iter)
     ratio = sol.w / bp
     S = ratio.sum()
     w = ratio / S
@@ -279,7 +285,7 @@ class FitProblem:
             return _failed("ce-joint", p, np.full(n, np.nan), np.full(cm.q, np.nan), None,
                            float("nan"), diagnostics)
         psi = _score_parts(model, ce.theta, self.data)[1]
-        w, sol, Bp_hat, logEL = _composite(np.column_stack([psi, cm.H]), bp, self.el_tol, self.el_max_iter)
+        w, sol, Bp_hat, logEL = _composite(np.vstack([psi.T, cm.H.T]).T, bp, self.el_tol, self.el_max_iter)
         gap = self._ce_weights[1].logEL - sol.logEL
         converged = abs(gap) <= CERTIFICATE_TOL * n
         diagnostics.update(converged=converged, certificate_gap=gap, el_iterations=sol.iterations,

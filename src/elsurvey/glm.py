@@ -47,7 +47,7 @@ class ModelSpec:
 
 
 def design_matrix(model: ModelSpec, data) -> np.ndarray:
-    """Stack the model's covariate columns, intercept first."""
+    """Stack the model's covariate columns, intercept first, column-major (each column contiguous)."""
     cols = []
     if model.intercept:
         cols.append(np.ones(data.n))
@@ -55,7 +55,7 @@ def design_matrix(model: ModelSpec, data) -> np.ndarray:
         if name not in data.columns:
             raise DataError(f"design_matrix: model term {name!r} is not a column of the data")
         cols.append(data.columns[name])
-    return np.column_stack(cols)
+    return np.stack(cols).T
 
 
 def _check_theta(model: ModelSpec, theta) -> np.ndarray:
@@ -87,7 +87,7 @@ def _resid_curv(family: str, eta: np.ndarray, y: np.ndarray, name: str):
 
 
 def _jacobian(A: np.ndarray, weights: np.ndarray, curv: np.ndarray) -> np.ndarray:
-    return -(A * (weights * curv)[:, None]).T @ A
+    return -(A.T * (weights * curv)) @ A
 
 
 def _score_parts(model: ModelSpec, theta, data, A=None):
@@ -96,7 +96,7 @@ def _score_parts(model: ModelSpec, theta, data, A=None):
     A = design_matrix(model, data) if A is None else A
     _check_response(model.family, data.y)
     resid, curv = _resid_curv(model.family, A @ theta, data.y, "score")
-    return A, resid[:, None] * A, curv
+    return A, (A.T * resid).T, curv
 
 
 def score(model: ModelSpec, theta, data) -> np.ndarray:

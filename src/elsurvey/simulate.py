@@ -41,12 +41,9 @@ def _float(value, what: str) -> float:
 
 def _floats(value, what: str, n: int | None = None) -> tuple[float, ...]:
     """A list of numbers (``n`` of them, if given) as floats, or a DataError naming ``what``."""
-    try:
-        values = as_tuple(value, what)
-    except TypeError:
-        values = None
-    if values is None or n is not None and len(values) != n:
-        raise DataError(f"{what} must be a list of {'' if n is None else f'{n} '}numbers, got {value!r}")
+    values = as_tuple(value, what)
+    if n is not None and len(values) != n:
+        raise DataError(f"{what} must be a list of {n} numbers, got {value!r}")
     return tuple(_float(v, what) for v in values)
 
 
@@ -97,8 +94,8 @@ class CovariateSpec:
 
 
 def _sampling_design(design) -> dict:
-    """A copy of the ``design`` of a :class:`DesignSpec`, with each value it reads checked and
-    its numbers as floats; a value outside its range is left to :func:`gen_population`."""
+    """A copy of the ``design`` of a :class:`DesignSpec`, with each value it reads checked, in range,
+    and its numbers as floats, so a bad value fails when the spec is built, before any replicate."""
     if not isinstance(design, dict):
         raise DataError(f"DesignSpec: design must be a dict, got {design!r}")
     kind = design.get("kind")
@@ -109,6 +106,10 @@ def _sampling_design(design) -> dict:
         for key in ("lo", "hi", "const", "response_coef", "latent_sd"):
             if key in out or key in ("lo", "hi"):
                 out[key] = _float(out.get(key), f"DesignSpec: design.{key}")
+        lo, hi = out["lo"], out["hi"]
+        if not (0.0 < lo <= hi <= 1.0):
+            key = "hi" if 0.0 < lo <= 1.0 else "lo"
+            raise DataError(f"DesignSpec: design.{key}: a poisson design needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
         coeffs = out.get("coeffs", {})
         if not isinstance(coeffs, dict):
             raise DataError(f"DesignSpec: design.coeffs must map column names to numbers, got {coeffs!r}")
@@ -118,11 +119,15 @@ def _sampling_design(design) -> dict:
     if not isinstance(out.get("column"), str):
         raise DataError(f"DesignSpec: design.column must be a column name, got {out.get('column')!r}")
     out["rates"] = _floats(out.get("rates"), "DesignSpec: design.rates", 2)
+    if not all(0.0 < r <= 1.0 for r in out["rates"]):
+        raise DataError(f"DesignSpec: design.rates must lie in (0, 1], got {out['rates']!r}")
     fam = out.get("family_sizes")
     if fam:
         if not isinstance(fam, dict) or not {"values", "probs"} <= set(fam):
             raise DataError(f"DesignSpec: design.family_sizes must hold values and probs, got {fam!r}")
         values = _floats(fam["values"], "DesignSpec: design.family_sizes.values")
+        if not all(v >= 1.0 for v in values):
+            raise DataError(f"DesignSpec: design.family_sizes.values must be at least 1, got {values!r}")
         out["family_sizes"] = {"values": values, "probs": _probabilities(
             fam["probs"], len(values), "DesignSpec: design.family_sizes.probs")}
     return out
@@ -275,9 +280,7 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
         if sd > 0.0:
             columns["latent"] = rng.normal(0.0, sd, size=spec.N)
             lin += columns["latent"]
-        lo, hi = float(dsg["lo"]), float(dsg["hi"])
-        if not (0.0 < lo <= hi <= 1.0):
-            raise DataError(f"gen_population: poisson design needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
+        lo, hi = dsg["lo"], dsg["hi"]
         pi = lo + (hi - lo) * expit(lin)
     else:
         col = dsg["column"]
@@ -286,16 +289,12 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
         strata = columns[col]
         if not np.all((strata == 0.0) | (strata == 1.0)):
             raise DataError(f"gen_population: strata column {col!r} must be 0/1")
-        r0, r1 = (float(r) for r in dsg["rates"])
-        if not (0.0 < r0 <= 1.0 and 0.0 < r1 <= 1.0):
-            raise DataError("gen_population: two-strata rates must lie in (0, 1]")
+        r0, r1 = dsg["rates"]
         pi = np.where(strata == 1.0, r1, r0)
         fam = dsg.get("family_sizes")
         if fam:
             # de-clustered units: one member kept per size-nf family, weight times nf
             sizes = np.asarray(fam["values"], dtype=float)
-            if np.any(sizes < 1.0):
-                raise DataError("gen_population: family sizes must be at least 1")
             nf = rng.choice(sizes, size=spec.N, p=np.asarray(fam["probs"], dtype=float))
             columns["nf"] = nf
             pi = pi / nf

@@ -13,6 +13,10 @@ and the visibility ``bp``:
 * ``H1 = sum_i w_i^2 d_i   h h'``
 * ``H2 = sum_i w_i^2 d_i^2 h h'``
 
+Each sum is formed as ``(X.T * v) @ Y`` with ``v`` the per-row weight, so with
+the column-major ``psi`` and ``H`` that the package builds, the weighting scales
+contiguous rows of ``X.T``; any layout is accepted.
+
 Because these sums carry the sample-size scale themselves (``n`` times each
 literal sum is the asymptotic-variance component), the assembled sandwich is
 already the estimated covariance of ``theta_hat``; no further division by
@@ -71,11 +75,11 @@ def components_from_arrays(estimator: str, theta, w, data: Dataset, model: Model
         m2 = m1 * d
         return CovarianceComponents(
             G=G,
-            Gstar=psi.T @ (psi * m2[:, None]),
-            K1=psi.T @ (H * m1[:, None]),
-            K2=psi.T @ (H * m2[:, None]),
-            H1=H.T @ (H * m1[:, None]),
-            H2=H.T @ (H * m2[:, None]),
+            Gstar=(psi.T * m2) @ psi,
+            K1=(psi.T * m1) @ H,
+            K2=(psi.T * m2) @ H,
+            H1=(H.T * m1) @ H,
+            H2=(H.T * m2) @ H,
         )
     if estimator in ("ce", "ce-joint"):
         if bp is None:
@@ -86,9 +90,9 @@ def components_from_arrays(estimator: str, theta, w, data: Dataset, model: Model
         r = (w / bp) ** 2
         return CovarianceComponents(
             calG=_jacobian(A, w / bp, curv),
-            calGstar=psi.T @ (psi * r[:, None]),
-            calK2=psi.T @ (H * r[:, None]),
-            calH2=H.T @ (H * r[:, None]),
+            calGstar=(psi.T * r) @ psi,
+            calK2=(psi.T * r) @ H,
+            calH2=(H.T * r) @ H,
         )
     raise DataError(f"components_from_arrays: unknown estimator {estimator!r}")
 

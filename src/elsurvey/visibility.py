@@ -76,7 +76,7 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
         if not np.all(np.isfinite(col)):
             raise DataError(f"estimate_visibility: formula column {name!r} has non-finite values")
         cols.append(col)
-    X = np.column_stack(cols)
+    X = np.stack(cols).T
     response = data.d
     nf = None
     if nf_adjust:

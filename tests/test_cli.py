@@ -474,7 +474,17 @@ def test_a_nested_list_of_column_names_exits_1(tmp_path, capsys, command, sectio
     (("covariates", 0), "params", [[-1.0, 0.0, 1.0], [0.5, 0.5]],
      "CovariateSpec 'x': choice probs must be a list of 3 numbers"),
     ((), "dummies", {"x": ["a"]}, "DesignSpec: dummies['x'] must be a number, got 'a'"),
-], ids=["lo", "coeffs", "rates", "bernoulli", "normal", "choice", "dummies"])
+    (("design",), "lo", -1.0, "DesignSpec: design.lo: a poisson design needs 0 < lo <= hi <= 1, got (-1.0, 0.7)"),
+    (("design",), "hi", 1.5, "DesignSpec: design.hi: a poisson design needs 0 < lo <= hi <= 1, got (0.3, 1.5)"),
+    ((), "design", {"kind": "two-strata", "column": "v", "rates": [0.5, 1.5]},
+     "DesignSpec: design.rates must lie in (0, 1], got (0.5, 1.5)"),
+    ((), "design", {"kind": "two-strata", "column": "v", "rates": [0.5, 0.5],
+                    "family_sizes": {"values": [0.5, 2.0], "probs": [0.5, 0.5]}},
+     "DesignSpec: design.family_sizes.values must be at least 1, got (0.5, 2.0)"),
+    (("covariates", 0), "params", None, "CovariateSpec 'x': params must be a list, got None"),
+    (("covariates", 0), "params", -1, "CovariateSpec 'x': params must be a list, got -1"),
+], ids=["lo", "coeffs", "rates", "bernoulli", "normal", "choice", "dummies", "lo out of range",
+        "hi out of range", "rates out of range", "family sizes out of range", "null params", "negative params"])
 def test_a_bad_value_in_the_design_section_exits_1_before_any_replicate(tmp_path, capsys, path, key, value, message):
     out = tmp_path / "mc"
     cfg = _mc_config(tmp_path, out, reps=2)
@@ -484,6 +494,16 @@ def test_a_bad_value_in_the_design_section_exits_1_before_any_replicate(tmp_path
     section[key] = value
     assert run_command(["mc", "--config", _write_config(tmp_path, cfg)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_an_out_of_range_design_value_exits_1_naming_it_before_any_replicate(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg["design"]["design"]["hi"] = -1.0
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert "DesignSpec: design.hi: a poisson design needs 0 < lo <= hi <= 1, got (0.3, -1.0)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -338,6 +338,27 @@ def test_newton_matches_bracketing_oracle_on_scalar_instances(rng):
         np.testing.assert_allclose(theta, [root], atol=1e-9)
 
 
+def test_newton_halves_a_gamma_step_that_leaves_the_domain_and_converges(rng):
+    # Regression guard for the score sum that never forms psi: every candidate still goes through the
+    # domain check.  A saturated two-group gamma model runs Newton on each group's linear predictor
+    # eta_g separately, eta_g -> 2 eta_g - eta_g**2 ybar_g, so starting group 1 at 3 / ybar_1 puts the
+    # full step at -3 / ybar_1 and the half step at 0; only the quarter step is in the domain.
+    n = 60
+    x = (np.arange(n) % 2).astype(float)
+    y = rng.gamma(shape=2.0, scale=0.5, size=n) + 0.05
+    data = dataset_from({"y": y, "x": x}, response="y")
+    model = ModelSpec("gamma-inverse", terms=("x",))
+    w = rng.uniform(0.5, 1.5, size=n)
+    w /= w.sum()
+    ybar = [float(w[x == g] @ y[x == g] / w[x == g].sum()) for g in (0.0, 1.0)]
+    theta0 = np.array([1.0 / ybar[0], 3.0 / ybar[1] - 1.0 / ybar[0]])
+    for t in (1.0, 0.5):
+        with pytest.raises(ConvergenceError, match="nonpositive linear predictor"):
+            score(model, [theta0[0], (3.0 - 6.0 * t) / ybar[1] - theta0[0]], data)
+    theta = newton_solve_score(w, model, data, theta0=theta0)
+    np.testing.assert_allclose(theta, [1.0 / ybar[0], 1.0 / ybar[1] - 1.0 / ybar[0]], rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # FitProblem: one prepared sample shared by every estimator
 
