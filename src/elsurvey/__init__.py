@@ -24,9 +24,8 @@ from .data import (ConstraintEntry, ConstraintMatrix, ConstraintSpec, Dataset,
                    normalize_design_weights)
 from .elcore import ELSolution, solve_el, solve_weighted_el
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
-from .estimators import (ESTIMATORS, EstimateResult, FitProblem, fit_ce, fit_cs, fit_pl,
-                         newton_solve_score, profile_fit_joint)
-from .glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
+from .estimators import ESTIMATORS, EstimateResult, FitProblem, fit_ce, fit_cs, fit_pl, profile_fit_joint
+from .glm import ModelSpec, design_matrix, irls_fit, newton_solve_score, score, score_jacobian
 from .simulate import (CovariateSpec, DesignSpec, MCSummary, draw_sample, gen_population,
                        population_constraint_spec, run_monte_carlo)
 from .variance import (CovarianceComponents, EfficiencyGap, assemble_covariance,

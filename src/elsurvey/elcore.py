@@ -1,8 +1,9 @@
 """Empirical-likelihood inner solvers.
 
-Both entry points reduce to minimizing a smooth convex dual by damped
-Newton with an Armijo backtracking line search, restricted to the domain on
-which the logarithms are defined.  There is no smoothing or extension of the
+Both entry points reduce to minimizing a smooth convex dual by
+:func:`damped_newton`, the package's one Newton loop (the score solves of
+:mod:`elsurvey.glm` use it too), restricted to the domain on which the
+logarithms are defined.  There is no smoothing or extension of the
 log outside its domain: when zero is not an interior point of the convex hull
 of the constraint rows the solvers raise :class:`InfeasibleError` instead of
 returning a fabricated answer.
@@ -74,51 +75,82 @@ def _sign_precheck(U: np.ndarray, name: str) -> list[int]:
     return active
 
 
-def _dual_newton(Ut: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name: str):
-    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'u_i)`` over ``1 + lam'u_i > d_i``.
+def damped_newton(evaluate, x, tol: float, max_iter: int, bound: float, stop_on_step: bool = False):
+    """Damped Newton for a root of ``g``, with ``evaluate(x) -> (g(x), jac)``, or None off ``g``'s domain.
 
-    ``Ut`` is the ``(k, n)`` transpose of the non-vacuous columns, C-contiguous,
-    so the Hessian ``(Ut * v) @ Ut.T`` scales and sums contiguous rows.  Newton
-    steps are backtracked on the gradient max-norm: for a strictly convex dual
-    the Newton direction always decreases it, and unlike an objective-based test
-    this cannot stall once improvements in ``phi`` fall below double-precision
-    resolution.  Returns ``(lam, iterations)``; raises when no solution is found.
+    Each step is halved until the candidate is in the domain and the max-norm
+    ``|g|`` falls by the Armijo factor ``1 - ARMIJO_C1 * t``; for a convex
+    dual or a concave log-likelihood the Newton direction always decreases it,
+    and unlike a test on the objective this cannot stall at double-precision
+    resolution.  ``jac()`` gives the Jacobian at ``x``; it is formed only for
+    a step.  Stops when ``|g| < tol`` or, with ``stop_on_step``, when the
+    full step's max-norm is below ``tol``, taking that step.  Returns ``(x,
+    iterations, |g|, failure)``, ``failure`` one of ``""`` (converged),
+    ``"start"`` (``x`` off the domain), ``"line search"``, ``"bound"`` (``|x|``
+    exceeded ``bound``) and ``"max_iter"``.
     """
-    k, n = Ut.shape
-    lam = np.zeros(k)
-    if not k:
-        return lam, 0
-    s = np.ones(n)
-    grad = -Ut @ (d / s)
+    ev = evaluate(x)
+    if ev is None:
+        return x, 0, np.inf, "start"
+    g, jac = ev
+    gnorm = float(np.abs(g).max())
     for it in range(1, max_iter + 1):
-        gnorm = np.abs(grad).max()
-        if gnorm < tol:
-            return lam, it - 1
-        r = d / s
-        hess = (Ut * (r / s)) @ Ut.T
+        if gnorm < tol and not stop_on_step:
+            return x, it - 1, gnorm, ""
+        J = jac()
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            step = np.linalg.lstsq(J, -g, rcond=None)[0]
+        if stop_on_step and np.abs(step).max() < tol:
+            return x + step, it, gnorm, ""
         t = 1.0
         while True:
-            lam_new = lam + t * step
-            s_new = 1.0 + lam_new @ Ut
-            if (s_new > d).all():
-                grad_new = -Ut @ (d / s_new)
-                if np.abs(grad_new).max() <= (1.0 - ARMIJO_C1 * t) * gnorm:
+            x_new = x + t * step
+            ev = evaluate(x_new)
+            if ev is not None:
+                gnorm_new = float(np.abs(ev[0]).max())
+                if gnorm_new <= (1.0 - ARMIJO_C1 * t) * gnorm:  # false for a NaN residual
                     break
             t *= 0.5
             if t < MIN_STEP:
-                raise InfeasibleError(
-                    f"{name}: line search collapsed at the domain boundary "
-                    f"(gradient max-norm {gnorm:.3e}); the constraints appear infeasible"
-                )
-        lam, s, grad = lam_new, s_new, grad_new
-        if np.abs(lam).max() > MAX_MULTIPLIER:
-            raise InfeasibleError(f"{name}: multiplier norm exceeded {MAX_MULTIPLIER:.0e}; constraints appear infeasible")
-    gnorm = float(np.max(np.abs(grad)))
-    raise ConvergenceError(f"{name}: no convergence in {max_iter} iterations (gradient max-norm {gnorm:.3e})")
+                return x, it, gnorm, "line search"
+        x, (g, jac), gnorm = x_new, ev, gnorm_new
+        if np.abs(x).max() > bound:
+            return x, it, gnorm, "bound"
+    return x, max_iter, gnorm, "max_iter"
+
+
+def _dual_newton(U: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name: str):
+    """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'U_i)`` over ``1 + lam'U_i > d_i``.
+
+    Vacuous columns keep a zero multiplier; the rest form the C-contiguous
+    ``(k, n)`` transpose ``Ut``, so the Hessian ``(Ut * v) @ Ut.T`` scales and
+    sums contiguous rows.  Returns ``(lam, iterations)``; raises when no
+    solution is found.
+    """
+    active, lam = _sign_precheck(U, name), np.zeros(U.shape[1])
+    if not active:
+        return lam, 0
+    Ut = np.ascontiguousarray(U.T[active])
+
+    def evaluate(v):
+        s = 1.0 + v @ Ut
+        if not (s > d).all():
+            return None
+        r = d / s
+        return -Ut @ r, lambda: (Ut * (r / s)) @ Ut.T
+
+    lam[active], iters, gnorm, failure = damped_newton(evaluate, np.zeros(len(active)), tol, max_iter,
+                                                       MAX_MULTIPLIER)
+    if failure == "line search":
+        raise InfeasibleError(f"{name}: line search collapsed at the domain boundary "
+                              f"(gradient max-norm {gnorm:.3e}); the constraints appear infeasible")
+    if failure == "bound":
+        raise InfeasibleError(f"{name}: multiplier norm exceeded {MAX_MULTIPLIER:.0e}; constraints appear infeasible")
+    if failure:
+        raise ConvergenceError(f"{name}: no convergence in {max_iter} iterations (gradient max-norm {gnorm:.3e})")
+    return lam, iters
 
 
 def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
@@ -138,8 +170,7 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
     if q == 0:
         return ELSolution(w=d.copy(), multiplier=np.zeros(0), logEL=float(d @ np.log(d)),
                           iterations=0, converged=True, residual=0.0)
-    active, lam = _sign_precheck(U, "solve_weighted_el"), np.zeros(q)
-    lam[active], iters = _dual_newton(np.ascontiguousarray(U.T[active]), d, tol, max_iter, "solve_weighted_el")
+    lam, iters = _dual_newton(U, d, tol, max_iter, "solve_weighted_el")
     w = d / (1.0 + U @ lam)
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
@@ -158,8 +189,7 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
         w = np.full(n, 1.0 / n)
         return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
                           iterations=0, converged=True, residual=0.0)
-    active, lam, d = _sign_precheck(U, "solve_el"), np.zeros(q), np.full(n, 1.0 / n)
-    lam[active], iters = _dual_newton(np.ascontiguousarray(U.T[active]), d, tol, max_iter, "solve_el")
+    lam, iters = _dual_newton(U, np.full(n, 1.0 / n), tol, max_iter, "solve_el")
     w = 1.0 / (n * (1.0 + U @ lam))
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),

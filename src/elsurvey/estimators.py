@@ -34,8 +34,7 @@ import numpy as np
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError
-from .glm import (ModelSpec, _check_response, _check_theta, _jacobian, _resid_curv, _score_parts, design_matrix,
-                  irls_fit)
+from .glm import ModelSpec, _score_parts, _solve_score, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel
 
@@ -67,71 +66,6 @@ class EstimateResult:
     Bp_hat: float | None
     logEL: float
     diagnostics: dict
-
-
-def _newton(weights, model, data, theta0, tol, max_iter):
-    """Damped Newton on the weighted score equation, with ``theta0`` and the response checked once.
-
-    Each iterate and line-search candidate forms the score sum ``A'(weights * r)``,
-    never the ``(n, p)`` score matrix; one outside the score's domain, or with a
-    non-finite score sum, shortens the step.  Returns ``(theta, iterations,
-    residual, converged, reason)``; never raises for non-convergence (callers
-    decide whether to flag or raise).
-    """
-    theta = _check_theta(model, theta0).copy()
-    A, y = design_matrix(model, data), data.y
-    _check_response(model.family, y)
-    try:
-        r, curv = _resid_curv(model.family, A @ theta, y, "score")
-    except ConvergenceError as exc:
-        return theta, 0, np.inf, False, f"invalid start: {exc}"
-    svec = A.T @ (weights * r)
-    resid = float(np.max(np.abs(svec)))
-    for it in range(1, max_iter + 1):
-        if resid < tol:
-            return theta, it - 1, resid, True, ""
-        J = _jacobian(A, weights, curv)
-        try:
-            step = np.linalg.solve(J, -svec)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -svec, rcond=None)[0]
-        t = 1.0
-        while True:
-            theta_new = theta + t * step
-            try:
-                r, curv_new = _resid_curv(model.family, A @ theta_new, y, "score")
-                svec_new = A.T @ (weights * r)
-                resid_new = float(np.max(np.abs(svec_new)))
-                if resid_new <= (1.0 - 1e-4 * t) * resid:  # false for a NaN score sum
-                    break
-            except ConvergenceError:
-                pass  # candidate outside the score's domain; shorten the step
-            t *= 0.5
-            if t < 1e-14:
-                return theta, it, resid, False, "line search failed on the weighted score equation"
-        theta, svec, curv, resid = theta_new, svec_new, curv_new, resid_new
-        if np.max(np.abs(theta)) > 1e3:
-            return theta, it, resid, False, "parameter norm exceeded 1e3 (separation or divergence)"
-    return theta, max_iter, resid, False, f"no convergence in {max_iter} iterations (score max-norm {resid:.3e})"
-
-
-def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
-                       tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
-    """Solve ``sum_i weights_i psi_i(theta) = 0`` by damped Newton.
-
-    ``theta0`` defaults to the design-weighted (IRLS) estimate, which is
-    always feasible for the score's domain.  Raises
-    :class:`ConvergenceError` when the iteration fails.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (data.n,) or np.any(weights <= 0.0):
-        raise DataError("newton_solve_score: weights must be strictly positive, length n")
-    if theta0 is None:
-        theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
-    theta, _, _, converged, reason = _newton(weights, model, data, theta0, tol, max_iter)
-    if not converged:
-        raise ConvergenceError(f"newton_solve_score: {reason}")
-    return theta
 
 
 def _failed(estimator, p, weights, multiplier, Bp_hat, logEL, diagnostics) -> EstimateResult:
@@ -192,7 +126,7 @@ class FitProblem:
         """``(theta, iterations, residual, converged, reason)`` of the design-weighted fit."""
         data, model = self.data, self.model
         theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
-        return _newton(data.d, model, data, theta0, self.newton_tol, self.newton_max_iter)
+        return _solve_score(data.d, model, data, theta0, self.newton_tol, self.newton_max_iter)
 
     def fit(self, name: str) -> EstimateResult:
         """Fit estimator ``name``."""
@@ -223,8 +157,8 @@ class FitProblem:
         if not converged:
             diagnostics.update(converged=False, failure=f"design-weighted start failed: {reason}")
         else:
-            theta, iters, resid, converged, reason = _newton(w, self.model, self.data, start,
-                                                             self.newton_tol, self.newton_max_iter)
+            theta, iters, resid, converged, reason = _solve_score(w, self.model, self.data, start,
+                                                                  self.newton_tol, self.newton_max_iter)
             diagnostics.update(converged=bool(converged), newton_iterations=iters, score_residual=resid)
             if converged:
                 return self._result(name, theta, w, multiplier, Bp_hat, logEL, diagnostics, self.cm.H, bp)

@@ -1,4 +1,4 @@
-"""Outcome models: score functions, Jacobians, and IRLS fitting.
+"""Outcome models: score functions, Jacobians, and their damped Newton solves.
 
 Three exponential-family regressions with canonical links are supported:
 
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import as_names
+from .data import Dataset, as_names
+from .elcore import damped_newton
 from .errors import ConvergenceError, DataError
 
 FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
@@ -118,19 +119,76 @@ def score_jacobian(model: ModelSpec, theta, data, weights) -> np.ndarray:
     return _jacobian(A, weights, _resid_curv(model.family, A @ theta, data.y, "score_jacobian")[1])
 
 
+def _score_newton(family: str, A: np.ndarray, y: np.ndarray, weights: np.ndarray, theta: np.ndarray,
+                  tol: float, max_iter: int, stop_on_step: bool = False):
+    """:func:`damped_newton` on the weighted score sum ``A'(weights * r)``, which never forms the
+    ``(n, p)`` score matrix; a candidate outside the score's domain shortens the step.
+
+    Returns ``(theta, iterations, residual, reason)``, with ``reason`` empty
+    on success; never raises for non-convergence.
+    """
+    def evaluate(theta):
+        try:
+            r, curv = _resid_curv(family, A @ theta, y, "score")
+        except ConvergenceError:
+            return None
+        return A.T @ (weights * r), lambda: _jacobian(A, weights, curv)
+
+    theta, iters, resid, failure = damped_newton(evaluate, theta, tol, max_iter, 1e3, stop_on_step)
+    reason = {"": "",
+              "start": f"invalid start: {family} score: nonpositive linear predictor",
+              "line search": "line search failed on the weighted score equation",
+              "bound": "parameter norm exceeded 1e3 (separation or divergence)",
+              "max_iter": f"no convergence in {max_iter} iterations (score max-norm {resid:.3e})"}[failure]
+    return theta, iters, resid, reason
+
+
+def _solve_score(weights, model: ModelSpec, data, theta0, tol: float, max_iter: int):
+    """:func:`_score_newton` from ``theta0``, stopping on the residual, with ``theta0`` and the
+    response checked once.  Returns ``(theta, iterations, residual, converged, reason)``."""
+    theta = _check_theta(model, theta0).copy()
+    A = design_matrix(model, data)
+    _check_response(model.family, data.y)
+    theta, iters, resid, reason = _score_newton(model.family, A, data.y, weights, theta, tol, max_iter)
+    return theta, iters, resid, not reason, reason
+
+
+def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
+                       tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+    """Solve ``sum_i weights_i psi_i(theta) = 0`` by :func:`damped_newton`, to a score max-norm below ``tol``.
+
+    ``theta0`` defaults to the design-weighted (:func:`irls_fit`) estimate,
+    which is always feasible for the score's domain.  Raises
+    :class:`DataError` for weights that are not strictly positive and finite,
+    and :class:`ConvergenceError` when the iteration fails.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (data.n,) or np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        raise DataError("newton_solve_score: weights must be strictly positive, finite, length n")
+    if theta0 is None:
+        theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
+    theta, _, _, converged, reason = _solve_score(weights, model, data, theta0, tol, max_iter)
+    if not converged:
+        raise ConvergenceError(f"newton_solve_score: {reason}")
+    return theta
+
+
 def _wls(X: np.ndarray, z: np.ndarray, W: np.ndarray) -> np.ndarray:
     XtW = X.T * W
     return np.linalg.solve(XtW @ X, XtW @ z)
 
 
 def irls_fit(family: str, y, X, case_weights=None, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
-    """Iteratively reweighted least squares for one of the supported families.
+    """Maximum-likelihood fit of one of the supported families, with optional case weights.
 
-    Convergence is declared when the max-norm coefficient change drops below
-    ``tol``.  For ``gamma-inverse`` each update is halved toward the previous
-    iterate (at most 50 times) until the linear predictor is positive
-    everywhere.  Raises :class:`ConvergenceError` on divergence (including
-    suspected separation for the logit) and :class:`DataError` for rank
+    ``gaussian-identity`` is one weighted least-squares (WLS) solve.  The others
+    run :func:`damped_newton` on the case-weighted score, whose Newton step is
+    the IRLS update, from zeros (logit) or from the WLS fit of ``1 / y``
+    (gamma; the reciprocal mean if that leaves the domain).  As in IRLS it
+    stops, taking the step, once the full step's max-norm is below ``tol``: on
+    separated logit data the score vanishes as the coefficients grow, the step
+    does not.  Raises :class:`ConvergenceError` on divergence (including
+    suspected separation) and :class:`DataError` for non-finite input or rank
     deficiency.
     """
     if family not in FAMILIES:
@@ -142,6 +200,9 @@ def irls_fit(family: str, y, X, case_weights=None, tol: float = 1e-10, max_iter:
     n, p = X.shape
     if n <= p:
         raise DataError(f"irls_fit: need more observations than parameters (n={n}, p={p})")
+    for name, values in (("y", y), ("X", X)):
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"irls_fit: {name} has non-finite values")
     _check_response(family, y)
     c = np.ones(n) if case_weights is None else np.asarray(case_weights, dtype=float)
     if c.shape != (n,) or np.any(c <= 0.0) or not np.all(np.isfinite(c)):
@@ -151,46 +212,20 @@ def irls_fit(family: str, y, X, case_weights=None, tol: float = 1e-10, max_iter:
 
     if family == "gaussian-identity":
         return _wls(X, y, c)
-
     if family == "bernoulli-logit":
         beta = np.zeros(p)
-        for _ in range(max_iter):
-            eta = X @ beta
-            mu = expit(eta)
-            s = np.clip(mu * (1.0 - mu), 1e-12, None)
-            z = eta + (y - mu) / s
-            beta_new = _wls(X, z, c * s)
-            if np.max(np.abs(beta_new)) > 1e3:
-                raise ConvergenceError("irls_fit: coefficients diverging (separation suspected)")
-            delta = np.max(np.abs(beta_new - beta))
-            beta = beta_new
-            if delta < tol:
-                return beta
-        raise ConvergenceError(f"irls_fit: no convergence in {max_iter} iterations")
-
-    # gamma-inverse: keep eta = X @ beta strictly positive throughout.
-    beta = _wls(X, 1.0 / y, c * y * y)
-    if np.any(X @ beta <= 0.0):
-        if np.all(X[:, 0] == 1.0):
+    else:
+        beta = _wls(X, 1.0 / y, c * y * y)
+        if np.any(X @ beta <= 0.0):
+            if not np.all(X[:, 0] == 1.0):
+                raise ConvergenceError("irls_fit: no feasible starting point for gamma-inverse")
             beta = np.zeros(p)
             beta[0] = 1.0 / (c @ y / c.sum())
-        else:
-            raise ConvergenceError("irls_fit: no feasible starting point for gamma-inverse")
-    for _ in range(max_iter):
-        eta = X @ beta
-        mu = 1.0 / eta
-        z = eta - (y - mu) / mu**2
-        beta_prop = _wls(X, z, c * mu**2)
-        halvings = 0
-        while np.any(X @ beta_prop <= 0.0):
-            beta_prop = 0.5 * (beta_prop + beta)
-            halvings += 1
-            if halvings > 50:
-                raise ConvergenceError("irls_fit: gamma-inverse step halving failed to restore positivity")
-        if np.max(np.abs(beta_prop)) > 1e3:
-            raise ConvergenceError("irls_fit: coefficients diverging")
-        delta = np.max(np.abs(beta_prop - beta))
-        beta = beta_prop
-        if delta < tol:
-            return beta
-    raise ConvergenceError(f"irls_fit: no convergence in {max_iter} iterations")
+    beta, _, _, reason = _score_newton(family, X, y, c, beta, tol, max_iter, stop_on_step=True)
+    if reason:
+        raise ConvergenceError(f"irls_fit: {reason}")
+    # A separated row fitted at probability exactly 0 or 1 adds nothing to the score or its Jacobian, so
+    # the step is 0 there although the likelihood still rises.  expit is monotone: the extreme rows tell.
+    if family == "bernoulli-logit" and (expit((eta := X @ beta).min()) == 0.0 or expit(eta.max()) == 1.0):
+        raise ConvergenceError("irls_fit: fitted probabilities of exactly 0 or 1 (separation suspected)")
+    return beta

@@ -14,6 +14,15 @@ def dataset_from(columns, **roles):
     return make_dataset(cols, roles)
 
 
+# Logit samples with no finite maximum-likelihood fit: completely separated (y = 1 exactly when
+# x > 0), and quasi-completely separated (every x = 1 row has y = 1, the x = 0 rows have both).
+SEPARATED_LOGIT = {
+    "complete": {"x": [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], "y": [0, 0, 0, 1, 1, 1],
+                 "pi": np.linspace(0.3, 0.7, 6)},
+    "quasi": {"x": [0, 0, 0, 0, 1, 1, 1, 1], "y": [0, 1, 0, 1, 1, 1, 1, 1], "pi": np.linspace(0.3, 0.7, 8)},
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -417,6 +417,40 @@ def logistic_fisher_inverse(A, theta):
     return np.linalg.inv(I)
 
 
+def irls_reference(family, y, X, case_weights=None, tol=1e-10, max_iter=100):
+    """Undamped iteratively reweighted least squares for ``bernoulli-logit`` or ``gamma-inverse``.
+
+    Each iterate is the weighted least-squares fit, by ``lstsq`` on
+    square-root-weighted rows, of the working response ``eta + (y - mu) /
+    (d mu / d eta)`` with weights ``c * (d mu / d eta)``, taken whole (a
+    gamma iterate is only halved back toward the last one until the linear
+    predictor is positive).  It starts from zeros (logit) or from the
+    reciprocal weighted mean in the first column, which must be an intercept
+    (gamma), and stops when the coefficient change is below ``tol``.
+    """
+    y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
+    c = np.ones(y.size) if case_weights is None else np.asarray(case_weights, dtype=float)
+    beta = np.zeros(X.shape[1])
+    if family == "gamma-inverse":
+        beta[0] = c.sum() / (c @ y)
+    for _ in range(max_iter):
+        eta = X @ beta
+        if family == "bernoulli-logit":
+            mu = expit(eta)
+            slope = mu * (1.0 - mu)
+        else:
+            mu = 1.0 / eta
+            slope = -mu * mu
+        root = np.sqrt(c * np.abs(slope))
+        new = np.linalg.lstsq(X * root[:, None], (eta + (y - mu) / slope) * root, rcond=None)[0]
+        while family == "gamma-inverse" and np.any(X @ new <= 0.0):
+            new = 0.5 * (new + beta)
+        if np.max(np.abs(new - beta)) < tol:
+            return new
+        beta = new
+    raise ConvergenceError(f"irls_reference: no convergence in {max_iter} iterations")
+
+
 def gamma_glm_se(X, beta, shape):
     """Delta-method standard errors of an inverse-link Gamma regression."""
     mu = 1.0 / (X @ beta)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SEPARATED_LOGIT, dataset_from
 from elsurvey.cli import parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
 from elsurvey.errors import ConfigError
@@ -224,6 +225,20 @@ def test_fit_ce_joint_uses_the_configured_newton_settings(tmp_path):
     diagnostics = json.loads((out / "fit.json").read_text())["ce-joint"]["diagnostics"]
     assert diagnostics["converged"] is False
     assert diagnostics["failure"].startswith("ce fit failed: design-weighted start failed: no convergence in 0 ")
+
+
+@pytest.mark.parametrize("case", SEPARATED_LOGIT)
+def test_fit_on_a_separated_logit_sample_exits_2_and_writes_fit_json(tmp_path, case):
+    data_path, out = tmp_path / "sample.csv", tmp_path / "run"
+    write_dataset_csv(str(data_path), dataset_from(SEPARATED_LOGIT[case], response="y", pi="pi"))
+    cfg = {"data": {"path": str(data_path), "schema": {"response": "y", "covariates": ["x"], "pi": "pi"}},
+           "model": {"family": "bernoulli-logit", "terms": ["x"]},
+           "estimators": list(ESTIMATORS), "output": {"path": str(out)}}
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
+    fits = json.loads((out / "fit.json").read_text())
+    assert list(fits) == list(ESTIMATORS)
+    for name, fit in fits.items():
+        assert "error" in fit or fit["diagnostics"]["converged"] is False, name
 
 
 def test_fit_unknown_visibility_mode_exits_1(tmp_path, capsys):

@@ -8,14 +8,13 @@ import pytest
 import scipy.optimize
 from scipy.special import expit, logit
 
-from conftest import dataset_from
+from conftest import SEPARATED_LOGIT, dataset_from
 from elsurvey import estimators, glm
 from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, build_constraint_matrix
 from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
-from elsurvey.estimators import (ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, newton_solve_score,
-                                 profile_fit_joint)
-from elsurvey.glm import ModelSpec, design_matrix, irls_fit, score
+from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, profile_fit_joint
+from elsurvey.glm import ModelSpec, design_matrix, irls_fit, newton_solve_score, score
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
 from elsurvey.visibility import VisibilityModel, visibility_from_pi
 from oracles import (composite_profile, dual_minimize_kappa, gamma_inverse_psi, logistic_fisher_inverse,
@@ -321,6 +320,32 @@ def test_newton_saturates_on_separated_data():
     theta = newton_solve_score(w, MODEL, data, theta0=np.zeros(2))
     assert theta[1] > 10.0
     assert np.max(np.abs(w @ score(MODEL, theta, data))) < 1e-8
+
+
+@pytest.mark.parametrize("case", SEPARATED_LOGIT)
+def test_separated_logit_samples_fail_in_irls_fit_and_in_every_estimator(case):
+    # Regression guard: these samples have no finite maximum-likelihood fit.  A Newton from
+    # theta = 0 that stops on the score's max-norm would stop at a saturated theta, whose score
+    # is numerically 0, and report it converged.
+    data = dataset_from(SEPARATED_LOGIT[case], response="y", pi="pi")
+    for case_weights in (None, data.d):
+        with pytest.raises(ConvergenceError):
+            irls_fit("bernoulli-logit", data.y, design_matrix(MODEL, data), case_weights=case_weights)
+    problem = FitProblem(data, MODEL, NO_CONSTRAINTS, visibility_from_pi(data))
+    for name in ESTIMATORS:
+        try:
+            res = problem.fit(name)
+        except ConvergenceError:
+            continue
+        assert not res.diagnostics["converged"], name
+
+
+def test_newton_solve_score_rejects_a_non_finite_weight(rng):
+    data = _logistic_data(rng, n=40)
+    w = np.full(40, 1 / 40)
+    w[3] = np.nan
+    with pytest.raises(DataError, match="newton_solve_score: weights must be strictly positive, finite"):
+        newton_solve_score(w, MODEL, data)
 
 
 def test_newton_matches_bracketing_oracle_on_scalar_instances(rng):

@@ -1,4 +1,4 @@
-"""Score functions, analytic Jacobians, and the weighted IRLS fitter."""
+"""Score functions, analytic Jacobians, and the weighted maximum-likelihood fitter."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from scipy.special import expit
 from conftest import dataset_from
 from elsurvey.errors import ConvergenceError, DataError
 from elsurvey.glm import FAMILIES, ModelSpec, _jacobian, _score_parts, design_matrix, irls_fit, score, score_jacobian
-from oracles import gamma_glm_se
+from oracles import gamma_glm_se, irls_reference
 
 
 def _single_obs(y):
@@ -205,3 +205,29 @@ def test_logit_separation_raises():
     X = np.column_stack([np.ones(6), x])
     with pytest.raises(ConvergenceError):
         irls_fit("bernoulli-logit", y, X)
+
+
+@pytest.mark.parametrize("family", ["bernoulli-logit", "gamma-inverse"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_irls_fit_matches_the_undamped_irls_reference(rng, family, weighted):
+    # Regression guard: the damped Newton with its step stop rule lands on the root that plain
+    # IRLS (tests/oracles.py, with its own least-squares solve and no line search) finds.
+    for _ in range(10):
+        n, p = int(rng.integers(40, 400)), int(rng.integers(1, 4))
+        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, size=(n, p - 1))])
+        beta0 = np.concatenate([[1.0], rng.uniform(-0.4, 0.4, size=p - 1)])
+        if family == "bernoulli-logit":
+            y = (rng.random(n) < expit(X @ (beta0 - 0.5))).astype(float)
+        else:
+            y = rng.gamma(shape=3.0, scale=1.0 / (3.0 * (X @ beta0)))
+        c = rng.uniform(0.2, 3.0, size=n) if weighted else None
+        beta = irls_fit(family, y, X, case_weights=c)
+        np.testing.assert_allclose(beta, irls_reference(family, y, X, case_weights=c), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["y", "X"])
+def test_irls_fit_rejects_non_finite_input_naming_it(name):
+    args = {"y": np.arange(5.0), "X": np.column_stack([np.ones(5), [0.1, -0.4, 0.3, 0.9, -0.2]])}
+    args[name][-1] = np.nan
+    with pytest.raises(DataError, match=f"irls_fit: {name} has non-finite values"):
+        irls_fit("gaussian-identity", args["y"], args["X"])
