@@ -9,7 +9,7 @@ visibilities with population-level moment constraints:
 * ``fit_ce``  - two-step fit maximizing the composite criterion under an
   estimated (or known) conditional visibility;
 * ``profile_fit_joint`` - joint maximization of the composite criterion,
-  whose maximizer is the ``fit_ce`` root, certified by one stacked solve.
+  whose maximizer is the ``fit_ce`` root, so its fit is ``fit_ce``'s.
 
 ``FitProblem`` prepares one sample and fits any of them by name.
 

@@ -11,8 +11,8 @@ for some weight vector ``w``:
   through the transformed standard-EL problem with columns ``h_i / bp_i``;
 * ``ce-joint`` - maximizes the composite criterion jointly in
   ``(w, theta)``.  Its profile over theta is at most the weight-step optimum
-  under ``H`` alone, and meets it at the ``ce`` root, so the fit is the ``ce``
-  root, certified by one stacked solve that reaches that bound.
+  under ``H`` alone, and meets it where the ``ce`` weights solve the score
+  equation, so the fit is the ``ce`` fit, whose score residual certifies it.
 
 ``FitProblem(...).fit(name)`` fits any of :data:`ESTIMATORS`, building the
 constraint matrix and the design-weighted start once for all of them;
@@ -26,7 +26,8 @@ rather than fabricating one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,15 +35,12 @@ import numpy as np
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError
-from .glm import ModelSpec, _score_parts, _solve_score, design_matrix, irls_fit
+from .glm import ModelSpec, _solve_score, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel
 
 ESTIMATORS = ("pl", "cs", "ce", "ce-joint")
 NEEDS_VISIBILITY = ("ce", "ce-joint")  # the estimators that read FitProblem.vis
-# ce-joint accepts the ce root when the stacked standard-EL objective there is within CERTIFICATE_TOL * n
-# of the H-only one; rounding in a sum of n logs of size log(n) reaches n * eps * log(n), a few 1e-15 * n.
-CERTIFICATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,30 +73,14 @@ def _failed(estimator, p, weights, multiplier, Bp_hat, logEL, diagnostics) -> Es
                           Bp_hat=Bp_hat, logEL=logEL, diagnostics=diagnostics)
 
 
-def _composite(C, bp, el_tol, el_max_iter):
-    """Composite-criterion ``(w, sol, Bp_hat, logEL)`` via the transformed standard-EL problem.
-
-    ``C`` is the constraint matrix ``H`` (``ce``) or ``[psi(theta), H]``
-    (``ce-joint``).  Solving standard EL on columns ``c_i / bp_i`` gives
-    ``w*``; the composite weights are ``(w*_i / bp_i) / sum_j (w*_j / bp_j)``
-    and the normalizing constant is ``Bp_hat = 1 / sum_j (w*_j / bp_j)``.
-    """
-    sol = solve_el((C.T / bp).T, tol=el_tol, max_iter=el_max_iter)
-    ratio = sol.w / bp
-    S = ratio.sum()
-    w = ratio / S
-    logEL = float(np.sum(np.log(w)) - bp.size * np.log(w @ bp))
-    return w, sol, 1.0 / S, logEL
-
-
 @dataclass(eq=False)
 class FitProblem:
     """One sample prepared for fitting any estimator of :data:`ESTIMATORS`.
 
     The constraint matrix :attr:`cm` (not needed by ``pl``; a matrix
     rejected with :class:`DataError` is kept as that error), the
-    design-weighted start :attr:`start`, the ``ce`` weight step and every fit
-    (``ce-joint`` certifies the ``ce`` fit) are built on first use and kept.
+    design-weighted start :attr:`start` and every fit (``ce-joint`` is a copy
+    of the ``ce`` fit) are built on first use and kept.
     ``vis`` is needed by :data:`NEEDS_VISIBILITY` only, and must be set before
     either is fitted.
     """
@@ -143,7 +125,7 @@ class FitProblem:
         """The fit with its sandwich covariance, or flagged failed if the sandwich is singular."""
         try:
             comps = components_from_arrays(name, theta, w, self.data, self.model, H, bp=bp)
-            V = assemble_covariance(comps, "ce" if name.startswith("ce") else name, self.data.n)
+            V = assemble_covariance(comps, name, self.data.n)
         except np.linalg.LinAlgError as exc:
             diagnostics.update(converged=False, failure=f"singular sandwich covariance: {exc}")
             return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)
@@ -187,15 +169,17 @@ class FitProblem:
         return self._two_step("cs", sol.w, sol.multiplier, None, sol.logEL, diagnostics, None)
 
     @cached_property
-    def _ce_weights(self):
-        """``_composite`` on ``H`` alone: the ``ce`` weight step and the ``ce-joint`` bound."""
-        return _composite(self.cm.H, self._bp("fit_ce"), self.el_tol, self.el_max_iter)
-
-    @cached_property
     def _ce(self) -> EstimateResult:
+        """Step 1 solves standard EL on the columns ``h_i / bp_i`` for ``w*``; the composite weights are
+        ``(w*_i / bp_i) / sum_j (w*_j / bp_j)`` and ``Bp_hat = 1 / sum_j (w*_j / bp_j)``."""
         bp = self._bp("fit_ce")
         cm = self.cm
-        w, sol, Bp_hat, logEL = self._ce_weights
+        sol = solve_el((cm.H.T / bp).T, tol=self.el_tol, max_iter=self.el_max_iter)
+        w = sol.w / bp
+        S = w.sum()
+        w /= S  # in place: no second n-vector stays alive through step 2
+        Bp_hat = 1.0 / S
+        logEL = float(np.sum(np.log(w)) - bp.size * np.log(w @ bp))
         # n * (bp_i + kappa'h_i) = bp_i / w*_i, which the unit-weight restriction bounds below by Bp_hat.
         diagnostics = {"el_iterations": sol.iterations, "el_residual": sol.residual,
                        "el_converged": sol.converged,
@@ -207,32 +191,12 @@ class FitProblem:
 
     @cached_property
     def _ce_joint(self) -> EstimateResult:
-        """The ``ce`` root and the stacked weights there, if they meet the ``H``-only bound
-        (see :func:`profile_fit_joint`); otherwise a flagged failure."""
-        bp, cm, model = self._bp("profile_fit_joint"), self.cm, self.model
-        n, p = self.data.n, model.p
-        diagnostics = {"constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
-                       "visibility_mode": self.vis.mode, "coef_names": list(model.coef_names)}
-        ce = self._ce
-        if not ce.diagnostics["converged"]:
-            diagnostics.update(converged=False, failure=f"ce fit failed: {ce.diagnostics['failure']}")
-            return _failed("ce-joint", p, np.full(n, np.nan), np.full(cm.q, np.nan), None,
-                           float("nan"), diagnostics)
-        psi = _score_parts(model, ce.theta, self.data)[1]
-        w, sol, Bp_hat, logEL = _composite(np.vstack([psi.T, cm.H.T]).T, bp, self.el_tol, self.el_max_iter)
-        gap = self._ce_weights[1].logEL - sol.logEL
-        converged = abs(gap) <= CERTIFICATE_TOL * n
-        diagnostics.update(converged=converged, certificate_gap=gap, el_iterations=sol.iterations,
-                           el_residual=sol.residual,
-                           constraint_residual=float(np.max(np.abs(w @ cm.H))) if cm.q else 0.0,
-                           score_residual=float(np.max(np.abs(w @ psi))),
-                           score_multiplier_norm=float(np.max(np.abs(sol.multiplier[:p]))) if p else 0.0)
-        if not converged:
-            diagnostics["failure"] = (f"certificate failed: the stacked objective at the ce root is {gap:.3e} "
-                                      f"from its H-only bound, beyond the tolerance {CERTIFICATE_TOL * n:.3e}")
-            return _failed("ce-joint", p, w, sol.multiplier[p:], Bp_hat, logEL, diagnostics)
-        return self._result("ce-joint", ce.theta.copy(), w, sol.multiplier[p:], Bp_hat, logEL, diagnostics,
-                            cm.H, bp)
+        """The ``ce`` fit under the name ``ce-joint`` (see :func:`profile_fit_joint`), sharing no
+        mutable object with it; a failed ``ce`` fit is a failed ``ce-joint`` fit."""
+        joint = replace(deepcopy(self._ce), estimator="ce-joint")
+        if not joint.diagnostics["converged"]:
+            joint.diagnostics["failure"] = f"ce fit failed: {joint.diagnostics['failure']}"
+        return joint
 
 
 def fit_pl(data: Dataset, model: ModelSpec, newton_tol: float = 1e-10,
@@ -272,9 +236,10 @@ def profile_fit_joint(data: Dataset, model: ModelSpec, constraints: ConstraintSp
 
     The profile at ``theta`` maximizes the composite criterion under the score
     constraint ``sum_i w_i psi_i(theta) = 0`` stacked with the population ones.
-    Dropping the score constraint can only raise it, and the ``ce`` root reaches
-    that ``H``-only optimum, so the root is the maximizer (Qin and Lawless, 1994).
-    The fit is the ``ce`` root once one stacked solve there meets the bound to
-    within ``CERTIFICATE_TOL * n`` (``diagnostics["certificate_gap"]``).
+    Dropping the score constraint can only raise it, and it reaches that
+    ``H``-only optimum exactly where the ``ce`` weights solve the score
+    equation, so the ``ce`` root is the maximizer (Qin and Lawless, 1994).  The
+    fit is therefore :func:`fit_ce`'s, under the name ``ce-joint``; its
+    ``diagnostics["score_residual"]`` is the certificate.
     """
     return FitProblem(data, model, constraints, vis, el_tol, el_max_iter).fit("ce-joint")

@@ -143,6 +143,19 @@ def _score_newton(family: str, A: np.ndarray, y: np.ndarray, weights: np.ndarray
     return theta, iters, resid, reason
 
 
+def _check_unsaturated(family: str, eta: np.ndarray, caller: str) -> None:
+    """Raise :class:`ConvergenceError` if a logit fit puts some row at probability exactly 0 or 1.
+
+    Such a row adds nothing to the score or its Jacobian, so both a step and a score near 0 can
+    stop a Newton on separated data while the likelihood still rises.  ``expit`` is monotone: the
+    extreme rows tell.  It cannot see a saturation that stops before any probability rounds: a
+    quasi-separation on the negative side only stops on the score rule once those rows'
+    weighted probabilities sum below ``tol``, near ``eta = -22`` at 1e-10, where none rounds to 0.
+    """
+    if family == "bernoulli-logit" and (expit(eta.min()) == 0.0 or expit(eta.max()) == 1.0):
+        raise ConvergenceError(f"{caller}: fitted probabilities of exactly 0 or 1 (separation suspected)")
+
+
 def _solve_score(weights, model: ModelSpec, data, theta0, tol: float, max_iter: int):
     """:func:`_score_newton` from ``theta0``, stopping on the residual, with ``theta0`` and the
     response checked once.  Returns ``(theta, iterations, residual, converged, reason)``."""
@@ -160,7 +173,10 @@ def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
     ``theta0`` defaults to the design-weighted (:func:`irls_fit`) estimate,
     which is always feasible for the score's domain.  Raises
     :class:`DataError` for weights that are not strictly positive and finite,
-    and :class:`ConvergenceError` when the iteration fails.
+    and :class:`ConvergenceError` when the iteration fails or, for the logit,
+    stops at a fitted probability of exactly 0 or 1 (separated data).  A
+    separation that stops before any probability rounds, as a quasi-separation
+    on the negative side only does, is not caught (:func:`_check_unsaturated`).
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (data.n,) or np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
@@ -170,6 +186,7 @@ def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
     theta, _, _, converged, reason = _solve_score(weights, model, data, theta0, tol, max_iter)
     if not converged:
         raise ConvergenceError(f"newton_solve_score: {reason}")
+    _check_unsaturated(model.family, design_matrix(model, data) @ theta, "newton_solve_score")
     return theta
 
 
@@ -224,8 +241,5 @@ def irls_fit(family: str, y, X, case_weights=None, tol: float = 1e-10, max_iter:
     beta, _, _, reason = _score_newton(family, X, y, c, beta, tol, max_iter, stop_on_step=True)
     if reason:
         raise ConvergenceError(f"irls_fit: {reason}")
-    # A separated row fitted at probability exactly 0 or 1 adds nothing to the score or its Jacobian, so
-    # the step is 0 there although the likelihood still rises.  expit is monotone: the extreme rows tell.
-    if family == "bernoulli-logit" and (expit((eta := X @ beta).min()) == 0.0 or expit(eta.max()) == 1.0):
-        raise ConvergenceError("irls_fit: fitted probabilities of exactly 0 or 1 (separation suspected)")
+    _check_unsaturated(family, X @ beta, "irls_fit")
     return beta

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -434,7 +435,8 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     """Run ``reps`` independent replicates and aggregate per estimator.
 
     Per-replicate seeds are pre-drawn from one master stream, so results are
-    identical for any ``jobs``.  Failed replicates (infeasible constraints,
+    identical for any ``jobs`` (at least 1; at most one worker process starts
+    per replicate and per CPU).  Failed replicates (infeasible constraints,
     non-convergence, empty samples) are counted per estimator, never abort
     the batch, and are excluded from the aggregates.  Coverage counts
     ``|theta_hat_k - theta0_k| <= 1.96 se_k`` per coefficient.
@@ -445,15 +447,18 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
             raise DataError(f"run_monte_carlo: unknown estimator {name!r}; expected one of {ESTIMATORS}")
     if reps < 1:
         raise DataError("run_monte_carlo: reps must be at least 1")
+    if jobs < 1:
+        raise DataError(f"run_monte_carlo: jobs must be at least 1, got {jobs}")
     master = np.random.default_rng(seed)
     rep_seeds = master.integers(0, 2**62, size=(reps, 2))
     population = gen_population(spec, int(rep_seeds[0, 0])) if spec.fixed_population else None
 
     tasks = [(spec, estimators, int(rep_seeds[r, 0]), int(rep_seeds[r, 1]), population)
              for r in range(reps)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            results = list(pool.map(_replicate_task, tasks, chunksize=max(1, reps // (8 * jobs))))
+    workers = min(jobs, reps, os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replicate_task, tasks, chunksize=max(1, reps // (8 * workers))))
     else:
         results = [_replicate_task(t) for t in tasks]
 

@@ -3,13 +3,13 @@
 Everything here deliberately follows a different algorithmic path than the
 production code: scalar bisection instead of multivariate Newton, Nelder-Mead
 on a penalized dual instead of a dedicated solver, the composite dual solved
-directly instead of through transformed standard EL, a Nelder-Mead search of
-the joint profile instead of its certificate, central finite differences
-instead of analytic Jacobians, plain Python accumulation loops instead of
-vectorized matrix products, exact enumeration over discrete designs instead
-of sampling, and whole-string recursive serialization and cell-by-cell CSV
-parsing instead of streamed and bulk I/O.  Tests compare production output
-against these oracles.
+directly instead of through transformed standard EL, the joint profile and a
+Nelder-Mead search of it instead of taking the ``ce`` root as its maximizer,
+central finite differences instead of analytic Jacobians, plain Python
+accumulation loops instead of vectorized matrix products, exact enumeration
+over discrete designs instead of sampling, and whole-string recursive
+serialization and cell-by-cell CSV parsing instead of streamed and bulk I/O.
+Tests compare production output against these oracles.
 """
 
 from __future__ import annotations

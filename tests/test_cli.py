@@ -306,6 +306,14 @@ def test_simulate_writes_population_and_sample(tmp_path):
     assert (out / "sample.csv").read_bytes() == first
 
 
+def test_mc_rejects_fewer_than_one_job(tmp_path, capsys):
+    out = tmp_path / "run"
+    path = _write_config(tmp_path, _mc_config(tmp_path, out))
+    assert run_command(["mc", "--config", path, "--jobs", "0"]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_outputs_are_identical_across_worker_counts(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     path = _write_config(tmp_path, _mc_config(tmp_path, out1))
@@ -396,7 +404,11 @@ def test_fit_gamma_regression_formula_defaults_to_the_design_role(tmp_path):
         assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("fit.json", "fit.csv")])
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][0])["ce"]["diagnostics"]["visibility_mode"] == "gamma-regression"
+    fits = json.loads(outputs[0][0])
+    assert fits["ce"]["diagnostics"]["visibility_mode"] == "gamma-regression"
+    # ce-joint is the ce fit under its own name.
+    assert fits["ce-joint"].pop("estimator") == "ce-joint" and fits["ce"].pop("estimator") == "ce"
+    assert fits["ce-joint"] == fits["ce"]
 
 
 @pytest.mark.parametrize("section, key, value, message", [

@@ -310,16 +310,14 @@ def test_newton_gaussian_is_weighted_least_squares(rng):
 
 
 def test_newton_saturates_on_separated_data():
-    # The weighted score has no finite root under perfect separation; the
-    # solver stops at a saturated fit where the score is numerically zero
-    # (the likelihood-based path, irls_fit, raises on the same data).
-    x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-    y = (x > 0).astype(float)
-    data = dataset_from({"y": y, "x": x}, response="y")
-    w = np.full(6, 1 / 6)
-    theta = newton_solve_score(w, MODEL, data, theta0=np.zeros(2))
-    assert theta[1] > 10.0
-    assert np.max(np.abs(w @ score(MODEL, theta, data))) < 1e-8
+    # The weighted score has no finite root under perfect separation; from theta = 0 the
+    # solver reaches a saturated fit where the score is numerically zero and one fitted
+    # probability is exactly 1, and raises there as irls_fit does on the same data.
+    for n in (6, 50):
+        x = np.linspace(-2.0, 2.0, n)
+        data = dataset_from({"y": (x > 0).astype(float), "x": x}, response="y")
+        with pytest.raises(ConvergenceError, match="newton_solve_score: fitted probabilities of exactly 0 or 1"):
+            newton_solve_score(np.full(n, 1 / n), MODEL, data, theta0=np.zeros(2))
 
 
 @pytest.mark.parametrize("case", SEPARATED_LOGIT)
@@ -424,15 +422,21 @@ def test_ce_joint_starts_from_the_same_problems_ce_fit(monkeypatch):
     sandwiches = _counting(monkeypatch, "components_from_arrays")
     ce = problem.fit("ce")
     joint = problem.fit("ce-joint")
-    # One sandwich for ce and one for ce-joint: it certifies the ce fit above, not a refit.
-    assert len(sandwiches) == 2
-    assert problem.fit("ce") is ce and len(sandwiches) == 2
+    # One sandwich, for ce: ce-joint is a copy of the ce fit above, not a refit.
+    assert len(sandwiches) == 1
+    assert problem.fit("ce") is ce and len(sandwiches) == 1
     for key in ("theta", "se", "weights", "multiplier"):
         assert getattr(joint, key).tobytes() == getattr(fresh, key).tobytes(), key
+    for key in ("theta", "se", "covariance", "weights", "multiplier"):
+        assert getattr(joint, key).tobytes() == getattr(ce, key).tobytes(), key
+        assert not np.shares_memory(getattr(joint, key), getattr(ce, key)), key
+    assert joint.diagnostics == ce.diagnostics
+    assert joint.diagnostics["coef_names"] is not ce.diagnostics["coef_names"]
+    assert (joint.estimator, joint.Bp_hat, joint.logEL) == ("ce-joint", ce.Bp_hat, ce.logEL)
     reversed_order = _d67_problem(4000, seed=31)
     sandwiches.clear()
     assert reversed_order.fit("ce-joint").theta.tobytes() == fresh.theta.tobytes()
-    assert reversed_order.fit("ce").theta.tobytes() == ce.theta.tobytes() and len(sandwiches) == 2
+    assert reversed_order.fit("ce").theta.tobytes() == ce.theta.tobytes() and len(sandwiches) == 1
 
 
 def test_fit_problem_builds_constraints_only_when_needed(rng):
@@ -447,7 +451,7 @@ def test_fit_problem_builds_constraints_only_when_needed(rng):
 
 
 # ---------------------------------------------------------------------------
-# ce-joint: the certified ce root
+# ce-joint: the ce fit under its own name
 
 
 def _d67_problem(N, seed):
@@ -516,19 +520,13 @@ def test_ce_joint_converges_where_a_bfgs_profile_search_lost_precision():
     # A BFGS search of the profile from the ce root stopped here with "precision loss".
     problem = _d67_problem(4000, seed=9)
     joint = problem.fit("ce-joint")
-    assert joint.diagnostics["converged"]
+    assert joint.diagnostics["converged"] and np.all(np.isfinite(joint.se))
     assert joint.theta.tobytes() == problem.fit("ce").theta.tobytes()
-    assert abs(joint.diagnostics["certificate_gap"]) <= estimators.CERTIFICATE_TOL * problem.data.n
-    assert np.all(np.isfinite(joint.se)) and joint.diagnostics["score_multiplier_norm"] < 1e-8
-
-
-def test_ce_joint_flags_a_failed_certificate(rng, monkeypatch):
-    problem = _gamma_problem(rng)
-    monkeypatch.setattr(estimators, "CERTIFICATE_TOL", -1.0)  # no gap can pass
-    joint = problem.fit("ce-joint")
-    assert not joint.diagnostics["converged"] and "certificate failed" in joint.diagnostics["failure"]
-    assert np.all(np.isnan(joint.theta)) and np.all(np.isfinite(joint.weights))
-    assert problem.fit("ce").diagnostics["converged"]
+    # The oracle's profile at that theta, under the score constraint, reaches the H-only bound.
+    data, H, bp = problem.data, problem.cm.H, problem.vis.bp
+    A = np.column_stack([np.ones(data.n), data.columns["x"]])
+    profile = composite_profile(joint.theta, lambda theta: logit_psi(theta, A, data.y), H, bp)
+    assert abs(profile - dual_minimize_kappa(H, bp).logEL) < 1e-9
 
 
 def test_ce_joint_carries_the_ce_failure():
@@ -575,9 +573,9 @@ def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatc
         assert all(res.diagnostics["converged"] for res in fits.values())
         counts.append(len(calls))
         work.append((fits["cs"].diagnostics["newton_iterations"], fits["ce"].diagnostics["newton_iterations"]))
-    # Start (IRLS + Newton), four sandwiches, the cs and ce Newton solves and the score of the
-    # ce-joint certificate at the ce root: 9, whatever the iteration counts.
-    assert counts == [9, 9]
+    # Start (IRLS + Newton), three sandwiches (ce-joint copies the ce fit) and the cs and ce
+    # Newton solves: 7, whatever the iteration counts.
+    assert counts == [7, 7]
     assert work[0] != work[1]
 
 

@@ -8,6 +8,8 @@ holds the θ and SE of those fits as computed by the row-major numeric core
 (before every weighted Gram became ``(X.T * v) @ Y`` over contiguous
 columns).  The layout moves the last bits of each sum, so this is the stated
 tolerance of that change and of any later one that reorders the arithmetic.
+The ``ce-joint`` entries are copies of the ``ce`` ones: ``ce-joint`` is the
+``ce`` fit under its own name.
 """
 
 import json
@@ -78,6 +80,8 @@ def test_the_readme_config_fits_match_the_golden_values_to_1e_12(tmp_path):
     assert set(got) == set(golden) == set(VISIBILITY)
     for mode in VISIBILITY:
         assert set(got[mode]) == set(golden[mode]) == set(ESTIMATORS)
+        for key in ("theta", "se"):
+            assert np.asarray(got[mode]["ce-joint"][key]).tobytes() == np.asarray(got[mode]["ce"][key]).tobytes()
         for name in ESTIMATORS:
             for key in ("theta", "se"):
                 want = np.asarray(golden[mode][name][key])

@@ -304,14 +304,14 @@ def test_monte_carlo_deterministic_across_worker_counts():
     assert a.as_dict() == b.as_dict()
 
 
-def test_monte_carlo_never_asks_for_more_workers_than_replicates(monkeypatch):
-    workers = []
+def _recording_pool(monkeypatch, cpus):
+    """Put into ``simulate`` a stand-in for ``ProcessPoolExecutor`` that starts no process, runs
+    in-process and records ``(max_workers, chunksize)``, and a machine of ``cpus`` CPUs."""
+    pools = []
 
     class RecordingPool:
-        """A stand-in for ``ProcessPoolExecutor`` that records its worker count and runs in-process."""
-
         def __init__(self, max_workers):
-            workers.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -320,14 +320,38 @@ def test_monte_carlo_never_asks_for_more_workers_than_replicates(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            pools.append((self.max_workers, chunksize))
             return map(fn, tasks)
 
+    monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    return pools
+
+
+def test_monte_carlo_never_asks_for_more_workers_than_replicates(monkeypatch):
     spec = _basic_spec(N=400)
     want = run_monte_carlo(spec, ("pl",), reps=3, seed=5, jobs=1).as_dict()
-    monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pools = _recording_pool(monkeypatch, cpus=8)
     for jobs in (5000, 2):
         assert run_monte_carlo(spec, ("pl",), reps=3, seed=5, jobs=jobs).as_dict() == want
-    assert workers == [3, 2]
+    assert [workers for workers, _ in pools] == [3, 2]
+
+
+@pytest.mark.parametrize("cpus, want", [(2, [(2, 2)]), (None, [])])
+def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, want):
+    # 40 replicates at --jobs 5000: two workers with chunks of 40 // (8 * 2) on 2 CPUs, and the
+    # serial loop when the CPU count is unknown.
+    spec = _basic_spec(N=400)
+    serial = run_monte_carlo(spec, ("pl",), reps=40, seed=5, jobs=1).as_dict()
+    pools = _recording_pool(monkeypatch, cpus)
+    assert run_monte_carlo(spec, ("pl",), reps=40, seed=5, jobs=5000).as_dict() == serial
+    assert pools == want
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_monte_carlo_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(DataError, match=f"jobs must be at least 1, got {jobs}"):
+        run_monte_carlo(_basic_spec(N=400), ("pl",), reps=3, seed=5, jobs=jobs)
 
 
 def test_monte_carlo_counts_failures_without_aborting():
