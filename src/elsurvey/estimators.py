@@ -125,7 +125,7 @@ class FitProblem:
         """The fit with its sandwich covariance, or flagged failed if the sandwich is singular."""
         try:
             comps = components_from_arrays(name, theta, w, self.data, self.model, H, bp=bp)
-            V = assemble_covariance(comps, name, self.data.n)
+            V = assemble_covariance(comps)
         except np.linalg.LinAlgError as exc:
             diagnostics.update(converged=False, failure=f"singular sandwich covariance: {exc}")
             return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)

@@ -148,9 +148,9 @@ def _check_unsaturated(family: str, eta: np.ndarray, caller: str) -> None:
 
     Such a row adds nothing to the score or its Jacobian, so both a step and a score near 0 can
     stop a Newton on separated data while the likelihood still rises.  ``expit`` is monotone: the
-    extreme rows tell.  It cannot see a saturation that stops before any probability rounds: a
-    quasi-separation on the negative side only stops on the score rule once those rows'
-    weighted probabilities sum below ``tol``, near ``eta = -22`` at 1e-10, where none rounds to 0.
+    extreme rows tell.  A saturation that stops the score rule before any probability rounds, as
+    a quasi-separation on the negative side only does near ``eta = -22`` at 1e-10, is left to the
+    step check of :func:`newton_solve_score`.
     """
     if family == "bernoulli-logit" and (expit(eta.min()) == 0.0 or expit(eta.max()) == 1.0):
         raise ConvergenceError(f"{caller}: fitted probabilities of exactly 0 or 1 (separation suspected)")
@@ -173,10 +173,9 @@ def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
     ``theta0`` defaults to the design-weighted (:func:`irls_fit`) estimate,
     which is always feasible for the score's domain.  Raises
     :class:`DataError` for weights that are not strictly positive and finite,
-    and :class:`ConvergenceError` when the iteration fails or, for the logit,
-    stops at a fitted probability of exactly 0 or 1 (separated data).  A
-    separation that stops before any probability rounds, as a quasi-separation
-    on the negative side only does, is not caught (:func:`_check_unsaturated`).
+    and :class:`ConvergenceError` when the iteration fails or stops where the
+    likelihood still rises (separated logit data): at a fitted probability of
+    exactly 0 or 1, or where the full Newton step still exceeds ``sqrt(tol)``.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (data.n,) or np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
@@ -186,7 +185,16 @@ def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
     theta, _, _, converged, reason = _solve_score(weights, model, data, theta0, tol, max_iter)
     if not converged:
         raise ConvergenceError(f"newton_solve_score: {reason}")
-    _check_unsaturated(model.family, design_matrix(model, data) @ theta, "newton_solve_score")
+    A = design_matrix(model, data)
+    eta = A @ theta
+    _check_unsaturated(model.family, eta, "newton_solve_score")
+    # An exactly saturated row has no curvature, so only the check above sees it; a score that
+    # vanishes as theta grows (a separation) leaves a step of order one.
+    r, curv = _resid_curv(model.family, eta, data.y, "newton_solve_score")
+    step = float(np.abs(np.linalg.lstsq(_jacobian(A, weights, curv), A.T @ (weights * r), rcond=None)[0]).max())
+    if step > np.sqrt(tol):
+        raise ConvergenceError(f"newton_solve_score: Newton step {step:.3e} at the score root exceeds "
+                               f"sqrt(tol) (separation suspected)")
     return theta
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -423,11 +423,8 @@ class MCSummary:
         out = {"reps": self.reps, "seed": self.seed, "theta0": list(self.theta0),
                "coef_names": list(self.coef_names), "estimators": {}}
         for name, s in self.estimators.items():
-            out["estimators"][name] = {
-                "mean": list(s.mean), "bias": list(s.bias), "sd": list(s.sd),
-                "rmse": list(s.rmse), "mean_se": list(s.mean_se), "coverage": list(s.coverage),
-                "n_converged": s.n_converged, "n_failed": s.n_failed, "failures": list(s.failures),
-            }
+            values = {f.name: getattr(s, f.name) for f in fields(s)}
+            out["estimators"][name] = {k: v if isinstance(v, int) else list(v) for k, v in values.items()}
         return out
 
 

@@ -1,17 +1,34 @@
 """Plug-in sandwich covariance for the fitted estimators.
 
-The components are weighted empirical moments of the score ``psi``, its
-derivative, and the constraint residuals ``h``.  For the design-weighted
-estimators (``pl``, ``cs``) the sums use the EL weights and the design
-weights; for the composite estimator (``ce``) they use the composite weights
-and the visibility ``bp``:
+Every estimator's covariance is one sandwich over six weighted moments of the
+score ``psi``, its derivative ``psi'`` and the constraint residuals ``h``.
+The estimators differ only in three row weights, the bread weight ``b`` and
+the meat weights ``m1`` and ``m2``, built from the fit's weights ``w``, the
+design weights ``d`` and the visibility ``bp``:
 
-* ``G  = sum_i w_i d_i psi'_i``        ``calG  = sum_i w_i psi'_i / bp_i``
-* ``G* = sum_i w_i^2 d_i^2 psi psi'``  ``calG* = sum_i w_i^2 psi psi' / bp_i^2``
-* ``K1 = sum_i w_i^2 d_i   psi h'``    ``calK2 = sum_i w_i^2 psi h' / bp_i^2``
-* ``K2 = sum_i w_i^2 d_i^2 psi h'``    ``calH2 = sum_i w_i^2 h h'   / bp_i^2``
-* ``H1 = sum_i w_i^2 d_i   h h'``
-* ``H2 = sum_i w_i^2 d_i^2 h h'``
+=====================  ==========  ==========  ==========
+estimator              ``b``       ``m1``      ``m2``
+=====================  ==========  ==========  ==========
+``pl``, ``cs``         ``w d``     ``w^2 d``   ``m1 d``
+``ce``, ``ce-joint``   ``w / bp``  ``b^2``     ``m1``
+=====================  ==========  ==========  ==========
+
+``pl`` is ``cs`` with no constraints (``q = 0``).  The sums are
+
+* ``G  = sum_i b_i  psi'_i``      ``G* = sum_i m2_i psi_i psi_i'``
+* ``K1 = sum_i m1_i psi_i h_i'``  ``K2 = sum_i m2_i psi_i h_i'``
+* ``H1 = sum_i m1_i h_i h_i'``    ``H2 = sum_i m2_i h_i h_i'``
+
+and the covariance is ``V = G^-1 M(A) G^-T`` with ``A = K1 H1^-1`` and
+
+    M(A) = G* - A K2' - K2 A' + A H2 A'.
+
+``M(A) = M(A*) + (A - A*) H2 (A - A*)'`` with ``A* = K2 H2^-1``.  ``ce``
+has ``K1 = K2`` and ``H1 = H2``, so it takes ``A = A*``, where ``M`` is
+smallest.  Where ``cs`` and ``ce`` share ``G``, ``G*``, ``K2`` and ``H2``,
+``G (V_cs - V_ce) G'`` is therefore the positive semidefinite
+``(A - A*) H2 (A - A*)'`` of the ``cs`` ``A``: the composite fit is no less
+efficient (:func:`efficiency_gap` reports the gap).
 
 Each sum is formed as ``(X.T * v) @ Y`` with ``v`` the per-row weight, so with
 the column-major ``psi`` and ``H`` that the package builds, the weighting scales
@@ -39,23 +56,15 @@ COND_WARN = 1e12
 
 @dataclass(frozen=True)
 class CovarianceComponents:
-    """Weighted moment matrices entering the sandwich.
+    """Weighted moment matrices entering the sandwich; ``K1``, ``K2`` are ``p x q`` and
+    ``H1``, ``H2`` are ``q x q``, with ``q = 0`` when there are no constraints."""
 
-    The design-weighted set (``G`` .. ``H2``) is filled for ``pl``/``cs``
-    fits, the visibility set (``calG`` .. ``calH2``) for ``ce`` fits; unused
-    entries are None.
-    """
-
-    G: np.ndarray | None = None
-    Gstar: np.ndarray | None = None
-    K1: np.ndarray | None = None
-    K2: np.ndarray | None = None
-    H1: np.ndarray | None = None
-    H2: np.ndarray | None = None
-    calG: np.ndarray | None = None
-    calGstar: np.ndarray | None = None
-    calK2: np.ndarray | None = None
-    calH2: np.ndarray | None = None
+    G: np.ndarray
+    Gstar: np.ndarray
+    K1: np.ndarray
+    K2: np.ndarray
+    H1: np.ndarray
+    H2: np.ndarray
 
 
 def components_from_arrays(estimator: str, theta, w, data: Dataset, model: ModelSpec,
@@ -67,42 +76,41 @@ def components_from_arrays(estimator: str, theta, w, data: Dataset, model: Model
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != data.n:
         raise DataError(f"components_from_arrays: H has shape {H.shape}, expected ({data.n}, q)")
-    A, psi, curv = _score_parts(model, theta, data)
-    if estimator in ("pl", "cs"):
-        d = data.d
-        G = _jacobian(A, w * d, curv)
-        m1 = w * w * d
-        m2 = m1 * d
-        return CovarianceComponents(
-            G=G,
-            Gstar=(psi.T * m2) @ psi,
-            K1=(psi.T * m1) @ H,
-            K2=(psi.T * m2) @ H,
-            H1=(H.T * m1) @ H,
-            H2=(H.T * m2) @ H,
-        )
-    if estimator in ("ce", "ce-joint"):
+    if estimator not in ("pl", "cs", "ce", "ce-joint"):
+        raise DataError(f"components_from_arrays: unknown estimator {estimator!r}")
+    if estimator == "pl" and H.shape[1]:
+        raise DataError(f"components_from_arrays: pl uses no constraints, so H must have no columns; "
+                        f"got shape {H.shape}")
+    composite = estimator in ("ce", "ce-joint")
+    if composite:
         if bp is None:
             raise DataError("components_from_arrays: the composite estimator needs visibility values")
         bp = np.asarray(bp, dtype=float)
         if bp.shape != (data.n,):
             raise DataError(f"components_from_arrays: bp has shape {bp.shape}, expected ({data.n},)")
-        r = (w / bp) ** 2
-        return CovarianceComponents(
-            calG=_jacobian(A, w / bp, curv),
-            calGstar=(psi.T * r) @ psi,
-            calK2=(psi.T * r) @ H,
-            calH2=(H.T * r) @ H,
-        )
-    raise DataError(f"components_from_arrays: unknown estimator {estimator!r}")
+    A, psi, curv = _score_parts(model, theta, data)
+    # G is formed, and A and curv dropped, before the meat weights exist: no more
+    # n-vectors are alive at once than in G's own evaluation.
+    b = w / bp if composite else w * data.d
+    G = _jacobian(A, b, curv)
+    del A, curv
+    m1 = b * b if composite else w * w * data.d
+    m2 = m1 if composite else m1 * data.d
+    K1, H1 = (psi.T * m1) @ H, (H.T * m1) @ H
+    K2, H2 = (K1, H1) if composite else ((psi.T * m2) @ H, (H.T * m2) @ H)
+    return CovarianceComponents(G=G, Gstar=(psi.T * m2) @ psi, K1=K1, K2=K2, H1=H1, H2=H2)
 
 
 def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
                           vis=None) -> CovarianceComponents:
-    """Component sums for a converged fit (see :func:`components_from_arrays`)."""
+    """Component sums for a converged fit (see :func:`components_from_arrays`); ``pl`` uses
+    no constraints, so its ``K`` and ``H`` blocks have no columns whatever ``constraints`` holds."""
     if not fit.diagnostics.get("converged", False):
         raise DataError("covariance_components: fit did not converge; no covariance is available")
-    H = build_constraint_matrix(data, constraints).H
+    if fit.estimator == "pl":
+        H = np.empty((data.n, 0))
+    else:
+        H = build_constraint_matrix(data, constraints).H
     bp = None
     if fit.estimator in ("ce", "ce-joint"):
         if vis is None:
@@ -116,15 +124,8 @@ def _warn_cond(M: np.ndarray, name: str) -> None:
         warnings.warn(f"assemble_covariance: {name} has condition number above {COND_WARN:.0e}", stacklevel=3)
 
 
-def _bread_sandwich(G: np.ndarray, M: np.ndarray, name: str) -> np.ndarray:
-    _warn_cond(G, name)
-    X = np.linalg.solve(G, M)
-    V = np.linalg.solve(G, X.T).T
-    return 0.5 * (V + V.T)
-
-
-def assemble_covariance(components: CovarianceComponents, estimator: str, n: int) -> np.ndarray:
-    """Assemble the sandwich for ``estimator`` ("pl", "cs", or "ce").
+def assemble_covariance(components: CovarianceComponents) -> np.ndarray:
+    """Assemble the sandwich ``G^-1 M(A) G^-T`` with ``A = K1 H1^-1`` (module docstring).
 
     Returns the estimated covariance of ``theta_hat``; ``n`` times the
     result estimates the asymptotic variance of ``sqrt(n) (theta_hat -
@@ -132,33 +133,16 @@ def assemble_covariance(components: CovarianceComponents, estimator: str, n: int
     assembled matrix is used as-is for standard errors.  The output is
     symmetrized.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DataError(f"assemble_covariance: n must be a positive integer, got {n!r}")
-    if estimator == "pl":
-        if components.G is None or components.Gstar is None:
-            raise DataError("assemble_covariance: pl needs G and Gstar")
-        return _bread_sandwich(components.G, components.Gstar, "G")
-    if estimator == "cs":
-        c = components
-        if c.G is None or c.Gstar is None:
-            raise DataError("assemble_covariance: cs needs the design-weighted component set")
-        M = c.Gstar
-        if c.H1 is not None and c.H1.size:
-            _warn_cond(c.H1, "H1")
-            A = np.linalg.solve(c.H1, c.K1.T).T  # K1 H1^-1
-            M = c.Gstar - A @ c.K2.T - c.K2 @ A.T + A @ c.H2 @ A.T
-        return _bread_sandwich(c.G, M, "G")
-    if estimator == "ce":
-        c = components
-        if c.calG is None or c.calGstar is None:
-            raise DataError("assemble_covariance: ce needs the visibility component set")
-        M = c.calGstar
-        if c.calH2 is not None and c.calH2.size:
-            _warn_cond(c.calH2, "calH2")
-            B = np.linalg.solve(c.calH2, c.calK2.T).T  # calK2 calH2^-1
-            M = c.calGstar - B @ c.calK2.T
-        return _bread_sandwich(c.calG, M, "calG")
-    raise DataError(f"assemble_covariance: unknown estimator {estimator!r}")
+    c = components
+    M = c.Gstar
+    if c.H1.size:
+        _warn_cond(c.H1, "H1")
+        A = np.linalg.solve(c.H1, c.K1.T).T  # K1 H1^-1
+        M = c.Gstar - A @ c.K2.T - c.K2 @ A.T + A @ c.H2 @ A.T
+    _warn_cond(c.G, "G")
+    X = np.linalg.solve(c.G, M)
+    V = np.linalg.solve(c.G, X.T).T
+    return 0.5 * (V + V.T)
 
 
 @dataclass(frozen=True)

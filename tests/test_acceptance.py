@@ -393,15 +393,15 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
     errs = [float(np.max(np.abs(got - want))) for got, want in
             zip((comps_cs.G, comps_cs.Gstar, comps_cs.K1, comps_cs.K2,
                  comps_cs.H1, comps_cs.H2), oracle_cs)]
-    v_cs = assemble_covariance(comps_cs, "cs", 4)
+    v_cs = assemble_covariance(comps_cs)
     errs.append(float(np.max(np.abs(v_cs - cs_sandwich(*oracle_cs)))))
 
     comps_ce = components_from_arrays("ce", theta, w, data, model, H, bp=bp)
     oracle_ce = loop_ce_components(w, bp, psi, psi_prime, H)
     errs.extend(float(np.max(np.abs(got - want))) for got, want in
-                zip((comps_ce.calG, comps_ce.calGstar, comps_ce.calK2,
-                     comps_ce.calH2), oracle_ce))
-    v_ce = assemble_covariance(comps_ce, "ce", 4)
+                zip((comps_ce.G, comps_ce.Gstar, comps_ce.K2,
+                     comps_ce.H2), oracle_ce))
+    v_ce = assemble_covariance(comps_ce)
     errs.append(float(np.max(np.abs(v_ce - ce_sandwich(*oracle_ce)))))
     plug_in_err = max(errs)
 
@@ -418,12 +418,10 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
         gamma=float(data2.d @ cols["x"])),))
     cs_fit = fit_cs(data2, ModelSpec("bernoulli-logit", ("x",)), spec2)
     comps = covariance_components(cs_fit, data2, ModelSpec("bernoulli-logit", ("x",)), spec2)
-    shared = CovarianceComponents(G=comps.G, Gstar=comps.Gstar, K1=comps.K1,
-                                  K2=comps.K2, H1=comps.H1, H2=comps.H2,
-                                  calG=comps.G, calGstar=comps.Gstar,
-                                  calK2=comps.K2, calH2=comps.H2)
-    v_cs2 = assemble_covariance(shared, "cs", n)
-    v_ce2 = assemble_covariance(shared, "ce", n)
+    shared = CovarianceComponents(G=comps.G, Gstar=comps.Gstar, K1=comps.K2,
+                                  K2=comps.K2, H1=comps.H2, H2=comps.H2)
+    v_cs2 = assemble_covariance(comps)
+    v_ce2 = assemble_covariance(shared)
     left = comps.G @ (v_cs2 - v_ce2) @ comps.G.T
     D = comps.K2 @ np.linalg.inv(comps.H2) - comps.K1 @ np.linalg.inv(comps.H1)
     right = D @ comps.H2 @ D.T

@@ -320,6 +320,16 @@ def test_newton_saturates_on_separated_data():
             newton_solve_score(np.full(n, 1 / n), MODEL, data, theta0=np.zeros(2))
 
 
+def test_newton_rejects_a_separation_on_the_negative_side_only():
+    # Every x = 1 row has y = 0, the x = 0 rows have both.  From theta = 0 the score max-norm falls
+    # below 1e-10 near theta = (0.405, -23.6), where no fitted probability rounds to 0, but the full
+    # Newton step there is still -1 on the slope.
+    x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    data = dataset_from({"y": [1, 0, 1, 0, 1, 0, 0, 0, 0], "x": x}, response="y")
+    with pytest.raises(ConvergenceError, match="newton_solve_score: Newton step 1.000e[+]00 at the score root"):
+        newton_solve_score(np.full(9, 1 / 9), MODEL, data, theta0=np.zeros(2))
+
+
 @pytest.mark.parametrize("case", SEPARATED_LOGIT)
 def test_separated_logit_samples_fail_in_irls_fit_and_in_every_estimator(case):
     # Regression guard: these samples have no finite maximum-likelihood fit.  A Newton from
@@ -540,7 +550,7 @@ def test_ce_joint_carries_the_ce_failure():
 
 def test_singular_sandwich_is_flagged_not_raised():
     # Every constraint column twice, passed around build_constraint_matrix's rank check:
-    # the EL weights exist, but H1 and calH2 are singular.
+    # the EL weights exist, but the H1 and H2 blocks are singular.
     problem = _d67_problem(4000, seed=0)
     cm = problem.cm
     problem.cm = ConstraintMatrix(np.column_stack([cm.H, cm.H]), cm.labels * 2, cm.vacuous * 2)

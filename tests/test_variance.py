@@ -7,7 +7,7 @@ from scipy.special import expit
 from conftest import dataset_from
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
 from elsurvey.errors import DataError
-from elsurvey.estimators import fit_ce, fit_cs, fit_pl
+from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl
 from elsurvey.glm import ModelSpec, design_matrix
 from elsurvey.variance import (
     CovarianceComponents,
@@ -34,7 +34,10 @@ MODEL_X = ModelSpec("bernoulli-logit", terms=("x",))
 
 
 def _tiny_instance(p):
-    """n=4 logistic rows with fixed weights, design weights, and visibility."""
+    """n=4 logistic rows with fixed weights, design weights, and visibility; for ``p = 3``, n=40
+    random rows with two covariates and q=4 constraint columns."""
+    if p == 3:
+        return _random_instance(np.random.default_rng(4040), n=40, q=4)
     y = np.array([1.0, 0.0, 1.0, 0.0])
     x = np.array([-1.0, 0.0, 1.0, 2.0])
     data = dataset_from({"y": y, "x": x, "g": [1.0, 1.0, 0.0, 0.0]},
@@ -57,7 +60,17 @@ def _tiny_instance(p):
     return data, model, theta, w, bp, H
 
 
-@pytest.mark.parametrize("p", [1, 2])
+def _random_instance(rng, n, q):
+    x1, x2 = rng.normal(size=n), rng.choice([0.0, 1.0], size=n)
+    y = (rng.uniform(size=n) < expit(0.3 + 0.8 * x1 - 0.5 * x2)).astype(float)
+    d = rng.uniform(0.5, 2.0, size=n)
+    data = dataset_from({"y": y, "x1": x1, "x2": x2, "dw": d / d.sum()}, response="y", weight="dw")
+    w = rng.uniform(0.5, 1.5, size=n)
+    return (data, ModelSpec("bernoulli-logit", terms=("x1", "x2")), np.array([0.3, 0.8, -0.5]),
+            w / w.sum(), rng.uniform(0.2, 0.9, size=n), rng.normal(size=(n, q)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_component_sums_match_hand_loops(p):
     data, model, theta, w, bp, H = _tiny_instance(p)
     A = design_matrix(model, data)
@@ -75,15 +88,17 @@ def test_component_sums_match_hand_loops(p):
 
     cal = components_from_arrays("ce", theta, w, data, model, H, bp=bp)
     cG, cGs, cK2, cH2 = loop_ce_components(w, bp, psi, psip, H)
-    np.testing.assert_allclose(cal.calG, cG, atol=1e-12)
-    np.testing.assert_allclose(cal.calGstar, cGs, atol=1e-12)
-    np.testing.assert_allclose(cal.calK2, cK2, atol=1e-12)
-    np.testing.assert_allclose(cal.calH2, cH2, atol=1e-12)
+    np.testing.assert_allclose(cal.G, cG, atol=1e-12)
+    np.testing.assert_allclose(cal.Gstar, cGs, atol=1e-12)
+    np.testing.assert_allclose(cal.K1, cK2, atol=1e-12)
+    np.testing.assert_allclose(cal.K2, cK2, atol=1e-12)
+    np.testing.assert_allclose(cal.H1, cH2, atol=1e-12)
+    np.testing.assert_allclose(cal.H2, cH2, atol=1e-12)
 
     # Sandwich assembly agrees with plain-inverse assembly of the same sums.
-    np.testing.assert_allclose(assemble_covariance(roman, "cs", data.n),
+    np.testing.assert_allclose(assemble_covariance(roman),
                                cs_sandwich(G, Gs, K1, K2, H1, H2), atol=1e-12)
-    np.testing.assert_allclose(assemble_covariance(cal, "ce", data.n),
+    np.testing.assert_allclose(assemble_covariance(cal),
                                ce_sandwich(cG, cGs, cK2, cH2), atol=1e-12)
 
 
@@ -91,16 +106,16 @@ def test_empty_constraints_reduce_to_plain_sandwich():
     data, model, theta, w, bp, _ = _tiny_instance(2)
     empty = np.empty((data.n, 0))
     roman = components_from_arrays("cs", theta, w, data, model, empty)
-    V_cs = assemble_covariance(roman, "cs", data.n)
-    V_pl = assemble_covariance(roman, "pl", data.n)
+    V_cs = assemble_covariance(roman)
+    V_pl = assemble_covariance(components_from_arrays("pl", theta, w, data, model, empty))
     np.testing.assert_allclose(V_cs, V_pl, atol=0)
     Gi = np.linalg.inv(roman.G)
     np.testing.assert_allclose(V_pl, Gi @ roman.Gstar @ Gi.T, atol=1e-14)
 
     cal = components_from_arrays("ce", theta, w, data, model, empty, bp=bp)
-    V_ce = assemble_covariance(cal, "ce", data.n)
-    cGi = np.linalg.inv(cal.calG)
-    np.testing.assert_allclose(V_ce, cGi @ cal.calGstar @ cGi.T, atol=1e-14)
+    V_ce = assemble_covariance(cal)
+    cGi = np.linalg.inv(cal.G)
+    np.testing.assert_allclose(V_ce, cGi @ cal.Gstar @ cGi.T, atol=1e-14)
 
 
 def _uniform_design_constant_visibility(n=90, c=0.37):
@@ -127,10 +142,10 @@ def test_constant_weight_correspondence_between_component_sets():
     roman = covariance_components(cs, data, MODEL_X, constraints)
     cal = covariance_components(ce, data, MODEL_X, constraints, vis=vis)
     s = data.n / c
-    np.testing.assert_allclose(cal.calG, s * roman.G, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(cal.calGstar, s**2 * roman.Gstar, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(cal.calK2, s**2 * roman.K2, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(cal.calH2, s**2 * roman.H2, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.G, s * roman.G, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.Gstar, s**2 * roman.Gstar, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.K2, s**2 * roman.K2, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.H2, s**2 * roman.H2, rtol=1e-9, atol=1e-14)
     np.testing.assert_allclose(ce.covariance, cs.covariance, rtol=1e-8, atol=1e-14)
 
 
@@ -162,7 +177,7 @@ def test_cs_matches_simplified_form_when_weights_independent_of_model():
     ))
     res = fit_cs(data, MODEL_X, constraints)
     comps = covariance_components(res, data, MODEL_X, constraints)
-    V_full = assemble_covariance(comps, "cs", n)
+    V_full = assemble_covariance(comps)
     Gi = np.linalg.inv(comps.G)
     M = comps.Gstar - comps.K2 @ np.linalg.solve(comps.H2, comps.K2.T)
     V_simplified = Gi @ M @ Gi.T
@@ -186,10 +201,10 @@ def test_shared_component_efficiency_identity():
     ))
     res = fit_cs(data, MODEL_X, constraints)
     comps = covariance_components(res, data, MODEL_X, constraints)
-    shared = CovarianceComponents(calG=comps.G, calGstar=comps.Gstar,
-                                  calK2=comps.K2, calH2=comps.H2)
-    V_cs = assemble_covariance(comps, "cs", n)
-    V_ce = assemble_covariance(shared, "ce", n)
+    shared = CovarianceComponents(G=comps.G, Gstar=comps.Gstar, K1=comps.K2,
+                                  K2=comps.K2, H1=comps.H2, H2=comps.H2)
+    V_cs = assemble_covariance(comps)
+    V_ce = assemble_covariance(shared)
     G, K1, K2, H1, H2 = comps.G, comps.K1, comps.K2, comps.H1, comps.H2
     left = G @ (V_cs - V_ce) @ G.T
     D = K2 @ np.linalg.inv(H2) - K1 @ np.linalg.inv(H1)
@@ -247,6 +262,32 @@ def test_unconverged_fit_has_no_covariance(rng):
         covariance_components(res, data, MODEL_X, constraints)
 
 
+def test_components_of_every_fit_reproduce_its_covariance(rng):
+    # All four estimators on one constrained problem.  pl uses no constraints, so its K and H
+    # blocks have no columns, and pl components with constraint columns are rejected.
+    n = 120
+    x = rng.choice([-1.0, 0.0, 1.0], size=n)
+    y = (rng.uniform(size=n) < expit(0.2 + 0.8 * x)).astype(float)
+    pi = 0.1 + 0.25 * y + 0.05 * (x + 1.0)
+    data = dataset_from({"y": y, "x": x, "pi": pi}, response="y", covariates=("x",), pi="pi")
+    constraints = ConstraintSpec((
+        ConstraintEntry("subgroup-moment", "y", gamma=float(np.average(y[x == 1.0], weights=(1.0 / pi)[x == 1.0])),
+                        group_column="x", group_value=1.0),
+        ConstraintEntry("general-moment", "x", gamma=float(np.average(x, weights=1.0 / pi))),
+    ))
+    vis = visibility_from_pi(data)
+    problem = FitProblem(data, MODEL_X, constraints, vis)
+    for name in ESTIMATORS:
+        fit = problem.fit(name)
+        assert fit.diagnostics["converged"], name
+        comps = covariance_components(fit, data, MODEL_X, constraints, vis=vis)
+        assert comps.H1.shape == ((0, 0) if name == "pl" else (2, 2)), name
+        assert assemble_covariance(comps).tobytes() == fit.covariance.tobytes(), name
+    pl = problem.fit("pl")
+    with pytest.raises(DataError, match="pl uses no constraints, so H must have no columns"):
+        components_from_arrays("pl", pl.theta, pl.weights, data, MODEL_X, problem.cm.H)
+
+
 def test_near_singular_constraint_block_warns():
     eps = 1e-13
     comps = CovarianceComponents(
@@ -258,7 +299,7 @@ def test_near_singular_constraint_block_warns():
         H2=np.eye(2),
     )
     with pytest.warns(UserWarning, match="condition"):
-        assemble_covariance(comps, "cs", 10)
+        assemble_covariance(comps)
 
 
 def test_component_sums_converge_to_population_limits():
@@ -301,6 +342,6 @@ def test_component_sums_converge_to_population_limits():
         err = np.linalg.norm(observed - target) / np.linalg.norm(target)
         assert err < 0.05, f"{name}: relative error {err:.3f}"
     for name, (power, target) in cal_t.items():
-        observed = getattr(cal, name) * float(n) ** power
+        observed = getattr(cal, name.removeprefix("cal")) * float(n) ** power
         err = np.linalg.norm(observed - target) / np.linalg.norm(target)
         assert err < 0.05, f"{name}: relative error {err:.3f}"
