@@ -215,7 +215,9 @@ def parse_config(source) -> dict:
     _check_keys(cfg, TOP_KEYS, "top level")
     if "data" in cfg:
         _check_keys(cfg["data"], DATA_KEYS, "data")
-        _need(cfg["data"], "path", "data")
+        path = _need(cfg["data"], "path", "data")
+        if not isinstance(path, str):
+            raise ConfigError(f"parse_config: data.path must be a file name, got {path!r}")
         schema = _need(cfg["data"], "schema", "data")
         _check_keys(schema, ROLE_KEYS, "data.schema")
     if "model" in cfg:
@@ -241,7 +243,7 @@ def parse_config(source) -> dict:
         if unknown:
             raise ConfigError(f"parse_config: unknown estimator {unknown[0]!r}; expected one of {ESTIMATORS}")
     for key in OVERRIDES:
-        if key in cfg and not isinstance(cfg[key], int):
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
             raise ConfigError(f"parse_config: {key!r} must be an integer")
     if "design" in cfg:
         d = cfg["design"]
@@ -317,25 +319,16 @@ def _cmd_fit(cfg: dict) -> int:
                                        for i, entry in enumerate(cfg.get("constraints", []))))
     visibility = _build(VisibilitySpec, cfg.get("visibility", {"mode": "given-pi"}), "visibility")
     data = load_dataset(source["path"], source["schema"])
-    problem = FitProblem(data, model, constraints, **cfg.get("solver", {}))
+    problem = FitProblem(data, model, constraints, visibility, **cfg.get("solver", {}))
     problem.cm  # fail fast on unknown constraint columns before any fitting work
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
     if any(n in NEEDS_VISIBILITY for n in names):
-        problem.vis = visibility.resolve(data)
-    results, failed = {}, False
-    for name in names:
-        try:
-            res = problem.fit(name)
-            results[name] = vars(res)
-            failed |= not res.diagnostics.get("converged", False)
-        except (InfeasibleError, ConvergenceError) as exc:
-            results[name] = {"estimator": name, "error": f"{type(exc).__name__}: {exc}"}
-            failed = True
-    rows = [[name, coef, payload["theta"][k], payload["se"][k]]
-            for name, payload in results.items() if "error" not in payload
+        problem.fit("ce")  # resolves the visibility first, so a bad source fails before any other fit
+    results = {name: vars(problem.fit(name)) for name in names}
+    rows = [[name, coef, payload["theta"][k], payload["se"][k]] for name, payload in results.items()
             for k, coef in enumerate(payload["diagnostics"]["coef_names"])]
     _write_outputs(cfg, "fit", results, ["estimator", "coefficient", "estimate", "se"], rows)
-    return 2 if failed else 0
+    return 0 if all(payload["diagnostics"]["converged"] for payload in results.values()) else 2
 
 
 def _cmd_simulate(cfg: dict) -> int:

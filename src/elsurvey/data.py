@@ -94,6 +94,14 @@ def as_names(value, what: str) -> tuple:
     return names
 
 
+def as_bool(value, what: str) -> bool:
+    """A boolean config value: ``true``/``false``, or 0/1; any other value, such as the string
+    ``"false"``, is rejected rather than read by its truthiness."""
+    if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
+        return bool(value)
+    raise DataError(f"{what} must be true or false, got {value!r}")
+
+
 def _validate_roles(roles: dict, columns: dict) -> dict:
     unknown = set(roles) - set(ROLE_KEYS)
     if unknown:

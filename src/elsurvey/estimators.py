@@ -18,36 +18,36 @@ for some weight vector ``w``:
 constraint matrix and the design-weighted start once for all of them;
 ``fit_pl``, ``fit_cs``, ``fit_ce`` and ``profile_fit_joint`` use a fresh one.
 
-Step 2 always starts from the design-weighted estimate.  When step 2 fails
-to converge, or the sandwich covariance is singular, the result keeps the
-step-1 weights, sets the convergence flag, and reports no parameter value
-rather than fabricating one.
+Step 2 always starts from the design-weighted estimate.  A fit raises only
+:class:`DataError`.  A failed fit is flagged (``converged`` False, with the
+``failure`` in its diagnostics), with NaN theta, SE and covariance; it keeps
+the step-1 weights it has, NaN when step 1 or the visibility raised.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, InfeasibleError
 from .glm import ModelSpec, _solve_score, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
-from .visibility import VisibilityModel
+from .visibility import VisibilityModel, VisibilitySpec
 
 ESTIMATORS = ("pl", "cs", "ce", "ce-joint")
-NEEDS_VISIBILITY = ("ce", "ce-joint")  # the estimators that read FitProblem.vis
+NEEDS_VISIBILITY = ("ce", "ce-joint")  # the estimators that resolve FitProblem.vis
 
 
 @dataclass(frozen=True)
 class EstimateResult:
     """A fitted estimator: parameters, covariance, weights, diagnostics.
 
-    ``theta`` and the covariance are NaN when the fit did not converge
+    ``theta``, ``se`` and the covariance are NaN when the fit failed
     (``diagnostics["converged"]`` is False).  ``multiplier`` holds the EL
     dual vector of the weight step (empty for ``pl``), ``Bp_hat`` the
     estimated normalizing constant of the composite criterion (None for
@@ -79,20 +79,21 @@ class FitProblem:
 
     The constraint matrix :attr:`cm` (not needed by ``pl``; a matrix
     rejected with :class:`DataError` is kept as that error), the
-    design-weighted start :attr:`start` and every fit (``ce-joint`` is a copy
-    of the ``ce`` fit) are built on first use and kept.
-    ``vis`` is needed by :data:`NEEDS_VISIBILITY` only, and must be set before
-    either is fitted.
+    design-weighted start :attr:`start` and every fit, failed or not, are
+    built on first use and kept; ``ce-joint`` is a copy of the ``ce`` fit.
+    ``vis`` is the visibility source, a :class:`VisibilitySpec` or a
+    :class:`VisibilityModel`; only :data:`NEEDS_VISIBILITY` resolve it.
     """
 
     data: Dataset
     model: ModelSpec
     constraints: ConstraintSpec = ConstraintSpec()
-    vis: VisibilityModel | None = None
+    vis: VisibilitySpec | VisibilityModel | None = None
     el_tol: float = 1e-10
     el_max_iter: int = 200
     newton_tol: float = 1e-10
     newton_max_iter: int = 100
+    _fits: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def cm(self) -> ConstraintMatrix:
@@ -105,21 +106,27 @@ class FitProblem:
 
     @cached_property
     def start(self):
-        """``(theta, iterations, residual, converged, reason)`` of the design-weighted fit."""
+        """``(theta, iterations, residual, converged, reason)`` of the design-weighted fit, failed or not."""
         data, model = self.data, self.model
-        theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
+        try:
+            theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
+        except ConvergenceError as exc:
+            return None, 0, np.nan, False, str(exc)
         return _solve_score(data.d, model, data, theta0, self.newton_tol, self.newton_max_iter)
 
     def fit(self, name: str) -> EstimateResult:
-        """Fit estimator ``name``."""
+        """Fit estimator ``name`` once per problem; its InfeasibleError or ConvergenceError is a flagged fit."""
         if name not in ESTIMATORS:
             raise DataError(f"FitProblem.fit: unknown estimator {name!r}; expected one of {ESTIMATORS}")
-        return getattr(self, "_" + name.replace("-", "_"))
-
-    def _bp(self, caller: str) -> np.ndarray:
-        if self.vis is None or self.vis.bp.shape != (self.data.n,):
-            raise DataError(f"{caller}: visibility must hold one value for each of the {self.data.n} rows")
-        return self.vis.bp
+        if name not in self._fits:
+            try:
+                self._fits[name] = getattr(self, "_" + name.replace("-", "_"))()
+            except (InfeasibleError, ConvergenceError) as exc:
+                diagnostics = {"converged": False, "failure": f"{type(exc).__name__}: {exc}",
+                               "coef_names": list(self.model.coef_names)}
+                self._fits[name] = _failed(name, self.model.p, np.full(self.data.n, np.nan),
+                                           np.full(self.constraints.q, np.nan), None, np.nan, diagnostics)
+        return self._fits[name]
 
     def _result(self, name, theta, w, multiplier, Bp_hat, logEL, diagnostics, H, bp) -> EstimateResult:
         """The fit with its sandwich covariance, or flagged failed if the sandwich is singular."""
@@ -147,18 +154,17 @@ class FitProblem:
             diagnostics["failure"] = reason
         return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)
 
-    @cached_property
     def _pl(self) -> EstimateResult:
         theta, iters, resid, converged, reason = self.start
-        if not converged:
-            raise ConvergenceError(f"fit_pl: {reason}")
         d = self.data.d
         diagnostics = {"converged": True, "newton_iterations": iters, "score_residual": resid,
                        "coef_names": list(self.model.coef_names)}
+        if not converged:
+            diagnostics.update(converged=False, failure=f"design-weighted start failed: {reason}")
+            return _failed("pl", self.model.p, d.copy(), np.zeros(0), None, float(d @ np.log(d)), diagnostics)
         return self._result("pl", theta.copy(), d.copy(), np.zeros(0), None, float(d @ np.log(d)),
                             diagnostics, np.empty((self.data.n, 0)), None)
 
-    @cached_property
     def _cs(self) -> EstimateResult:
         cm = self.cm
         sol = solve_weighted_el(cm.H, self.data.d, tol=self.el_tol, max_iter=self.el_max_iter)
@@ -168,12 +174,13 @@ class FitProblem:
                        "vacuous_constraints": list(cm.vacuous), "coef_names": list(self.model.coef_names)}
         return self._two_step("cs", sol.w, sol.multiplier, None, sol.logEL, diagnostics, None)
 
-    @cached_property
     def _ce(self) -> EstimateResult:
         """Step 1 solves standard EL on the columns ``h_i / bp_i`` for ``w*``; the composite weights are
         ``(w*_i / bp_i) / sum_j (w*_j / bp_j)`` and ``Bp_hat = 1 / sum_j (w*_j / bp_j)``."""
-        bp = self._bp("fit_ce")
-        cm = self.cm
+        vis = None if self.vis is None else self.vis.resolve(self.data)
+        if vis is None or vis.bp.shape != (self.data.n,):
+            raise DataError(f"fit_ce: visibility must hold one value for each of the {self.data.n} rows")
+        bp, cm = vis.bp, self.cm
         sol = solve_el((cm.H.T / bp).T, tol=self.el_tol, max_iter=self.el_max_iter)
         w = sol.w / bp
         S = w.sum()
@@ -186,14 +193,13 @@ class FitProblem:
                        "restriction_active": bool(np.min(bp / sol.w) - Bp_hat <= 1e-9 * Bp_hat),
                        "constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
                        "constraint_residual": float(np.max(np.abs(w @ cm.H))) if cm.q else 0.0,
-                       "visibility_mode": self.vis.mode, "coef_names": list(self.model.coef_names)}
+                       "visibility_mode": vis.mode, "coef_names": list(self.model.coef_names)}
         return self._two_step("ce", w, sol.multiplier, Bp_hat, logEL, diagnostics, bp)
 
-    @cached_property
     def _ce_joint(self) -> EstimateResult:
         """The ``ce`` fit under the name ``ce-joint`` (see :func:`profile_fit_joint`), sharing no
         mutable object with it; a failed ``ce`` fit is a failed ``ce-joint`` fit."""
-        joint = replace(deepcopy(self._ce), estimator="ce-joint")
+        joint = replace(deepcopy(self.fit("ce")), estimator="ce-joint")
         if not joint.diagnostics["converged"]:
             joint.diagnostics["failure"] = f"ce fit failed: {joint.diagnostics['failure']}"
         return joint
@@ -218,7 +224,7 @@ def fit_cs(data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
     return FitProblem(data, model, constraints, None, el_tol, el_max_iter, newton_tol, newton_max_iter).fit("cs")
 
 
-def fit_ce(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: VisibilityModel,
+def fit_ce(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: VisibilitySpec | VisibilityModel,
            el_tol: float = 1e-10, el_max_iter: int = 200,
            newton_tol: float = 1e-10, newton_max_iter: int = 100) -> EstimateResult:
     """Two-step composite fit under estimated (or given) visibility.
@@ -230,7 +236,8 @@ def fit_ce(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: Vi
     return FitProblem(data, model, constraints, vis, el_tol, el_max_iter, newton_tol, newton_max_iter).fit("ce")
 
 
-def profile_fit_joint(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: VisibilityModel,
+def profile_fit_joint(data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
+                      vis: VisibilitySpec | VisibilityModel,
                       el_tol: float = 1e-10, el_max_iter: int = 200) -> EstimateResult:
     """Joint composite fit: maximize the profiled composite criterion over theta.
 

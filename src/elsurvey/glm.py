@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, as_names
+from .data import Dataset, as_bool, as_names
 from .elcore import damped_newton
 from .errors import ConvergenceError, DataError
 
@@ -35,6 +35,7 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise DataError(f"ModelSpec: unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "terms", as_names(self.terms, "ModelSpec: terms"))
+        object.__setattr__(self, "intercept", as_bool(self.intercept, "ModelSpec: intercept"))
         if not self.intercept and not self.terms:
             raise DataError("ModelSpec: model has no intercept and no terms")
 

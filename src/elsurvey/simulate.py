@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .data import ConstraintEntry, ConstraintSpec, Dataset, as_names, as_tuple, make_dataset
-from .errors import ConvergenceError, DataError, InfeasibleError
-from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
+from .data import ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_tuple, make_dataset
+from .errors import DataError
+from .estimators import ESTIMATORS, FitProblem
 from .glm import FAMILIES, ModelSpec
 from .visibility import VisibilitySpec
 
@@ -111,6 +111,8 @@ def _sampling_design(design) -> dict:
         if not (0.0 < lo <= hi <= 1.0):
             key = "hi" if 0.0 < lo <= 1.0 else "lo"
             raise DataError(f"DesignSpec: design.{key}: a poisson design needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
+        if "mask_latent" in out:
+            out["mask_latent"] = as_bool(out["mask_latent"], "DesignSpec: design.mask_latent")
         coeffs = out.get("coeffs", {})
         if not isinstance(coeffs, dict):
             raise DataError(f"DesignSpec: design.coeffs must map column names to numbers, got {coeffs!r}")
@@ -168,6 +170,8 @@ class DesignSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "N", int(self.N))
+        for key in ("intercept", "fixed_population"):
+            object.__setattr__(self, key, as_bool(getattr(self, key), f"DesignSpec: {key}"))
         if self.N < 2:
             raise DataError("DesignSpec: N must be at least 2")
         if self.family not in FAMILIES:
@@ -368,25 +372,21 @@ def population_constraint_spec(population: Dataset, spec: DesignSpec) -> Constra
 
 
 def _replicate(spec: DesignSpec, estimators, pop_seed: int, sample_seed: int, population=None):
-    out = {}
     try:
         pop = population if population is not None else gen_population(spec, pop_seed)
         constraints = population_constraint_spec(pop, spec)
-        sample = draw_sample(pop, spec, sample_seed)
-        needs_vis = any(name in NEEDS_VISIBILITY for name in estimators)
-        vis = spec.visibility.resolve(sample) if needs_vis else None
-    except (DataError, InfeasibleError, ConvergenceError) as exc:
-        return {name: {"error": f"{type(exc).__name__}: {exc}"} for name in estimators}
-    problem = FitProblem(sample, spec.model, constraints, vis)
+        problem = FitProblem(draw_sample(pop, spec, sample_seed), spec.model, constraints, spec.visibility)
+    except DataError as exc:
+        return {name: {"error": f"DataError: {exc}"} for name in estimators}
+    out = {}
     for name in estimators:
         try:
             fit = problem.fit(name)
-            if fit.diagnostics.get("converged", False):
-                out[name] = {"theta": fit.theta, "se": fit.se}
-            else:
-                out[name] = {"error": f"not converged: {fit.diagnostics.get('failure', 'unknown')}"}
-        except (DataError, InfeasibleError, ConvergenceError) as exc:
-            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+        except DataError as exc:
+            out[name] = {"error": f"DataError: {exc}"}
+        else:
+            out[name] = ({"theta": fit.theta, "se": fit.se} if fit.diagnostics["converged"]
+                         else {"error": f"not converged: {fit.diagnostics['failure']}"})
     return out
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_names
-from .errors import DataError
+from .data import Dataset, as_bool, as_names
+from .errors import ConvergenceError, DataError
 from .glm import irls_fit
 
 VISIBILITY_MODES = ("given-pi", "gamma-regression")
@@ -48,6 +48,10 @@ class VisibilityModel:
         object.__setattr__(self, "bp", bp)
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "formula_columns", tuple(self.formula_columns))
+
+    def resolve(self, data: Dataset) -> VisibilityModel:
+        """This model, as a visibility source already resolved (see :meth:`VisibilitySpec.resolve`)."""
+        return self
 
 
 def visibility_from_pi(data: Dataset) -> VisibilityModel:
@@ -89,7 +93,10 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
     # bp is scale-free, so fit at mean one; the normalized d would otherwise
     # put the Gamma coefficients at 1/n scale and trip the divergence guard
     response = response / response.mean()
-    alpha = irls_fit("gamma-inverse", response, X)
+    try:
+        alpha = irls_fit("gamma-inverse", response, X)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"estimate_visibility: {exc}") from None
     fitted = 1.0 / (X @ alpha)
     if nf is not None:
         fitted = fitted * nf
@@ -109,6 +116,7 @@ class VisibilitySpec:
     def __post_init__(self):
         if self.mode not in VISIBILITY_MODES:
             raise DataError(f"unknown visibility mode {self.mode!r}; expected one of {VISIBILITY_MODES}")
+        object.__setattr__(self, "nf_adjust", as_bool(self.nf_adjust, "VisibilitySpec: nf_adjust"))
         if self.formula is not None:
             object.__setattr__(self, "formula", as_names(self.formula, "visibility formula"))
 

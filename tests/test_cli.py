@@ -4,7 +4,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SEPARATED_LOGIT, dataset_from
-from elsurvey.cli import parse_config, run_command, write_dataset_csv
+import elsurvey
+from elsurvey.cli import OVERRIDES, parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
 from elsurvey.errors import ConfigError
 from elsurvey.estimators import ESTIMATORS
@@ -187,7 +192,9 @@ def test_fit_infeasible_constraint_exits_2_with_partial_results(tmp_path):
     assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
     results = json.loads((out / "fit.json").read_text())
     assert results["pl"]["diagnostics"]["converged"] is True
-    assert "error" in results["cs"] and "Infeasible" in results["cs"]["error"]
+    cs = results["cs"]["diagnostics"]
+    assert cs["converged"] is False and cs["failure"].startswith("InfeasibleError: ")
+    assert results["cs"]["theta"] == [None] * 3 and cs["coef_names"] == ["intercept", "x", "v"]
 
 
 def test_fit_unknown_estimator_fails_before_loading(tmp_path, capsys):
@@ -238,7 +245,35 @@ def test_fit_on_a_separated_logit_sample_exits_2_and_writes_fit_json(tmp_path, c
     fits = json.loads((out / "fit.json").read_text())
     assert list(fits) == list(ESTIMATORS)
     for name, fit in fits.items():
-        assert "error" in fit or fit["diagnostics"]["converged"] is False, name
+        assert fit["diagnostics"]["converged"] is False and fit["theta"] == [None] * 2, name
+
+
+TINY = "estimate_visibility: irls_fit: parameter norm exceeded 1e3"  # a visibility on a column v moves by 1e-5
+
+
+def test_a_failed_visibility_regression_fails_only_the_fits_that_read_it(tmp_path):
+    _, sample, gammas = _informative_sample(tmp_path, N=900)
+    data_path, out = tmp_path / "tiny.csv", tmp_path / "run"
+    write_dataset_csv(str(data_path), dataset_from(dict(sample.columns, tiny=1.0 + 1e-5 * sample.columns["v"])))
+    cfg = _fit_config(data_path, out, gammas, visibility={"mode": "gamma-regression", "formula": ["tiny"]},
+                      estimators=list(ESTIMATORS))
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 2
+    fits = json.loads((out / "fit.json").read_text())
+    assert [fits[name]["diagnostics"]["converged"] for name in ESTIMATORS] == [True, True, False, False]
+    assert fits["ce"]["diagnostics"]["failure"].startswith(f"ConvergenceError: {TINY}")
+    assert fits["ce-joint"]["diagnostics"]["failure"].startswith(f"ce fit failed: ConvergenceError: {TINY}")
+
+
+def test_mc_counts_the_fits_that_read_no_visibility_when_its_regression_fails(tmp_path):
+    out = tmp_path / "mc"
+    cfg = _mc_config(tmp_path, out, reps=4)
+    cfg["design"]["covariates"].append({"name": "tiny", "dist": "map", "params": ["v", [0.0, 1.0], [1.0, 1.00001]]})
+    cfg["design"]["visibility"] = {"mode": "gamma-regression", "formula": ["tiny"]}
+    cfg["estimators"] = ["pl", "cs", "ce"]
+    assert run_command(["mc", "--config", _write_config(tmp_path, cfg)]) == 2
+    summary = json.loads((out / "mc.json").read_text())["estimators"]
+    assert [summary[name]["n_converged"] for name in ("pl", "cs", "ce")] == [4, 4, 0]
+    assert all(f.startswith(f"not converged: ConvergenceError: {TINY}") for f in summary["ce"]["failures"])
 
 
 def test_fit_unknown_visibility_mode_exits_1(tmp_path, capsys):
@@ -417,6 +452,8 @@ def test_fit_gamma_regression_formula_defaults_to_the_design_role(tmp_path):
     ("solver", "newton_max_iter", 2.5, "solver.newton_max_iter must be an integer"),
     ("model", "terms", "xv", "section 'model': ModelSpec: terms must be a list"),
     ("visibility", "formula", "v", "section 'visibility': visibility formula must be a list"),
+    ("model", "intercept", "false", "section 'model': ModelSpec: intercept must be true or false, got 'false'"),
+    ("visibility", "nf_adjust", "false", "section 'visibility': VisibilitySpec: nf_adjust must be true or false"),
 ])
 def test_fit_rejects_wrong_typed_values_before_fitting(tmp_path, capsys, section, key, value, message):
     data_path, _, gammas = _informative_sample(tmp_path, N=900)
@@ -510,8 +547,12 @@ def test_a_nested_list_of_column_names_exits_1(tmp_path, capsys, command, sectio
      "DesignSpec: design.family_sizes.values must be at least 1, got (0.5, 2.0)"),
     (("covariates", 0), "params", None, "CovariateSpec 'x': params must be a list, got None"),
     (("covariates", 0), "params", -1, "CovariateSpec 'x': params must be a list, got -1"),
+    ((), "intercept", "false", "DesignSpec: intercept must be true or false, got 'false'"),
+    ((), "fixed_population", "no", "DesignSpec: fixed_population must be true or false, got 'no'"),
+    (("design",), "mask_latent", "false", "DesignSpec: design.mask_latent must be true or false, got 'false'"),
 ], ids=["lo", "coeffs", "rates", "bernoulli", "normal", "choice", "dummies", "lo out of range",
-        "hi out of range", "rates out of range", "family sizes out of range", "null params", "negative params"])
+        "hi out of range", "rates out of range", "family sizes out of range", "null params", "negative params",
+        "intercept", "fixed population", "mask latent"])
 def test_a_bad_value_in_the_design_section_exits_1_before_any_replicate(tmp_path, capsys, path, key, value, message):
     out = tmp_path / "mc"
     cfg = _mc_config(tmp_path, out, reps=2)
@@ -532,6 +573,44 @@ def test_an_out_of_range_design_value_exits_1_naming_it_before_any_replicate(tmp
     assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
     assert "DesignSpec: design.hi: a poisson design needs 0 < lo <= hi <= 1, got (0.3, -1.0)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", OVERRIDES)
+def test_an_integer_key_set_to_true_exits_1(tmp_path, capsys, key):
+    out = tmp_path / "mc"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg[key] = True
+    assert run_command(["mc", "--config", _write_config(tmp_path, cfg)]) == 1
+    assert f"parse_config: {key!r} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _data_path_config(tmp_path, path):
+    return {"data": {"path": path, "schema": {"response": "y", "family": "fam"}},
+            "model": {"family": "bernoulli-logit"}, "seed": 1, "output": {"path": str(tmp_path / "run")}}
+
+
+@pytest.mark.parametrize("command", ["fit", "decluster"])
+@pytest.mark.parametrize("path", [None, ["a"], -1])
+def test_a_data_path_that_is_not_a_string_exits_1(tmp_path, capsys, command, path):
+    cfg = _data_path_config(tmp_path, path)
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert f"parse_config: data.path must be a file name, got {path!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "decluster"])
+@pytest.mark.parametrize("path", [0, True])
+def test_a_data_path_that_names_a_file_descriptor_exits_1(tmp_path, command, path):
+    # In a child process: open(0) and open(True) read stdin and stdout, and close them.
+    config = _write_config(tmp_path, _data_path_config(tmp_path, path))
+    src = str(Path(elsurvey.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "elsurvey", command, "--config", config], env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert f"parse_config: data.path must be a file name, got {path!r}" in proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def _fuzz_configs(root):
@@ -558,18 +637,20 @@ def _fuzz_configs(root):
               "design": dict(spec.design), "terms": ["x", "v"], "intercept": True, "dummies": {"x": [1.0]},
               "constraints": subgroups, "visibility": visibility, "fixed_population": False,
               "fit_terms": ["x", "v"], "estimand": [-0.9, 0.8, 1.4]}
-    mc = {"design": design, "estimators": ["pl", "cs", "ce"], "seed": 3, "reps": 2}
+    mc = {"design": design, "estimators": ["pl", "cs", "ce"], "seed": 3, "reps": 2, "jobs": 1}
     return {"fit": fit, "mc": mc}
 
 
 def _fuzz_keys(cfg):
-    """``(section path, key)`` of every key of the sections the fuzz mutates."""
-    paths = [(name,) for name in ("model", "visibility", "solver", "design") if name in cfg]
+    """``(section path, key)`` of every key of the sections the fuzz mutates, and of the integer keys."""
+    paths = [(name,) for name in ("data", "model", "visibility", "solver", "design") if name in cfg]
     paths += [("constraints", i) for i in range(len(cfg.get("constraints", [])))]
+    if "data" in cfg:
+        paths += [("data", "schema")]
     if "design" in cfg:
         paths += [("design", "visibility"), ("design", "design")]
-        paths += [("design", "covariates", i) for i in range(len(cfg["design"]["covariates"]))]
-    keys = []
+        paths += [("design", key, i) for key in ("covariates", "constraints") for i in range(len(cfg["design"][key]))]
+    keys = [((), key) for key in OVERRIDES if key in cfg]
     for path in paths:
         section = cfg
         for step in path:
@@ -592,7 +673,7 @@ def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(fuzz_configs, t
     command = data.draw(st.sampled_from(["fit", "mc"]))
     cfg = copy.deepcopy(fuzz_configs[command])
     path, key = data.draw(st.sampled_from(_fuzz_keys(cfg)))
-    value = data.draw(st.sampled_from([_DROP, "abc", ["a"], None, -1]))
+    value = data.draw(st.sampled_from([_DROP, "abc", ["a"], None, -1, True]))
     section = cfg
     for step in path:
         section = section[step]

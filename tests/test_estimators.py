@@ -151,10 +151,12 @@ def test_cs_matches_grid_profile_on_small_instance(rng):
 
 
 def test_cs_infeasible_constraint_raises(rng):
+    # The InfeasibleError of step 1 comes back as a flagged fit, not raised.
     data = _logistic_data(rng, n=40)
     bad = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=5.0),))
-    with pytest.raises(InfeasibleError):
-        fit_cs(data, MODEL, bad)
+    res = fit_cs(data, MODEL, bad)
+    assert not res.diagnostics["converged"] and res.diagnostics["failure"].startswith("InfeasibleError: ")
+    assert np.all(np.isnan(res.theta)) and np.all(np.isnan(res.se)) and np.all(np.isnan(res.covariance))
 
 
 def test_cs_step_two_failure_keeps_weights_and_flags(rng):
@@ -341,11 +343,28 @@ def test_separated_logit_samples_fail_in_irls_fit_and_in_every_estimator(case):
             irls_fit("bernoulli-logit", data.y, design_matrix(MODEL, data), case_weights=case_weights)
     problem = FitProblem(data, MODEL, NO_CONSTRAINTS, visibility_from_pi(data))
     for name in ESTIMATORS:
-        try:
-            res = problem.fit(name)
-        except ConvergenceError:
-            continue
-        assert not res.diagnostics["converged"], name
+        res = problem.fit(name)
+        assert not res.diagnostics["converged"] and np.all(np.isnan(res.theta)), name
+
+
+@pytest.mark.parametrize("case", SEPARATED_LOGIT)
+def test_a_problem_fits_each_estimator_once_and_flags_a_failed_start_in_each(monkeypatch, case):
+    # The failed irls_fit start is kept, not rerun per estimator, and ce-joint copies the ce fit:
+    # one irls_fit and one solve_el per problem.  pl and cs keep their step-1 weights.
+    data = dataset_from(SEPARATED_LOGIT[case], response="y", pi="pi")
+    calls = []
+    for name in ("irls_fit", "solve_el"):
+        real = getattr(estimators, name)
+        monkeypatch.setattr(estimators, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    problem = FitProblem(data, MODEL, NO_CONSTRAINTS, visibility_from_pi(data))
+    fits = [problem.fit(name) for name in ESTIMATORS]
+    assert all(problem.fit(name) is fit for name, fit in zip(ESTIMATORS, fits))
+    assert sorted(calls) == ["irls_fit", "solve_el"]
+    for fit in fits:
+        prefix = "ce fit failed: " if fit.estimator == "ce-joint" else ""
+        assert fit.diagnostics["failure"].startswith(prefix + "design-weighted start failed: irls_fit: "), fit.estimator
+        assert np.isclose(fit.weights.sum(), 1.0) and np.all(fit.weights > 0), fit.estimator
+    np.testing.assert_array_equal(fits[0].weights, data.d)
 
 
 def test_newton_solve_score_rejects_a_non_finite_weight(rng):

@@ -304,6 +304,20 @@ def test_monte_carlo_deterministic_across_worker_counts():
     assert a.as_dict() == b.as_dict()
 
 
+def test_a_fixed_population_serves_every_replicate(monkeypatch):
+    spec = _basic_spec(N=800, fixed_population=True)
+    seeds = []
+    real = simulate.gen_population
+    monkeypatch.setattr(simulate, "gen_population", lambda s, seed: seeds.append(seed) or real(s, seed))
+    fixed = run_monte_carlo(spec, ("pl", "cs"), reps=12, seed=5, jobs=1).as_dict()
+    assert len(seeds) == 1
+    monkeypatch.undo()
+    assert run_monte_carlo(spec, ("pl", "cs"), reps=12, seed=5, jobs=2).as_dict() == fixed
+    fresh = run_monte_carlo(_basic_spec(N=800), ("pl", "cs"), reps=12, seed=5, jobs=1).as_dict()
+    assert fresh["estimators"]["pl"]["n_converged"] == fixed["estimators"]["pl"]["n_converged"] == 12
+    assert fresh["estimators"]["pl"]["mean"] != fixed["estimators"]["pl"]["mean"]
+
+
 def _recording_pool(monkeypatch, cpus):
     """Put into ``simulate`` a stand-in for ``ProcessPoolExecutor`` that starts no process, runs
     in-process and records ``(max_workers, chunksize)``, and a machine of ``cpus`` CPUs."""
