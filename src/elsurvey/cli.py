@@ -3,6 +3,8 @@
 Runs are described by a JSON config (strictly validated: unknown keys are
 rejected at every level, with the offending section named) plus a few
 command-line overrides (``--seed``, ``--out``, ``--reps``, ``--jobs``).
+:func:`parse_config` builds each section that describes a package object
+into that object, once; the commands use the built specs.
 Artifacts are written as JSON and CSV; floats are serialized with 17
 significant digits so results round-trip exactly.  Large arrays are
 formatted and streamed to the file in bounded chunks, with the same bytes a
@@ -24,7 +26,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
 from itertools import repeat
 
 import numpy as np
@@ -35,20 +37,16 @@ from .data import ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, decluster
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
 from .glm import ModelSpec
-from .simulate import (CovariateSpec, DesignSpec, draw_sample, gen_population,
-                       population_constraint_spec, run_monte_carlo)
+from .simulate import DesignSpec, draw_sample, gen_population, population_constraint_spec, run_monte_carlo
 from .visibility import VisibilitySpec
 
-# A section that builds a package object (model, constraints, visibility, design) takes its class's fields.
 FIT_SECTIONS = ("data", "model", "constraints", "visibility", "solver")  # read by fit alone
 OVERRIDES = ("seed", "reps", "jobs")  # integer config keys that a command-line flag of the same name sets
 TOP_KEYS = FIT_SECTIONS + OVERRIDES + ("estimators", "output", "design")
 DATA_KEYS = ("path", "schema")
-SOLVER_KEYS = ("el_tol", "el_max_iter", "newton_tol", "newton_max_iter")
+# FitProblem's solver settings: the fields with a number default
+SOLVER_KEYS = tuple(f.name for f in fields(FitProblem) if isinstance(f.default, (int, float)))
 OUTPUT_KEYS = ("path", "format")
-SAMPLING_KEYS = {  # design.design: kind -> (allowed keys, required keys)
-    "poisson": (("kind", "lo", "hi", "const", "coeffs", "response_coef", "latent_sd", "mask_latent"), ("lo", "hi")),
-    "two-strata": (("kind", "column", "rates", "family_sizes"), ("column", "rates"))}
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +177,26 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _check_fields(section: dict, cls, where: str, optional=()) -> None:
-    """Check that ``section`` holds only fields of ``cls``, and each one that has no default and is not ``optional``."""
+def _build(cls, section, where: str):
+    """``cls(**section)`` for a section holding only fields of ``cls``; a TypeError or ValueError that the
+    constructor raises is a ConfigError naming ``where``."""
     _check_keys(section, [f.name for f in fields(cls)], where)
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in optional:
-            _need(section, f.name, where)
-
-
-def _check_list(section: dict, key: str, cls, where: str, optional=()) -> None:
-    """Check that ``section[key]``, if given, is a list of sections that :func:`_check_fields` accepts."""
-    if not isinstance(section.get(key, []), list):
-        raise ConfigError(f"parse_config: {where!r} must be a list")
-    for i, entry in enumerate(section.get(key, [])):
-        _check_fields(entry, cls, f"{where}[{i}]", optional)
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parse_config: section {where!r}: {exc}") from exc
 
 
 def parse_config(source) -> dict:
     """Parse and strictly validate a run config (path or already-loaded dict).
 
     Unknown keys anywhere in the document are rejected with the section
-    named.  Returns the validated raw dict; objects are materialized by the
-    individual commands.
+    named.  Returns a copy of the config in which ``model``, ``visibility``
+    and ``design`` are a :class:`ModelSpec`, a :class:`VisibilitySpec` and a
+    :class:`DesignSpec`, and ``constraints`` a :class:`ConstraintSpec`, each
+    built once, here, by constructors that check their own values; a value
+    one rejects is a :class:`ConfigError` naming the section.  The other
+    sections are returned as read.
     """
     if isinstance(source, str):
         try:
@@ -213,6 +209,7 @@ def parse_config(source) -> dict:
     else:
         cfg = source
     _check_keys(cfg, TOP_KEYS, "top level")
+    cfg = dict(cfg)
     if "data" in cfg:
         _check_keys(cfg["data"], DATA_KEYS, "data")
         path = _need(cfg["data"], "path", "data")
@@ -220,17 +217,16 @@ def parse_config(source) -> dict:
             raise ConfigError(f"parse_config: data.path must be a file name, got {path!r}")
         schema = _need(cfg["data"], "schema", "data")
         _check_keys(schema, ROLE_KEYS, "data.schema")
-    if "model" in cfg:
-        _check_fields(cfg["model"], ModelSpec, "model")
-    _check_list(cfg, "constraints", ConstraintEntry, "constraints")
-    if "visibility" in cfg:
-        _check_fields(cfg["visibility"], VisibilitySpec, "visibility")
+    for key, cls in (("model", ModelSpec), ("visibility", VisibilitySpec), ("design", DesignSpec)):
+        if key in cfg:
+            cfg[key] = _build(cls, cfg[key], key)
+    if "constraints" in cfg:
+        if not isinstance(cfg["constraints"], list):
+            raise ConfigError("parse_config: 'constraints' must be a list")
+        cfg["constraints"] = ConstraintSpec(tuple(_build(ConstraintEntry, entry, f"constraints[{i}]")
+                                                  for i, entry in enumerate(cfg["constraints"])))
     if "solver" in cfg:
         _check_keys(cfg["solver"], SOLVER_KEYS, "solver")
-        for key, value in cfg["solver"].items():
-            kind = int if key.endswith("max_iter") else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"parse_config: solver.{key} must be {'an integer' if kind is int else 'a number'}")
     if "output" in cfg:
         _check_keys(cfg["output"], OUTPUT_KEYS, "output")
         fmt = cfg["output"].get("format", "both")
@@ -245,20 +241,6 @@ def parse_config(source) -> dict:
     for key in OVERRIDES:
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
             raise ConfigError(f"parse_config: {key!r} must be an integer")
-    if "design" in cfg:
-        d = cfg["design"]
-        _check_fields(d, DesignSpec, "design")
-        _check_list(d, "covariates", CovariateSpec, "design.covariates")
-        kind = _need(d["design"], "kind", "design.design")
-        if kind not in tuple(SAMPLING_KEYS):  # a tuple: the JSON value may be unhashable
-            raise ConfigError(f"parse_config: design.design.kind must be poisson or two-strata, got {kind!r}")
-        allowed, required = SAMPLING_KEYS[kind]
-        _check_keys(d["design"], allowed, "design.design")
-        for key in required:
-            _need(d["design"], key, "design.design")
-        _check_list(d, "constraints", ConstraintEntry, "design.constraints", optional=("gamma",))
-        if d.get("visibility") is not None:
-            _check_fields(d["visibility"], VisibilitySpec, "design.visibility")
     return cfg
 
 
@@ -277,20 +259,12 @@ def _seed(cfg: dict, command: str) -> int:
     return seed
 
 
-def _build(cls, section: dict, where: str):
-    """``cls(**section)``, with a TypeError or ValueError it raises reported as a ConfigError naming ``where``."""
-    try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"run: section {where!r}: {exc}") from exc
-
-
 def _design(cfg: dict, command: str) -> DesignSpec:
     """The ``design`` section of ``simulate`` and ``mc``, which read no section of :data:`FIT_SECTIONS`."""
     for key in FIT_SECTIONS:
         if key in cfg:
             raise ConfigError(f"run {command}: section {key!r} is read by fit only; {command} reads 'design'")
-    return _build(DesignSpec, _required(cfg, "design", command), "design")
+    return _required(cfg, "design", command)
 
 
 def _outdir(cfg: dict) -> str:
@@ -314,12 +288,10 @@ def _write_outputs(cfg: dict, stem: str, payload, header, rows) -> None:
 
 def _cmd_fit(cfg: dict) -> int:
     source = _required(cfg, "data", "fit")
-    model = _build(ModelSpec, _required(cfg, "model", "fit"), "model")
-    constraints = ConstraintSpec(tuple(_build(ConstraintEntry, entry, f"constraints[{i}]")
-                                       for i, entry in enumerate(cfg.get("constraints", []))))
-    visibility = _build(VisibilitySpec, cfg.get("visibility", {"mode": "given-pi"}), "visibility")
+    model = _required(cfg, "model", "fit")
     data = load_dataset(source["path"], source["schema"])
-    problem = FitProblem(data, model, constraints, visibility, **cfg.get("solver", {}))
+    problem = FitProblem(data, model, cfg.get("constraints", ConstraintSpec()),
+                         cfg.get("visibility", VisibilitySpec("given-pi")), **cfg.get("solver", {}))
     problem.cm  # fail fast on unknown constraint columns before any fitting work
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
     if any(n in NEEDS_VISIBILITY for n in names):

@@ -11,6 +11,7 @@ by :class:`ConstraintSpec` and materialized as an ``n x q`` residual matrix by
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -100,6 +101,18 @@ def as_bool(value, what: str) -> bool:
     if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
         return bool(value)
     raise DataError(f"{what} must be true or false, got {value!r}")
+
+
+def as_number(value, what: str) -> float:
+    """``float(value)`` for a number config value; a boolean, a value ``float`` rejects, and NaN or an
+    infinity (JSON's ``NaN`` and ``Infinity`` give them) are rejected."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(number):
+        raise DataError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _validate_roles(roles: dict, columns: dict) -> dict:
@@ -382,9 +395,7 @@ class ConstraintEntry:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise DataError(f"constraint: unknown kind {self.kind!r}; expected one of {CONSTRAINT_KINDS}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not np.isfinite(self.gamma):
-            raise DataError(f"constraint on {self.target_column!r}: gamma must be finite")
+        object.__setattr__(self, "gamma", as_number(self.gamma, f"constraint on {self.target_column!r}: gamma"))
         if self.kind == "general-moment":
             object.__setattr__(self, "group_column", None)
             object.__setattr__(self, "group_value", None)
@@ -393,7 +404,8 @@ class ConstraintEntry:
                 f"constraint on {self.target_column!r}: subgroup-moment needs group_column and group_value"
             )
         else:
-            object.__setattr__(self, "group_value", float(self.group_value))
+            object.__setattr__(self, "group_value", as_number(
+                self.group_value, f"constraint on {self.target_column!r}: group_value"))
         if not isinstance(self.target_column, str) or not isinstance(self.group_column or "", str):
             raise DataError(f"constraint: column names must be strings: {self.target_column!r}, {self.group_column!r}")
 

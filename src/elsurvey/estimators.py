@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import ConstraintMatrix, ConstraintSpec, Dataset, build_constraint_matrix
+from .data import ConstraintMatrix, ConstraintSpec, Dataset, as_number, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError, InfeasibleError
 from .glm import ModelSpec, _solve_score, design_matrix, irls_fit
@@ -83,6 +83,8 @@ class FitProblem:
     built on first use and kept; ``ce-joint`` is a copy of the ``ce`` fit.
     ``vis`` is the visibility source, a :class:`VisibilitySpec` or a
     :class:`VisibilityModel`; only :data:`NEEDS_VISIBILITY` resolve it.
+    Its solver settings are checked when it is built: the tolerances are
+    positive numbers, the iteration caps integers of at least 0.
     """
 
     data: Dataset
@@ -94,6 +96,17 @@ class FitProblem:
     newton_tol: float = 1e-10
     newton_max_iter: int = 100
     _fits: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("el_tol", "newton_tol"):
+            tol = as_number(getattr(self, name), f"FitProblem: {name}")
+            if not tol > 0.0:
+                raise DataError(f"FitProblem: {name} must be positive, got {tol!r}")
+            setattr(self, name, tol)
+        for name in ("el_max_iter", "newton_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise DataError(f"FitProblem: {name} must be an integer of at least 0, got {value!r}")
 
     @cached_property
     def cm(self) -> ConstraintMatrix:

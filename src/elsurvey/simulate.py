@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .data import ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_tuple, make_dataset
+from .data import ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_number, as_tuple, make_dataset
 from .errors import DataError
 from .estimators import ESTIMATORS, FitProblem
 from .glm import FAMILIES, ModelSpec
@@ -28,16 +28,10 @@ from .visibility import VisibilitySpec
 GAMMA_SHAPE = 5.0  # shape of the gamma outcome; only the mean enters the estimand
 COVARIATE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("lo", "hi"), "bernoulli": ("p",),
                     "choice": ("values", "probs"), "map": ("source", "values", "outputs")}
-DESIGN_KINDS = ("poisson", "two-strata")
+DESIGN_KEYS = {  # the keys each kind of sampling design takes; _sampling_design reads the ones it needs
+    "poisson": ("kind", "lo", "hi", "const", "coeffs", "response_coef", "latent_sd", "mask_latent"),
+    "two-strata": ("kind", "column", "rates", "family_sizes")}
 PROBS_ATOL = np.sqrt(np.finfo(float).eps)  # how far from 1 numpy's Generator.choice lets probabilities sum
-
-
-def _float(value, what: str) -> float:
-    """``float(value)``, or a DataError naming ``what``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DataError(f"{what} must be a number, got {value!r}") from None
 
 
 def _floats(value, what: str, n: int | None = None) -> tuple[float, ...]:
@@ -45,7 +39,7 @@ def _floats(value, what: str, n: int | None = None) -> tuple[float, ...]:
     values = as_tuple(value, what)
     if n is not None and len(values) != n:
         raise DataError(f"{what} must be a list of {n} numbers, got {value!r}")
-    return tuple(_float(v, what) for v in values)
+    return tuple(as_number(v, what) for v in values)
 
 
 def _probabilities(value, n: int, what: str) -> tuple[float, ...]:
@@ -88,25 +82,31 @@ class CovariateSpec:
             values = _floats(params[1], f"{where}: map values")
             params = (params[0], values, _floats(params[2], f"{where}: map outputs", len(values)))
         else:
-            params = tuple(_float(v, f"{where}: {key}") for key, v in zip(names, params))
+            params = tuple(as_number(v, f"{where}: {key}") for key, v in zip(names, params))
             if self.dist == "normal" and not params[1] >= 0.0:
                 raise DataError(f"{where}: sd must be non-negative, got {params[1]!r}")
         object.__setattr__(self, "params", params)
 
 
 def _sampling_design(design) -> dict:
-    """A copy of the ``design`` of a :class:`DesignSpec`, with each value it reads checked, in range,
-    and its numbers as floats, so a bad value fails when the spec is built, before any replicate."""
+    """A copy of the ``design`` of a :class:`DesignSpec`, with its keys those of its kind in
+    :data:`DESIGN_KEYS`, each value it reads checked and in range, and its numbers as floats, so a bad
+    key or value fails when the spec is built, before any replicate."""
     if not isinstance(design, dict):
         raise DataError(f"DesignSpec: design must be a dict, got {design!r}")
     kind = design.get("kind")
-    if kind not in DESIGN_KINDS:
+    if kind not in tuple(DESIGN_KEYS):  # a tuple: kind may be unhashable
         raise DataError(f"DesignSpec: unknown sampling design kind {kind!r}")
+    unknown = [key for key in design if key not in DESIGN_KEYS[kind]]
+    if unknown:
+        raise DataError(f"DesignSpec: unknown key {unknown[0]!r} in a {kind} design; allowed: {DESIGN_KEYS[kind]}")
     out = dict(design)
     if kind == "poisson":
         for key in ("lo", "hi", "const", "response_coef", "latent_sd"):
             if key in out or key in ("lo", "hi"):
-                out[key] = _float(out.get(key), f"DesignSpec: design.{key}")
+                out[key] = as_number(out.get(key), f"DesignSpec: design.{key}")
+        if out.get("latent_sd", 0.0) < 0.0:
+            raise DataError(f"DesignSpec: design.latent_sd must be non-negative, got {out['latent_sd']!r}")
         lo, hi = out["lo"], out["hi"]
         if not (0.0 < lo <= hi <= 1.0):
             key = "hi" if 0.0 < lo <= 1.0 else "lo"
@@ -117,7 +117,7 @@ def _sampling_design(design) -> dict:
         if not isinstance(coeffs, dict):
             raise DataError(f"DesignSpec: design.coeffs must map column names to numbers, got {coeffs!r}")
         if coeffs:
-            out["coeffs"] = {name: _float(c, f"DesignSpec: design.coeffs[{name!r}]") for name, c in coeffs.items()}
+            out["coeffs"] = {name: as_number(c, f"DesignSpec: design.coeffs[{name!r}]") for name, c in coeffs.items()}
         return out
     if not isinstance(out.get("column"), str):
         raise DataError(f"DesignSpec: design.column must be a column name, got {out.get('column')!r}")
@@ -169,37 +169,80 @@ class DesignSpec:
     estimand: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "N", int(self.N))
+        N = as_number(self.N, "DesignSpec: N")
+        if N < 2 or N != int(N):
+            raise DataError(f"DesignSpec: N must be an integer of at least 2, got {self.N!r}")
+        object.__setattr__(self, "N", int(N))
         for key in ("intercept", "fixed_population"):
             object.__setattr__(self, key, as_bool(getattr(self, key), f"DesignSpec: {key}"))
-        if self.N < 2:
-            raise DataError("DesignSpec: N must be at least 2")
         if self.family not in FAMILIES:
             raise DataError(f"DesignSpec: unknown family {self.family!r}")
         object.__setattr__(self, "theta0", _floats(self.theta0, "DesignSpec: theta0"))
         covariates = tuple(c if isinstance(c, CovariateSpec) else CovariateSpec(**c)
                            for c in as_tuple(self.covariates, "DesignSpec: covariates"))
         object.__setattr__(self, "covariates", covariates)
-        terms = as_names(self.terms, "DesignSpec: terms") if self.terms else tuple(c.name for c in covariates)
+        terms = as_names(self.terms, "DesignSpec: terms") or tuple(c.name for c in covariates)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "dummies", {parent: _floats(values, f"DesignSpec: dummies[{parent!r}]")
                                              for parent, values in dict(self.dummies).items()})
         object.__setattr__(self, "constraints", tuple(dict(c) for c in self.constraints))
-        for c in self.constraints:
-            ConstraintEntry(**{"gamma": 0.0, **c})  # checks each entry's fields; its target waits for a population
         if not isinstance(self.visibility, VisibilitySpec):
-            object.__setattr__(self, "visibility", VisibilitySpec(**(self.visibility or {"mode": "given-pi"})))
+            object.__setattr__(self, "visibility", VisibilitySpec(
+                **({"mode": "given-pi"} if self.visibility is None else self.visibility)))
         p = len(terms) + (1 if self.intercept else 0)
         if len(self.theta0) != p:
             raise DataError(f"DesignSpec: theta0 has length {len(self.theta0)}, model needs {p}")
-        fit_terms = as_names(self.fit_terms, "DesignSpec: fit_terms") if self.fit_terms else terms
+        fit_terms = as_names(self.fit_terms, "DesignSpec: fit_terms") or terms
         object.__setattr__(self, "fit_terms", fit_terms)
-        estimand = _floats(self.estimand, "DesignSpec: estimand") if self.estimand else self.theta0
+        estimand = _floats(self.estimand, "DesignSpec: estimand") or self.theta0
         object.__setattr__(self, "estimand", estimand)
         p_fit = len(fit_terms) + (1 if self.intercept else 0)
         if len(estimand) != p_fit:
             raise DataError(f"DesignSpec: estimand has length {len(estimand)}, fitted model needs {p_fit}")
         object.__setattr__(self, "design", _sampling_design(self.design))
+        self._check_columns()
+
+    def _check_columns(self) -> None:
+        """Check each column name the spec reads against the columns generated before it is read: in the
+        population, the covariates in order, the dummies, ``y``, then ``latent`` or ``nf``, and ``pi``; the
+        sample holds the same, except that under ``mask_latent`` it holds ``w`` in place of ``latent`` and ``pi``."""
+        def check(names, columns, what):
+            for name in names:
+                if name not in columns:
+                    raise DataError(f"DesignSpec: {what} {name!r} is not a column generated before it is read "
+                                    f"({', '.join(columns)})")
+
+        columns = []
+        for c in self.covariates:
+            if c.dist == "map":
+                check([c.params[0]], columns, f"map covariate {c.name!r}: source")
+            columns.append(c.name)
+        check(self.dummies, columns, "dummies parent")
+        columns += [f"{parent}_{v:g}" for parent, values in self.dummies.items() for v in values]
+        check(self.terms, columns, "model term")
+        columns.append("y")
+        dsg = self.design
+        if dsg["kind"] == "poisson":
+            check(dsg.get("coeffs", {}), columns, "design.coeffs column")
+            if dsg.get("latent_sd", 0.0) > 0.0:
+                columns.append("latent")
+        else:
+            check([dsg["column"]], columns, "design.column")
+            if dsg.get("family_sizes"):
+                columns.append("nf")
+        columns.append("pi")
+        hidden = ("latent", "pi") if dsg.get("mask_latent", False) else ()
+        kept = [name for name in columns if name not in hidden]  # in the population and the sample
+        sample = kept + (["w"] if hidden else [])
+        check(self.fit_terms, kept, "fitted-model term")
+        for k, c in enumerate(self.constraints):
+            entry = ConstraintEntry(**{"gamma": 0.0, **c})  # checks its fields; its target waits for a population
+            names = [entry.target_column] + ([entry.group_column] if entry.group_column is not None else [])
+            check(names, sample if "gamma" in c else kept, f"constraints[{k}] column")
+        check(self.visibility.formula or (), sample, "visibility formula column")
+        if self.visibility.nf_adjust and "nf" not in sample:
+            raise DataError("DesignSpec: visibility nf_adjust reads an 'nf' column, which only a two-strata "
+                            "design with family_sizes generates")
 
     @property
     def model(self) -> ModelSpec:
@@ -237,20 +280,16 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
     for cov in spec.covariates:
         if cov.dist == "map":
             source, values, outputs = cov.params
-            if source not in columns:
-                raise DataError(f"gen_population: map covariate {cov.name!r} needs {source!r} first")
             src = columns[source]
             mapped = np.full(spec.N, np.nan)
             for v, o in zip(values, outputs):
-                mapped[src == float(v)] = float(o)
+                mapped[src == v] = o
             if np.isnan(mapped).any():
                 raise DataError(f"gen_population: map covariate {cov.name!r} leaves source values unmapped")
             columns[cov.name] = mapped
         else:
             columns[cov.name] = _draw_covariate(cov, spec.N, rng)
     for parent, values in spec.dummies.items():
-        if parent not in columns:
-            raise DataError(f"gen_population: dummies parent {parent!r} is not a covariate")
         for v in values:
             columns[f"{parent}_{v:g}"] = (columns[parent] == v).astype(float)
 
@@ -259,8 +298,6 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
     if spec.intercept:
         eta += coefs.pop(0)
     for name, coef in zip(spec.terms, coefs):
-        if name not in columns:
-            raise DataError(f"gen_population: model term {name!r} was never generated")
         eta += coef * columns[name]
     if spec.family == "bernoulli-logit":
         y = (rng.random(spec.N) < expit(eta)).astype(float)
@@ -275,13 +312,11 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
 
     dsg = spec.design
     if dsg["kind"] == "poisson":
-        lin = np.full(spec.N, float(dsg.get("const", 0.0)))
+        lin = np.full(spec.N, dsg.get("const", 0.0))
         for name, coef in dsg.get("coeffs", {}).items():
-            if name not in columns:
-                raise DataError(f"gen_population: sampling design column {name!r} was never generated")
             lin += coef * columns[name]
-        lin += float(dsg.get("response_coef", 0.0)) * y
-        sd = float(dsg.get("latent_sd", 0.0))
+        lin += dsg.get("response_coef", 0.0) * y
+        sd = dsg.get("latent_sd", 0.0)
         if sd > 0.0:
             columns["latent"] = rng.normal(0.0, sd, size=spec.N)
             lin += columns["latent"]
@@ -289,8 +324,6 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
         pi = lo + (hi - lo) * expit(lin)
     else:
         col = dsg["column"]
-        if col not in columns:
-            raise DataError(f"gen_population: strata column {col!r} was never generated")
         strata = columns[col]
         if not np.all((strata == 0.0) | (strata == 1.0)):
             raise DataError(f"gen_population: strata column {col!r} must be 0/1")
@@ -305,9 +338,6 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
             pi = pi / nf
     columns["pi"] = pi
 
-    for t in spec.fit_terms:
-        if t not in columns:
-            raise DataError(f"gen_population: fitted-model term {t!r} was never generated")
     roles = {"response": "y", "covariates": list(spec.fit_terms),
              "design": list(spec.design_columns()), "pi": "pi"}
     ds = make_dataset(columns, roles)
@@ -336,8 +366,7 @@ def draw_sample(population: Dataset, spec: DesignSpec, seed: int) -> Dataset:
     roles = {k: v for k, v in population.roles.items()}
     roles["covariates"] = list(population.roles["covariates"])
     roles["design"] = list(population.roles["design"])
-    mask = spec.design.get("kind") == "poisson" and spec.design.get("mask_latent", False)
-    if mask:
+    if spec.design.get("mask_latent", False):
         columns["w"] = 1.0 / columns["pi"]
         del columns["pi"]
         columns.pop("latent", None)
@@ -358,9 +387,6 @@ def population_constraint_spec(population: Dataset, spec: DesignSpec) -> Constra
     entries = []
     for c in spec.constraints:
         if "gamma" not in c:
-            for key in ("target_column", "group_column")[:1 + (c["kind"] == "subgroup-moment")]:
-                if c[key] not in population.columns:
-                    raise DataError(f"population_constraint_spec: {key} {c[key]!r} is not a population column")
             target = population.columns[c["target_column"]]
             if c["kind"] == "subgroup-moment":
                 target = target[population.columns[c["group_column"]] == c["group_value"]]

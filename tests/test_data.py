@@ -260,6 +260,9 @@ def test_constraint_entry_takes_config_values():
     assert (general.gamma, general.group_column, general.group_value) == (1.0, None, None)
     with pytest.raises(ValueError):
         ConstraintEntry("general-moment", "y", gamma="abc")
+    for gamma in (True, float("inf")):
+        with pytest.raises(DataError, match="constraint on 'y': gamma must be a finite number"):
+            ConstraintEntry("general-moment", "y", gamma=gamma)
 
 
 def test_vacuous_constraint_warned_and_flagged():

@@ -479,6 +479,16 @@ def test_fit_problem_builds_constraints_only_when_needed(rng):
         problem.fit("mle")
 
 
+@pytest.mark.parametrize("name, value, message", [
+    *[("el_tol", v, "must be positive") for v in (-1, 0)],
+    *[("el_tol", v, "must be a finite number") for v in (np.inf, np.nan, True)],
+    *[("newton_max_iter", v, "must be an integer of at least 0") for v in (-1, 2.5, True)],
+])
+def test_a_solver_setting_out_of_range_is_rejected_when_the_problem_is_built(rng, name, value, message):
+    with pytest.raises(DataError, match=f"FitProblem: {name} {message}"):
+        FitProblem(_logistic_data(rng, n=20), MODEL, **{name: value})
+
+
 # ---------------------------------------------------------------------------
 # ce-joint: the ce fit under its own name
 

@@ -173,8 +173,35 @@ def test_invalid_specs_are_rejected():
     (lambda: _basic_spec(design={"kind": "two-strata", "column": "v", "rates": (0.5, 0.5),
                                  "family_sizes": {"values": (1.0, 2.0), "probs": (0.5, 0.4)}}),
      "DesignSpec: design.family_sizes.probs must be non-negative and sum to 1"),
+    (lambda: _basic_spec(design={"kind": "poisson", "lo": 0.2, "hi": 0.4, "respone_coef": 2.0}),
+     "DesignSpec: unknown key 'respone_coef' in a poisson design"),
+    (lambda: _basic_spec(design={"kind": "poisson", "lo": 0.2, "hi": True}),
+     "DesignSpec: design.hi must be a finite number, got True"),
+    (lambda: _basic_spec(terms=("x", "vv")), "DesignSpec: model term 'vv' is not a column generated before it"),
+    (lambda: _basic_spec(fit_terms=("x", "latent")), "DesignSpec: fitted-model term 'latent' is not a column"),
+    (lambda: _basic_spec(design={"kind": "poisson", "lo": 0.2, "hi": 0.4, "coeffs": {"pi": 1.0}}),
+     "DesignSpec: design.coeffs column 'pi' is not a column generated before it is read (x, v, y)"),
+    (lambda: _basic_spec(design={"kind": "two-strata", "column": "z", "rates": (0.5, 0.5)}),
+     "DesignSpec: design.column 'z' is not a column"),
+    (lambda: _basic_spec(covariates=(CovariateSpec("z", "map", ("v", (0.0, 1.0), (1.0, 2.0))),
+                                     CovariateSpec("v", "bernoulli", (0.5,)))),
+     "DesignSpec: map covariate 'z': source 'v' is not a column generated before it is read ()"),
+    (lambda: _basic_spec(dummies={"w": (1.0,)}), "DesignSpec: dummies parent 'w' is not a column"),
+    (lambda: _basic_spec(visibility={"mode": "gamma-regression", "formula": ["pi"]},
+                         design={"kind": "poisson", "lo": 0.2, "hi": 0.4, "latent_sd": 1.0, "mask_latent": True}),
+     "DesignSpec: visibility formula column 'pi' is not a column generated before it is read (x, v, y, w)"),
+    (lambda: _basic_spec(visibility={"mode": "gamma-regression", "nf_adjust": True}),
+     "DesignSpec: visibility nf_adjust reads an 'nf' column"),
+    (lambda: _basic_spec(design={"kind": "poisson", "lo": 0.2, "hi": 0.4, "latent_sd": -1.0}),
+     "DesignSpec: design.latent_sd must be non-negative, got -1.0"),
+    (lambda: _basic_spec(N=float("inf")), "DesignSpec: N must be a finite number, got inf"),
+    (lambda: _basic_spec(N=400.5), "DesignSpec: N must be an integer of at least 2, got 400.5"),
+    (lambda: _basic_spec(terms=0), "DesignSpec: terms must be a list, got 0"),
+    (lambda: _basic_spec(estimand=0), "DesignSpec: estimand must be a list, got 0"),
 ], ids=["normal sd", "choice probs", "choice values", "map source", "name", "rates", "family sizes",
-        "family probs"])
+        "family probs", "misspelled design key", "design number true", "terms", "fit terms", "design coeffs",
+        "strata column", "map source order", "dummies parent", "visibility formula", "nf adjust", "latent sd",
+        "infinite N", "fractional N", "zero terms", "zero estimand"])
 def test_design_values_that_would_crash_a_replicate_are_rejected_when_built(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
         build()
