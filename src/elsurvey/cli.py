@@ -6,9 +6,10 @@ command-line overrides (``--seed``, ``--out``, ``--reps``, ``--jobs``).
 :func:`parse_config` builds each section that describes a package object
 into that object, once; the commands use the built specs.
 Artifacts are written as JSON and CSV; floats are serialized with 17
-significant digits so results round-trip exactly.  Large arrays are
-formatted and streamed to the file in bounded chunks, with the same bytes a
-whole-document writer gives.  A chunk is formatted by the exact kernel of
+significant digits so results round-trip exactly.  ``fit`` writes each
+estimator's per-unit weights bitwise to ``fit_weights.npz`` (one array per
+estimator, keyed by its name) beside ``fit.json``.  A dataset CSV is
+streamed ``CHUNK`` rows at a time, formatted by the exact kernel of
 ``_decimal.format_rows``, which gives the bytes of ``format(x, ".17g")`` for
 zero and every ``1e-11 <= |x| < 2**51``; a chunk holding any other value is
 formatted one value at a time.  CSV input is read by ``data.load_dataset``.
@@ -33,7 +34,8 @@ import numpy as np
 
 from . import __version__
 from ._decimal import format_rows
-from .data import ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, decluster, load_dataset
+from .data import (ROLE_KEYS, ConstraintEntry, ConstraintSpec, Dataset, build, check_keys, decluster,
+                   load_dataset)
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, NEEDS_VISIBILITY, FitProblem
 from .glm import ModelSpec
@@ -50,9 +52,9 @@ OUTPUT_KEYS = ("path", "format")
 
 
 # ---------------------------------------------------------------------------
-# JSON/CSV serialization with exact float round-trips, streamed in bounded chunks
+# JSON/CSV serialization with exact float round-trips; dataset CSVs streamed in bounded chunks
 
-CHUNK = 8192  # array values formatted per piece of streamed output
+CHUNK = 8192  # dataset rows formatted per piece of streamed output
 
 
 def _format_floats(values: np.ndarray) -> list[str]:
@@ -69,11 +71,8 @@ def _rows_text(*blocks) -> str:
 
 
 def _json_pieces(obj, pad: str = ""):
-    """Yield the indented JSON text of ``obj`` in pieces.
-
-    A 1-d float array is formatted ``CHUNK`` values at a time, so the text of
-    a large array never exists whole; non-finite floats become ``null``.
-    """
+    """Yield the indented JSON text of ``obj`` in pieces: an array as its nested lists, a non-finite
+    float as ``null``.  No artifact holds an n-vector (``fit_weights.npz`` holds the weights)."""
     if obj is None:
         yield "null"
     elif isinstance(obj, (bool, np.bool_)):
@@ -85,23 +84,8 @@ def _json_pieces(obj, pad: str = ""):
         yield format(x, ".17g") if np.isfinite(x) else "null"
     elif isinstance(obj, str):
         yield json.dumps(obj)
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-        inner = pad + "  "
-        sep = ",\n" + inner
-        for start in range(0, obj.size, CHUNK):
-            chunk = obj[start:start + CHUNK]
-            rows = format_rows(chunk)
-            if rows is not None:
-                text = _rows_text(rows, sep)[:-len(sep)]
-            else:
-                texts = _format_floats(chunk)
-                for k in np.flatnonzero(~np.isfinite(chunk)):
-                    texts[k] = "null"
-                text = sep.join(texts)
-            yield (",\n" if start else "[\n") + inner + text
-        yield "\n" + pad + "]"
     elif isinstance(obj, np.ndarray):
-        items = list(np.asarray(obj)) if obj.ndim > 1 else obj.tolist()
+        items = obj.tolist()
         if not isinstance(items, list):  # a 0-d array
             raise ConfigError(f"write_json: cannot serialize value of type {type(items).__name__}")
         yield from _json_pieces(items, pad)
@@ -163,14 +147,6 @@ def write_dataset_csv(path: str, data: Dataset) -> None:
 # ---------------------------------------------------------------------------
 # Config parsing
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"parse_config: section {where!r} must be an object")
-    unknown = [k for k in section if k not in allowed]
-    if unknown:
-        raise ConfigError(f"parse_config: unknown key {unknown[0]!r} in {where!r}; allowed keys: {sorted(allowed)}")
-
-
 def _need(section: dict, key: str, where: str):
     if not isinstance(section, dict) or key not in section:
         raise ConfigError(f"parse_config: missing required key {key!r} in {where!r}")
@@ -178,11 +154,10 @@ def _need(section: dict, key: str, where: str):
 
 
 def _build(cls, section, where: str):
-    """``cls(**section)`` for a section holding only fields of ``cls``; a TypeError or ValueError that the
-    constructor raises is a ConfigError naming ``where``."""
-    _check_keys(section, [f.name for f in fields(cls)], where)
+    """:func:`data.build` of ``cls`` from ``section``; a TypeError or ValueError it raises is a ConfigError
+    naming ``where``."""
     try:
-        return cls(**section)
+        return build(cls, section, where)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"parse_config: section {where!r}: {exc}") from exc
 
@@ -208,15 +183,15 @@ def parse_config(source) -> dict:
             raise ConfigError(f"parse_config: {source!r} is not valid JSON: {exc}") from exc
     else:
         cfg = source
-    _check_keys(cfg, TOP_KEYS, "top level")
+    check_keys(cfg, TOP_KEYS, "top level", ConfigError)
     cfg = dict(cfg)
     if "data" in cfg:
-        _check_keys(cfg["data"], DATA_KEYS, "data")
+        check_keys(cfg["data"], DATA_KEYS, "data", ConfigError)
         path = _need(cfg["data"], "path", "data")
         if not isinstance(path, str):
             raise ConfigError(f"parse_config: data.path must be a file name, got {path!r}")
         schema = _need(cfg["data"], "schema", "data")
-        _check_keys(schema, ROLE_KEYS, "data.schema")
+        check_keys(schema, ROLE_KEYS, "data.schema", ConfigError)
     for key, cls in (("model", ModelSpec), ("visibility", VisibilitySpec), ("design", DesignSpec)):
         if key in cfg:
             cfg[key] = _build(cls, cfg[key], key)
@@ -226,9 +201,9 @@ def parse_config(source) -> dict:
         cfg["constraints"] = ConstraintSpec(tuple(_build(ConstraintEntry, entry, f"constraints[{i}]")
                                                   for i, entry in enumerate(cfg["constraints"])))
     if "solver" in cfg:
-        _check_keys(cfg["solver"], SOLVER_KEYS, "solver")
+        check_keys(cfg["solver"], SOLVER_KEYS, "solver", ConfigError)
     if "output" in cfg:
-        _check_keys(cfg["output"], OUTPUT_KEYS, "output")
+        check_keys(cfg["output"], OUTPUT_KEYS, "output", ConfigError)
         fmt = cfg["output"].get("format", "both")
         if fmt not in ("json", "csv", "both"):
             raise ConfigError(f"parse_config: output.format must be json, csv, or both, got {fmt!r}")
@@ -273,12 +248,15 @@ def _outdir(cfg: dict) -> str:
     return path
 
 
-def _write_outputs(cfg: dict, stem: str, payload, header, rows) -> None:
-    """``{stem}.json`` and ``{stem}.csv`` in the output directory, as ``output.format`` asks."""
+def _write_outputs(cfg: dict, stem: str, payload, header, rows, weights=None) -> None:
+    """``{stem}.json`` and ``{stem}.csv`` in the output directory, as ``output.format`` asks; beside the
+    JSON, ``weights`` (a dict of arrays), if given, go bitwise to ``{stem}_weights.npz``."""
     out = _outdir(cfg)
     fmt = cfg.get("output", {}).get("format", "both")
     if fmt in ("json", "both"):
         write_json(os.path.join(out, f"{stem}.json"), payload)
+        if weights is not None:
+            np.savez(os.path.join(out, f"{stem}_weights.npz"), **weights)
     if fmt in ("csv", "both"):
         write_csv(os.path.join(out, f"{stem}.csv"), header, rows)
 
@@ -296,10 +274,11 @@ def _cmd_fit(cfg: dict) -> int:
     names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
     if any(n in NEEDS_VISIBILITY for n in names):
         problem.fit("ce")  # resolves the visibility first, so a bad source fails before any other fit
-    results = {name: vars(problem.fit(name)) for name in names}
+    results = {name: dict(vars(problem.fit(name))) for name in names}
+    weights = {name: payload.pop("weights") for name, payload in results.items()}
     rows = [[name, coef, payload["theta"][k], payload["se"][k]] for name, payload in results.items()
             for k, coef in enumerate(payload["diagnostics"]["coef_names"])]
-    _write_outputs(cfg, "fit", results, ["estimator", "coefficient", "estimate", "se"], rows)
+    _write_outputs(cfg, "fit", results, ["estimator", "coefficient", "estimate", "se"], rows, weights)
     return 0 if all(payload["diagnostics"]["converged"] for payload in results.values()) else 2
 
 

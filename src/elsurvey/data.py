@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,6 +113,25 @@ def as_number(value, what: str) -> float:
     if isinstance(value, (bool, np.bool_)) or not math.isfinite(number):
         raise DataError(f"{what} must be a finite number, got {value!r}")
     return number
+
+
+def check_keys(section, allowed, where: str, error: type[ValueError] = DataError) -> None:
+    """An ``error`` naming ``where`` unless ``section`` is a dict whose keys are all in ``allowed``."""
+    if not isinstance(section, dict):
+        raise error(f"section {where!r} must be an object")
+    unknown = [k for k in section if k not in allowed]
+    if unknown:
+        raise error(f"unknown key {unknown[0]!r} in {where!r}; allowed keys: {sorted(allowed)}")
+
+
+def build(cls, section, where: str):
+    """``cls(**section)`` for a dict ``section`` that holds only fields of the dataclass ``cls``; a
+    missing field, like any key :func:`check_keys` rejects, is a DataError naming ``where``."""
+    check_keys(section, [f.name for f in fields(cls)], where)
+    try:
+        return cls(**section)
+    except TypeError as exc:
+        raise DataError(f"{exc} in {where!r}") from exc
 
 
 def _validate_roles(roles: dict, columns: dict) -> dict:

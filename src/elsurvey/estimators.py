@@ -52,7 +52,8 @@ class EstimateResult:
     dual vector of the weight step (empty for ``pl``), ``Bp_hat`` the
     estimated normalizing constant of the composite criterion (None for
     ``pl``/``cs``), and ``logEL`` the weight-step objective at the solution.
-    ``fit.json`` holds each fit's fields in this order.
+    ``fit.json`` holds each fit's fields in this order, except ``weights``,
+    which ``fit_weights.npz`` holds.
     """
 
     estimator: str

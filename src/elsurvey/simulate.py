@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .data import ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_number, as_tuple, make_dataset
+from .data import (ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_number, as_tuple, build,
+                   make_dataset)
 from .errors import DataError
 from .estimators import ESTIMATORS, FitProblem
 from .glm import FAMILIES, ModelSpec
@@ -172,14 +173,17 @@ class DesignSpec:
         N = as_number(self.N, "DesignSpec: N")
         if N < 2 or N != int(N):
             raise DataError(f"DesignSpec: N must be an integer of at least 2, got {self.N!r}")
+        if N > np.iinfo(np.intp).max:
+            raise DataError(f"DesignSpec: N must be at most {np.iinfo(np.intp).max}, numpy's largest array size, "
+                            f"got {self.N!r}")
         object.__setattr__(self, "N", int(N))
         for key in ("intercept", "fixed_population"):
             object.__setattr__(self, key, as_bool(getattr(self, key), f"DesignSpec: {key}"))
         if self.family not in FAMILIES:
             raise DataError(f"DesignSpec: unknown family {self.family!r}")
         object.__setattr__(self, "theta0", _floats(self.theta0, "DesignSpec: theta0"))
-        covariates = tuple(c if isinstance(c, CovariateSpec) else CovariateSpec(**c)
-                           for c in as_tuple(self.covariates, "DesignSpec: covariates"))
+        covariates = tuple(c if isinstance(c, CovariateSpec) else build(CovariateSpec, c, f"design.covariates[{k}]")
+                           for k, c in enumerate(as_tuple(self.covariates, "DesignSpec: covariates")))
         object.__setattr__(self, "covariates", covariates)
         terms = as_names(self.terms, "DesignSpec: terms") or tuple(c.name for c in covariates)
         object.__setattr__(self, "terms", terms)
@@ -187,8 +191,8 @@ class DesignSpec:
                                              for parent, values in dict(self.dummies).items()})
         object.__setattr__(self, "constraints", tuple(dict(c) for c in self.constraints))
         if not isinstance(self.visibility, VisibilitySpec):
-            object.__setattr__(self, "visibility", VisibilitySpec(
-                **({"mode": "given-pi"} if self.visibility is None else self.visibility)))
+            vis = {"mode": "given-pi"} if self.visibility is None else self.visibility
+            object.__setattr__(self, "visibility", build(VisibilitySpec, vis, "design.visibility"))
         p = len(terms) + (1 if self.intercept else 0)
         if len(self.theta0) != p:
             raise DataError(f"DesignSpec: theta0 has length {len(self.theta0)}, model needs {p}")
@@ -236,7 +240,8 @@ class DesignSpec:
         sample = kept + (["w"] if hidden else [])
         check(self.fit_terms, kept, "fitted-model term")
         for k, c in enumerate(self.constraints):
-            entry = ConstraintEntry(**{"gamma": 0.0, **c})  # checks its fields; its target waits for a population
+            # checks its keys and fields; its target waits for a population
+            entry = build(ConstraintEntry, {"gamma": 0.0, **c}, f"design.constraints[{k}]")
             names = [entry.target_column] + ([entry.group_column] if entry.group_column is not None else [])
             check(names, sample if "gamma" in c else kept, f"constraints[{k}] column")
         check(self.visibility.formula or (), sample, "visibility formula column")

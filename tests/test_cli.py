@@ -8,17 +8,19 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import SEPARATED_LOGIT, dataset_from
+from oracles import json_text
 import elsurvey
 from elsurvey.cli import OVERRIDES, parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
 from elsurvey.errors import ConfigError
-from elsurvey.estimators import ESTIMATORS
+from elsurvey.estimators import ESTIMATORS, EstimateResult, FitProblem
 from elsurvey.glm import ModelSpec
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population
 from elsurvey.visibility import VisibilitySpec
@@ -175,11 +177,12 @@ def test_fit_writes_artifacts_and_orders_standard_errors(tmp_path):
                         group_column="v", group_value=gv)
         for gv, g in sorted(gammas.items())))
     H = build_constraint_matrix(reloaded, spec).H
-    for name in ("cs", "ce"):
-        w = np.asarray(results[name]["weights"])
-        residual = float(np.max(np.abs(w @ H)))
-        assert abs(residual - results[name]["diagnostics"]["constraint_residual"]) < 1e-12
-        assert residual < 1e-8
+    with np.load(out / "fit_weights.npz", allow_pickle=False) as weights:
+        for name in ("cs", "ce"):
+            w = weights[name]
+            residual = float(np.max(np.abs(w @ H)))
+            assert abs(residual - results[name]["diagnostics"]["constraint_residual"]) < 1e-12
+            assert residual < 1e-8
 
 
 def test_fit_unknown_constraint_column_fails_before_fitting(tmp_path, capsys):
@@ -204,6 +207,81 @@ def test_fit_infeasible_constraint_exits_2_with_partial_results(tmp_path):
     cs = results["cs"]["diagnostics"]
     assert cs["converged"] is False and cs["failure"].startswith("InfeasibleError: ")
     assert results["cs"]["theta"] == [None] * 3 and cs["coef_names"] == ["intercept", "x", "v"]
+
+
+def _fit_problem(cfg):
+    """The :class:`FitProblem` that ``fit`` builds from ``cfg``."""
+    parsed = parse_config(cfg)
+    data = load_dataset(parsed["data"]["path"], parsed["data"]["schema"])
+    return FitProblem(data, parsed["model"], parsed["constraints"], parsed["visibility"])
+
+
+def test_fit_weights_npz_holds_each_estimators_weights_bitwise(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, gammas, visibility={"mode": "gamma-regression"}, estimators=list(ESTIMATORS))
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+    problem = _fit_problem(cfg)
+    with np.load(out / "fit_weights.npz", allow_pickle=False) as stored:
+        assert stored.files == list(ESTIMATORS)
+        for name in ESTIMATORS:
+            w = stored[name]
+            assert w.dtype == np.float64 and w.shape == (problem.data.n,)
+            np.testing.assert_array_equal(w.view(np.uint64), problem.fit(name).weights.view(np.uint64))
+
+
+def test_fit_json_keeps_every_field_but_the_weights(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, gammas, estimators=list(ESTIMATORS))
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+    problem = _fit_problem(cfg)
+    kept = [f.name for f in fields(EstimateResult) if f.name != "weights"]
+    fits = json.loads((out / "fit.json").read_text())
+    for name, entry in fits.items():
+        assert list(entry) == kept
+        full = json.loads(json_text(vars(problem.fit(name))))  # the entry with the weights, less them
+        del full["weights"]
+        assert entry == full
+    expected = {name: {key: getattr(problem.fit(name), key) for key in kept} for name in ESTIMATORS}
+    assert (out / "fit.json").read_text() == json_text(expected) + "\n"
+
+
+def test_a_failed_weight_step_stores_nan_weights(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    bad = dict(gammas)
+    bad[1.0] = 1.05  # above every response value: no weights can satisfy it
+    assert run_command(["fit", "--config", _write_config(tmp_path, _fit_config(data_path, out, bad))]) == 2
+    d = load_dataset(str(data_path), SCHEMA).d
+    with np.load(out / "fit_weights.npz", allow_pickle=False) as stored:
+        assert stored.files == ["pl", "cs", "ce"]
+        np.testing.assert_array_equal(stored["pl"], d)
+        for name in ("cs", "ce"):
+            assert stored[name].shape == d.shape and np.isnan(stored[name]).all()
+
+
+@pytest.mark.parametrize("fmt, written", [("csv", {"fit.csv"}), ("json", {"fit.json", "fit_weights.npz"}),
+                                          ("both", {"fit.csv", "fit.json", "fit_weights.npz"})])
+def test_fit_writes_the_weights_exactly_when_it_writes_fit_json(tmp_path, fmt, written):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, gammas, estimators=["pl"])
+    cfg["output"]["format"] = fmt
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+    assert set(os.listdir(out)) == written
+
+
+def test_fit_json_does_not_grow_with_the_sample(tmp_path):
+    _, sample, gammas = _informative_sample(tmp_path, N=20000)
+    assert sample.n >= 9000
+    sizes = []
+    for n in (900, 9000):
+        data_path, out = tmp_path / f"rows{n}.csv", tmp_path / f"run{n}"
+        write_dataset_csv(str(data_path), dataset_from({name: col[:n] for name, col in sample.columns.items()}))
+        assert run_command(["fit", "--config", _write_config(tmp_path, _fit_config(data_path, out, gammas))]) == 0
+        sizes.append((out / "fit.json").stat().st_size)
+    assert abs(sizes[1] - sizes[0]) < 1000, sizes
 
 
 def test_fit_unknown_estimator_fails_before_loading(tmp_path, capsys):
@@ -582,6 +660,16 @@ def test_an_out_of_range_design_value_exits_1_naming_it_before_any_replicate(tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_a_population_size_above_the_array_size_limit_exits_1_before_any_replicate(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg["design"]["N"] = 1e300
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert f"DesignSpec: N must be at most {np.iinfo(np.intp).max}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", OVERRIDES)
 def test_an_integer_key_set_to_true_exits_1(tmp_path, capsys, key):
     out = tmp_path / "mc"
@@ -648,8 +736,8 @@ def _fuzz_configs(root):
     return {"fit": fit, "mc": mc}
 
 
-def _fuzz_keys(cfg):
-    """``(section path, key)`` of every key of the sections the fuzz mutates, and of the integer keys."""
+def _fuzz_sections(cfg):
+    """The path of every object section of ``cfg`` that the fuzz mutates."""
     paths = [(name,) for name in ("data", "model", "visibility", "solver", "design") if name in cfg]
     paths += [("constraints", i) for i in range(len(cfg.get("constraints", [])))]
     if "data" in cfg:
@@ -657,13 +745,32 @@ def _fuzz_keys(cfg):
     if "design" in cfg:
         paths += [("design", "visibility"), ("design", "design")]
         paths += [("design", key, i) for key in ("covariates", "constraints") for i in range(len(cfg["design"][key]))]
+    return paths
+
+
+def _section(cfg, path):
+    """The section of ``cfg`` at ``path``."""
+    for step in path:
+        cfg = cfg[step]
+    return cfg
+
+
+def _fuzz_keys(cfg):
+    """``(section path, key)`` of every key of the sections the fuzz mutates, and of the integer keys."""
     keys = [((), key) for key in OVERRIDES if key in cfg]
-    for path in paths:
-        section = cfg
-        for step in path:
-            section = section[step]
-        keys += [(path, key) for key in section]
+    for path in _fuzz_sections(cfg):
+        keys += [(path, key) for key in _section(cfg, path)]
     return keys
+
+
+def _place(path):
+    """How an error names the section at ``path``: ``design.covariates[1]``; the sampling design is named by
+    its kind."""
+    if path == ("design", "design"):
+        return "a poisson design"
+    if not path:
+        return "'top level'"
+    return repr("".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:])
 
 
 _DROP = object()
@@ -677,15 +784,14 @@ SAMPLE_DEPENDENT = {(command, prefix + ("constraints", i), key, "negative")
 
 def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(tmp_path):
     """Every key of every section the fuzz mutates, dropped or set to each of :data:`FUZZ_VALUES`: each run
-    exits 0, 1 or 2 without a traceback, and only the sample-dependent cases exit 2, with their results."""
+    exits 0, 1 or 2 without a traceback, and only the sample-dependent cases exit 2, with their results.
+    An unknown key added to any object section exits 1 with the section named."""
     exit_2, bad = set(), []
     for command, base in _fuzz_configs(tmp_path).items():
         for path, key in _fuzz_keys(base):
             for name, value in FUZZ_VALUES.items():
                 cfg = copy.deepcopy(base)
-                section = cfg
-                for step in path:
-                    section = section[step]
+                section = _section(cfg, path)
                 if value is _DROP:
                     del section[key]
                 else:
@@ -701,5 +807,15 @@ def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(tmp_path):
                 if code == 2:
                     exit_2.add((command, path, key, name))
                     assert (out / "o" / f"{command}.json").exists()
+        for path in [()] + _fuzz_sections(base):  # one unknown key added to each object section
+            cfg = copy.deepcopy(base)
+            _section(cfg, path)["zz"] = 1.0
+            out = tmp_path / f"{command}-{'.'.join(map(str, path))}-unknown"
+            out.mkdir()
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = run_command([command, "--config", _write_config(out, cfg), "--out", str(out / "o")])
+            if code != 1 or f"unknown key 'zz' in {_place(path)}" not in stderr.getvalue():
+                bad.append((command, path, "zz", stderr.getvalue(), code))
     assert bad == []
     assert exit_2 == SAMPLE_DEPENDENT

@@ -198,10 +198,23 @@ def test_invalid_specs_are_rejected():
     (lambda: _basic_spec(N=400.5), "DesignSpec: N must be an integer of at least 2, got 400.5"),
     (lambda: _basic_spec(terms=0), "DesignSpec: terms must be a list, got 0"),
     (lambda: _basic_spec(estimand=0), "DesignSpec: estimand must be a list, got 0"),
+    (lambda: _basic_spec(N=1e300), f"DesignSpec: N must be at most {np.iinfo(np.intp).max}"),
+    (lambda: _basic_spec(covariates=({"name": "x", "dist": "bernoulli", "params": [0.5]},
+                                     {"name": "v", "dist": "bernoulli", "params": [0.5], "nme": "v"})),
+     "unknown key 'nme' in 'design.covariates[1]'; allowed keys: ['dist', 'name', 'params']"),
+    (lambda: _basic_spec(covariates=({"name": "x", "dist": "bernoulli"},)),
+     "CovariateSpec.__init__() missing 1 required positional argument: 'params' in 'design.covariates[0]'"),
+    (lambda: _basic_spec(constraints=({"kind": "general-moment", "target_column": "y", "weight": 2.0},)),
+     "unknown key 'weight' in 'design.constraints[0]'"),
+    (lambda: _basic_spec(visibility={"mode": "given-pi", "formla": ["v"]}),
+     "unknown key 'formla' in 'design.visibility'"),
+    (lambda: _basic_spec(visibility=["given-pi"]), "section 'design.visibility' must be an object"),
 ], ids=["normal sd", "choice probs", "choice values", "map source", "name", "rates", "family sizes",
         "family probs", "misspelled design key", "design number true", "terms", "fit terms", "design coeffs",
         "strata column", "map source order", "dummies parent", "visibility formula", "nf adjust", "latent sd",
-        "infinite N", "fractional N", "zero terms", "zero estimand"])
+        "infinite N", "fractional N", "zero terms", "zero estimand", "N above the array size limit",
+        "unknown covariate key", "missing covariate key", "unknown constraint key", "unknown visibility key",
+        "visibility not an object"])
 def test_design_values_that_would_crash_a_replicate_are_rejected_when_built(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
         build()
