@@ -49,6 +49,7 @@ DATA_KEYS = ("path", "schema")
 # FitProblem's solver settings: the fields with a number default
 SOLVER_KEYS = tuple(f.name for f in fields(FitProblem) if isinstance(f.default, (int, float)))
 OUTPUT_KEYS = ("path", "format")
+DEFAULT_ESTIMATORS = ("pl", "cs", "ce")  # fitted by fit and mc when the config names none
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +209,10 @@ def parse_config(source) -> dict:
         if fmt not in ("json", "csv", "both"):
             raise ConfigError(f"parse_config: output.format must be json, csv, or both, got {fmt!r}")
     if "estimators" in cfg:
-        if not isinstance(cfg["estimators"], list) or not all(isinstance(e, str) for e in cfg["estimators"]):
-            raise ConfigError("parse_config: 'estimators' must be a list of names")
-        unknown = [e for e in cfg["estimators"] if e not in ESTIMATORS]
+        names = cfg["estimators"]
+        if not isinstance(names, list) or not names or not all(isinstance(e, str) for e in names):
+            raise ConfigError(f"parse_config: 'estimators' must be a non-empty list of names, got {names!r}")
+        unknown = [e for e in names if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"parse_config: unknown estimator {unknown[0]!r}; expected one of {ESTIMATORS}")
     for key in OVERRIDES:
@@ -271,7 +273,7 @@ def _cmd_fit(cfg: dict) -> int:
     problem = FitProblem(data, model, cfg.get("constraints", ConstraintSpec()),
                          cfg.get("visibility", VisibilitySpec("given-pi")), **cfg.get("solver", {}))
     problem.cm  # fail fast on unknown constraint columns before any fitting work
-    names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
+    names = tuple(cfg.get("estimators", DEFAULT_ESTIMATORS))
     if any(n in NEEDS_VISIBILITY for n in names):
         problem.fit("ce")  # resolves the visibility first, so a bad source fails before any other fit
     results = {name: dict(vars(problem.fit(name))) for name in names}
@@ -304,7 +306,7 @@ def _cmd_mc(cfg: dict) -> int:
     spec = _design(cfg, "mc")
     seed = _seed(cfg, "mc")
     reps = _required(cfg, "reps", "mc")
-    names = tuple(cfg.get("estimators", ["pl", "cs", "ce"]))
+    names = tuple(cfg.get("estimators", DEFAULT_ESTIMATORS))
     summary = run_monte_carlo(spec, names, reps=int(reps), seed=seed, jobs=int(cfg.get("jobs", 1)))
     rows = [[name, coef, summary.theta0[k], s.mean[k], s.bias[k], s.sd[k],
              s.rmse[k], s.mean_se[k], s.coverage[k], s.n_converged, s.n_failed]

@@ -219,41 +219,36 @@ class FitProblem:
         return joint
 
 
-def fit_pl(data: Dataset, model: ModelSpec, newton_tol: float = 1e-10,
-           newton_max_iter: int = 100) -> EstimateResult:
-    """Design-weighted (pseudo-maximum-likelihood) fit, no constraints."""
-    return FitProblem(data, model, newton_tol=newton_tol, newton_max_iter=newton_max_iter).fit("pl")
+def fit_pl(data: Dataset, model: ModelSpec, **solver) -> EstimateResult:
+    """Design-weighted (pseudo-maximum-likelihood) fit, no constraints; ``solver`` holds FitProblem's settings."""
+    return FitProblem(data, model, **solver).fit("pl")
 
 
-def fit_cs(data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
-           el_tol: float = 1e-10, el_max_iter: int = 200,
-           newton_tol: float = 1e-10, newton_max_iter: int = 100) -> EstimateResult:
-    """Two-step constrained fit with design-weighted EL weights.
+def fit_cs(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, **solver) -> EstimateResult:
+    """Two-step constrained fit with design-weighted EL weights; ``solver`` as in :func:`fit_pl`.
 
     Step 1 maximizes ``sum_i d_i log w_i`` under the population constraints;
     step 2 solves the score equation under the step-1 weights, starting from
     the design-weighted estimate.  With no constraints this reproduces
     :func:`fit_pl` exactly (same solver path).
     """
-    return FitProblem(data, model, constraints, None, el_tol, el_max_iter, newton_tol, newton_max_iter).fit("cs")
+    return FitProblem(data, model, constraints, **solver).fit("cs")
 
 
 def fit_ce(data: Dataset, model: ModelSpec, constraints: ConstraintSpec, vis: VisibilitySpec | VisibilityModel,
-           el_tol: float = 1e-10, el_max_iter: int = 200,
-           newton_tol: float = 1e-10, newton_max_iter: int = 100) -> EstimateResult:
-    """Two-step composite fit under estimated (or given) visibility.
+           **solver) -> EstimateResult:
+    """Two-step composite fit under estimated (or given) visibility; ``solver`` as in :func:`fit_pl`.
 
     Step 1 maximizes the composite criterion under the constraints; with no
     constraints the weights are exactly ``(1/bp_i) / sum_j (1/bp_j)``.
     Step 2 solves the score equation under the step-1 weights.
     """
-    return FitProblem(data, model, constraints, vis, el_tol, el_max_iter, newton_tol, newton_max_iter).fit("ce")
+    return FitProblem(data, model, constraints, vis, **solver).fit("ce")
 
 
 def profile_fit_joint(data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
-                      vis: VisibilitySpec | VisibilityModel,
-                      el_tol: float = 1e-10, el_max_iter: int = 200) -> EstimateResult:
-    """Joint composite fit: maximize the profiled composite criterion over theta.
+                      vis: VisibilitySpec | VisibilityModel, **solver) -> EstimateResult:
+    """Joint composite fit: maximize the profiled composite criterion over theta; ``solver`` as in :func:`fit_pl`.
 
     The profile at ``theta`` maximizes the composite criterion under the score
     constraint ``sum_i w_i psi_i(theta) = 0`` stacked with the population ones.
@@ -263,4 +258,4 @@ def profile_fit_joint(data: Dataset, model: ModelSpec, constraints: ConstraintSp
     fit is therefore :func:`fit_ce`'s, under the name ``ce-joint``; its
     ``diagnostics["score_residual"]`` is the certificate.
     """
-    return FitProblem(data, model, constraints, vis, el_tol, el_max_iter).fit("ce-joint")
+    return FitProblem(data, model, constraints, vis, **solver).fit("ce-joint")

@@ -14,13 +14,13 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .data import (ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_number, as_tuple, build,
-                   make_dataset)
+                   check_keys, make_dataset)
 from .errors import DataError
 from .estimators import ESTIMATORS, FitProblem
 from .glm import FAMILIES, ModelSpec
@@ -29,9 +29,10 @@ from .visibility import VisibilitySpec
 GAMMA_SHAPE = 5.0  # shape of the gamma outcome; only the mean enters the estimand
 COVARIATE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("lo", "hi"), "bernoulli": ("p",),
                     "choice": ("values", "probs"), "map": ("source", "values", "outputs")}
-DESIGN_KEYS = {  # the keys each kind of sampling design takes; _sampling_design reads the ones it needs
-    "poisson": ("kind", "lo", "hi", "const", "coeffs", "response_coef", "latent_sd", "mask_latent"),
-    "two-strata": ("kind", "column", "rates", "family_sizes")}
+DESIGN_KEYS = {  # each kind of sampling design: its keys and their defaults, None where the key is required
+    "poisson": {"kind": None, "lo": None, "hi": None, "const": 0.0, "coeffs": {}, "response_coef": 0.0,
+                "latent_sd": 0.0, "mask_latent": False},
+    "two-strata": {"kind": None, "column": None, "rates": None, "family_sizes": {}}}
 PROBS_ATOL = np.sqrt(np.finfo(float).eps)  # how far from 1 numpy's Generator.choice lets probabilities sum
 
 
@@ -90,42 +91,37 @@ class CovariateSpec:
 
 
 def _sampling_design(design) -> dict:
-    """A copy of the ``design`` of a :class:`DesignSpec`, with its keys those of its kind in
-    :data:`DESIGN_KEYS`, each value it reads checked and in range, and its numbers as floats, so a bad
-    key or value fails when the spec is built, before any replicate."""
+    """A copy of the ``design`` of a :class:`DesignSpec` with every key of its kind in :data:`DESIGN_KEYS`, a
+    missing one at its default, each value checked and in range, and its numbers as floats, so a bad key or
+    value fails when the spec is built, before any replicate."""
     if not isinstance(design, dict):
         raise DataError(f"DesignSpec: design must be a dict, got {design!r}")
     kind = design.get("kind")
     if kind not in tuple(DESIGN_KEYS):  # a tuple: kind may be unhashable
         raise DataError(f"DesignSpec: unknown sampling design kind {kind!r}")
-    unknown = [key for key in design if key not in DESIGN_KEYS[kind]]
-    if unknown:
-        raise DataError(f"DesignSpec: unknown key {unknown[0]!r} in a {kind} design; allowed: {DESIGN_KEYS[kind]}")
-    out = dict(design)
+    check_keys(design, DESIGN_KEYS[kind], "design.design")
+    out = {**DESIGN_KEYS[kind], **design}
     if kind == "poisson":
         for key in ("lo", "hi", "const", "response_coef", "latent_sd"):
-            if key in out or key in ("lo", "hi"):
-                out[key] = as_number(out.get(key), f"DesignSpec: design.{key}")
-        if out.get("latent_sd", 0.0) < 0.0:
+            out[key] = as_number(out[key], f"DesignSpec: design.{key}")
+        if out["latent_sd"] < 0.0:
             raise DataError(f"DesignSpec: design.latent_sd must be non-negative, got {out['latent_sd']!r}")
         lo, hi = out["lo"], out["hi"]
         if not (0.0 < lo <= hi <= 1.0):
             key = "hi" if 0.0 < lo <= 1.0 else "lo"
             raise DataError(f"DesignSpec: design.{key}: a poisson design needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
-        if "mask_latent" in out:
-            out["mask_latent"] = as_bool(out["mask_latent"], "DesignSpec: design.mask_latent")
-        coeffs = out.get("coeffs", {})
+        out["mask_latent"] = as_bool(out["mask_latent"], "DesignSpec: design.mask_latent")
+        coeffs = out["coeffs"]
         if not isinstance(coeffs, dict):
             raise DataError(f"DesignSpec: design.coeffs must map column names to numbers, got {coeffs!r}")
-        if coeffs:
-            out["coeffs"] = {name: as_number(c, f"DesignSpec: design.coeffs[{name!r}]") for name, c in coeffs.items()}
+        out["coeffs"] = {name: as_number(c, f"DesignSpec: design.coeffs[{name!r}]") for name, c in coeffs.items()}
         return out
-    if not isinstance(out.get("column"), str):
-        raise DataError(f"DesignSpec: design.column must be a column name, got {out.get('column')!r}")
-    out["rates"] = _floats(out.get("rates"), "DesignSpec: design.rates", 2)
+    if not isinstance(out["column"], str):
+        raise DataError(f"DesignSpec: design.column must be a column name, got {out['column']!r}")
+    out["rates"] = _floats(out["rates"], "DesignSpec: design.rates", 2)
     if not all(0.0 < r <= 1.0 for r in out["rates"]):
         raise DataError(f"DesignSpec: design.rates must lie in (0, 1], got {out['rates']!r}")
-    fam = out.get("family_sizes")
+    fam = out["family_sizes"]
     if fam:
         if not isinstance(fam, dict) or not {"values", "probs"} <= set(fam):
             raise DataError(f"DesignSpec: design.family_sizes must hold values and probs, got {fam!r}")
@@ -144,7 +140,8 @@ class DesignSpec:
     ``theta0`` lines up with ``(intercept,) + terms``; ``covariates`` holds
     :class:`CovariateSpec` objects or dicts of their fields; ``dummies`` maps a
     categorical column to the values that get 0/1 columns named
-    ``"{parent}_{value:g}"``; ``constraints`` holds dicts of ``ConstraintEntry``
+    ``"{parent}_{value:g}"``; ``design`` holds every key of its kind in
+    :data:`DESIGN_KEYS`; ``constraints`` holds dicts of checked ``ConstraintEntry``
     fields with an optional ``gamma`` (the true superpopulation moment; without
     it the target is evaluated on the realized population); ``visibility`` is a
     ``VisibilitySpec`` or a dict of its fields (default: given-pi).
@@ -187,9 +184,16 @@ class DesignSpec:
         object.__setattr__(self, "covariates", covariates)
         terms = as_names(self.terms, "DesignSpec: terms") or tuple(c.name for c in covariates)
         object.__setattr__(self, "terms", terms)
+        if not isinstance(self.dummies, dict):
+            raise DataError(f"DesignSpec: dummies must map column names to lists of values, got {self.dummies!r}")
         object.__setattr__(self, "dummies", {parent: _floats(values, f"DesignSpec: dummies[{parent!r}]")
-                                             for parent, values in dict(self.dummies).items()})
-        object.__setattr__(self, "constraints", tuple(dict(c) for c in self.constraints))
+                                             for parent, values in self.dummies.items()})
+        constraints = []  # the checked fields of each entry; without a gamma, its target waits for a population
+        for k, c in enumerate(as_tuple(self.constraints, "DesignSpec: constraints")):
+            where = f"design.constraints[{k}]"
+            entry = build(ConstraintEntry, {"gamma": 0.0, **c} if isinstance(c, dict) else c, where)
+            constraints.append({key: v for key, v in asdict(entry).items() if key != "gamma" or key in c})
+        object.__setattr__(self, "constraints", tuple(constraints))
         if not isinstance(self.visibility, VisibilitySpec):
             vis = {"mode": "given-pi"} if self.visibility is None else self.visibility
             object.__setattr__(self, "visibility", build(VisibilitySpec, vis, "design.visibility"))
@@ -227,22 +231,20 @@ class DesignSpec:
         columns.append("y")
         dsg = self.design
         if dsg["kind"] == "poisson":
-            check(dsg.get("coeffs", {}), columns, "design.coeffs column")
-            if dsg.get("latent_sd", 0.0) > 0.0:
+            check(dsg["coeffs"], columns, "design.coeffs column")
+            if dsg["latent_sd"] > 0.0:
                 columns.append("latent")
         else:
             check([dsg["column"]], columns, "design.column")
-            if dsg.get("family_sizes"):
+            if dsg["family_sizes"]:
                 columns.append("nf")
         columns.append("pi")
-        hidden = ("latent", "pi") if dsg.get("mask_latent", False) else ()
+        hidden = ("latent", "pi") if dsg.get("mask_latent") else ()
         kept = [name for name in columns if name not in hidden]  # in the population and the sample
         sample = kept + (["w"] if hidden else [])
         check(self.fit_terms, kept, "fitted-model term")
         for k, c in enumerate(self.constraints):
-            # checks its keys and fields; its target waits for a population
-            entry = build(ConstraintEntry, {"gamma": 0.0, **c}, f"design.constraints[{k}]")
-            names = [entry.target_column] + ([entry.group_column] if entry.group_column is not None else [])
+            names = [name for name in (c["target_column"], c["group_column"]) if name is not None]
             check(names, sample if "gamma" in c else kept, f"constraints[{k}] column")
         check(self.visibility.formula or (), sample, "visibility formula column")
         if self.visibility.nf_adjust and "nf" not in sample:
@@ -255,8 +257,8 @@ class DesignSpec:
 
     def design_columns(self) -> tuple[str, ...]:
         if self.design["kind"] == "poisson":
-            cols = tuple(self.design.get("coeffs", {}))
-            if self.design.get("latent_sd", 0.0) and not self.design.get("mask_latent", False):
+            cols = tuple(self.design["coeffs"])
+            if self.design["latent_sd"] and not self.design["mask_latent"]:
                 cols = cols + ("latent",)
             return cols
         return (self.design["column"],)
@@ -317,13 +319,12 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
 
     dsg = spec.design
     if dsg["kind"] == "poisson":
-        lin = np.full(spec.N, dsg.get("const", 0.0))
-        for name, coef in dsg.get("coeffs", {}).items():
+        lin = np.full(spec.N, dsg["const"])
+        for name, coef in dsg["coeffs"].items():
             lin += coef * columns[name]
-        lin += dsg.get("response_coef", 0.0) * y
-        sd = dsg.get("latent_sd", 0.0)
-        if sd > 0.0:
-            columns["latent"] = rng.normal(0.0, sd, size=spec.N)
+        lin += dsg["response_coef"] * y
+        if dsg["latent_sd"] > 0.0:
+            columns["latent"] = rng.normal(0.0, dsg["latent_sd"], size=spec.N)
             lin += columns["latent"]
         lo, hi = dsg["lo"], dsg["hi"]
         pi = lo + (hi - lo) * expit(lin)
@@ -334,7 +335,7 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
             raise DataError(f"gen_population: strata column {col!r} must be 0/1")
         r0, r1 = dsg["rates"]
         pi = np.where(strata == 1.0, r1, r0)
-        fam = dsg.get("family_sizes")
+        fam = dsg["family_sizes"]
         if fam:
             # de-clustered units: one member kept per size-nf family, weight times nf
             sizes = np.asarray(fam["values"], dtype=float)
@@ -345,9 +346,8 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
 
     roles = {"response": "y", "covariates": list(spec.fit_terms),
              "design": list(spec.design_columns()), "pi": "pi"}
-    ds = make_dataset(columns, roles)
     # The population itself is a census: keep pi attached but weight it uniformly.
-    return Dataset(columns=ds.columns, roles=ds.roles, d=np.full(spec.N, 1.0 / spec.N))
+    return Dataset(columns=columns, roles=roles, d=np.full(spec.N, 1.0 / spec.N))
 
 
 def draw_sample(population: Dataset, spec: DesignSpec, seed: int) -> Dataset:
@@ -368,17 +368,12 @@ def draw_sample(population: Dataset, spec: DesignSpec, seed: int) -> Dataset:
         raise DataError("draw_sample: empty sample after 10 attempts")
     idx = np.flatnonzero(take)
     columns = {name: col[idx] for name, col in population.columns.items()}
-    roles = {k: v for k, v in population.roles.items()}
-    roles["covariates"] = list(population.roles["covariates"])
-    roles["design"] = list(population.roles["design"])
-    if spec.design.get("mask_latent", False):
-        columns["w"] = 1.0 / columns["pi"]
-        del columns["pi"]
+    roles = dict(population.roles)
+    if spec.design.get("mask_latent"):  # the design role holds no latent column (see DesignSpec.design_columns)
+        columns["w"] = 1.0 / columns.pop("pi")
         columns.pop("latent", None)
-        roles["pi"] = None
-        roles["design"] = [c for c in roles["design"] if c != "latent"]
+        del roles["pi"]
         roles.update(weight="w", weight_mode="direct")
-    roles = {k: v for k, v in roles.items() if v is not None}
     return make_dataset(columns, roles)
 
 
@@ -470,6 +465,8 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     ``|theta_hat_k - theta0_k| <= 1.96 se_k`` per coefficient.
     """
     estimators = tuple(estimators)
+    if not estimators:
+        raise DataError("run_monte_carlo: estimators must name at least one estimator")
     for name in estimators:
         if name not in ESTIMATORS:
             raise DataError(f"run_monte_carlo: unknown estimator {name!r}; expected one of {ESTIMATORS}")

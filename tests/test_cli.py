@@ -591,6 +591,49 @@ def test_a_design_constraint_on_a_missing_column_exits_1_before_any_replicate(tm
     assert not out.exists()
 
 
+def test_a_gamma_less_design_constraint_reads_a_string_group_value_as_its_number(tmp_path):
+    # The population's group column is compared with the checked value 1.0, not with the string "1",
+    # which matches no row and so failed every replicate of every estimator.
+    runs = {}
+    for name, value in (("number", 1.0), ("string", "1")):
+        cfg = _mc_config(tmp_path, tmp_path / name, reps=3)
+        cfg["design"]["constraints"][1]["group_value"] = value
+        assert run_command(["mc", "--config", _write_config(tmp_path, cfg, f"{name}.json")]) == 0
+        runs[name] = (tmp_path / name / "mc.json").read_bytes()
+    assert runs["string"] == runs["number"]
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+@pytest.mark.parametrize("key, value, message", [
+    ("constraints", ["abc"], "section 'design.constraints[0]' must be an object"),
+    ("constraints", [["a"]], "section 'design.constraints[0]' must be an object"),
+    ("constraints", [[["kind", "general-moment"], ["target_column", "y"]]],
+     "section 'design.constraints[0]' must be an object"),
+    ("dummies", ["x"], "DesignSpec: dummies must map column names to lists of values, got ['x']"),
+], ids=["string entry", "list entry", "key-value pairs", "dummies list"])
+def test_a_design_entry_that_is_not_an_object_exits_1_naming_it(tmp_path, capsys, command, key, value, message):
+    out = tmp_path / "run"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg["design"][key] = value
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "mc"])
+def test_an_empty_estimator_list_exits_1_before_any_data_or_replicate(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    if command == "fit":
+        cfg = _fit_config(tmp_path / "absent.csv", out, {0.0: 0.3}, estimators=[])
+    else:
+        cfg = dict(_mc_config(tmp_path, out, reps=2), estimators=[])
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "parse_config: 'estimators' must be a non-empty list of names, got []" in err
+    assert "absent.csv" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, key, message", [
     ("fit", "model", "terms", "section 'model': ModelSpec: terms must be a list of column names, got the element ['x']"),
     ("fit", "visibility", "formula", "section 'visibility': visibility formula must be a list of column names"),
@@ -764,10 +807,7 @@ def _fuzz_keys(cfg):
 
 
 def _place(path):
-    """How an error names the section at ``path``: ``design.covariates[1]``; the sampling design is named by
-    its kind."""
-    if path == ("design", "design"):
-        return "a poisson design"
+    """How an error names the section at ``path``: ``design.covariates[1]``."""
     if not path:
         return "'top level'"
     return repr("".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:])

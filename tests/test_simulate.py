@@ -174,7 +174,7 @@ def test_invalid_specs_are_rejected():
                                  "family_sizes": {"values": (1.0, 2.0), "probs": (0.5, 0.4)}}),
      "DesignSpec: design.family_sizes.probs must be non-negative and sum to 1"),
     (lambda: _basic_spec(design={"kind": "poisson", "lo": 0.2, "hi": 0.4, "respone_coef": 2.0}),
-     "DesignSpec: unknown key 'respone_coef' in a poisson design"),
+     "unknown key 'respone_coef' in 'design.design'"),
     (lambda: _basic_spec(design={"kind": "poisson", "lo": 0.2, "hi": True}),
      "DesignSpec: design.hi must be a finite number, got True"),
     (lambda: _basic_spec(terms=("x", "vv")), "DesignSpec: model term 'vv' is not a column generated before it"),
@@ -218,6 +218,48 @@ def test_invalid_specs_are_rejected():
 def test_design_values_that_would_crash_a_replicate_are_rejected_when_built(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("constraints", ("abc",), "section 'design.constraints[0]' must be an object"),
+    ("constraints", (["a"],), "section 'design.constraints[0]' must be an object"),
+    ("constraints", ([("kind", "general-moment"), ("target_column", "y")],),
+     "section 'design.constraints[0]' must be an object"),
+    ("constraints", "abc", "DesignSpec: constraints must be a list, got the string 'abc'"),
+    ("dummies", ["x"], "DesignSpec: dummies must map column names to lists of values, got ['x']"),
+], ids=["string entry", "list entry", "key-value pairs", "string constraints", "dummies list"])
+def test_a_design_entry_that_is_not_an_object_is_rejected_when_built(key, value, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        _basic_spec(**{key: value})
+
+
+@pytest.mark.parametrize("design", [
+    {"kind": "poisson", "lo": 0.3, "hi": 0.7, "latent_sd": 1, "mask_latent": True},
+    {"kind": "two-strata", "column": "v", "rates": [0.2, 0.6],
+     "family_sizes": {"values": [1, 2], "probs": [0.5, 0.5]}},
+], ids=["poisson", "two-strata"])
+def test_a_built_spec_stores_values_a_new_spec_takes_back(design):
+    spec = _basic_spec(design=design, dummies={"x": [1]}, visibility={"mode": "gamma-regression", "formula": ["v"]},
+                       constraints=({"kind": "general-moment", "target_column": "x", "gamma": "0.1"},
+                                    {"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+                                     "group_value": "1"}))
+    assert set(spec.design) == set(simulate.DESIGN_KEYS[design["kind"]])
+    assert spec.constraints == ({"kind": "general-moment", "target_column": "x", "gamma": 0.1,
+                                 "group_column": None, "group_value": None},
+                                {"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+                                 "group_value": 1.0})
+    again = _basic_spec(design=spec.design, dummies=spec.dummies, visibility=spec.visibility,
+                        constraints=spec.constraints)
+    assert again == spec
+
+
+def test_a_gamma_less_target_compares_the_population_with_the_checked_group_value():
+    pop = gen_population(_basic_spec(N=400), seed=3)
+    as_string = population_constraint_spec(pop, _basic_spec(N=400, constraints=(
+        {"kind": "subgroup-moment", "target_column": "y", "group_column": "v", "group_value": "1"},)))
+    (entry,) = as_string.entries
+    assert entry.group_value == 1.0
+    assert entry.gamma == pop.columns["y"][pop.columns["v"] == 1.0].mean()
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +487,11 @@ def test_monte_carlo_counts_singular_sandwiches_as_failures():
         assert s.n_converged == 0 and s.n_failed == 4
         assert all(f.startswith("DataError: build_constraint_matrix: constraints #0 v=1|y, #1 v=1|y are "
                                 "linearly dependent") for f in s.failures)
+
+
+def test_an_empty_estimator_list_is_rejected():
+    with pytest.raises(DataError, match="run_monte_carlo: estimators must name at least one estimator"):
+        run_monte_carlo(_basic_spec(N=200), (), reps=1, seed=1)
 
 
 def test_unknown_estimator_rejected():
