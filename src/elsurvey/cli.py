@@ -205,6 +205,9 @@ def parse_config(source) -> dict:
         check_keys(cfg["solver"], SOLVER_KEYS, "solver", ConfigError)
     if "output" in cfg:
         check_keys(cfg["output"], OUTPUT_KEYS, "output", ConfigError)
+        path = cfg["output"].get("path", ".")
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"parse_config: output.path must be a directory name, got {path!r}")
         fmt = cfg["output"].get("format", "both")
         if fmt not in ("json", "csv", "both"):
             raise ConfigError(f"parse_config: output.format must be json, csv, or both, got {fmt!r}")

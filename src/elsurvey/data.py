@@ -402,7 +402,7 @@ class ConstraintEntry:
     ``general-moment``: the weighted mean of ``target_column`` equals
     ``gamma``.  ``subgroup-moment``: the weighted mean of
     ``I{group_column == group_value} * (target_column - gamma)`` equals zero
-    (a general moment holds None as its group fields).
+    (a general moment takes None, or nothing, as its group fields).
     """
 
     kind: str
@@ -416,8 +416,9 @@ class ConstraintEntry:
             raise DataError(f"constraint: unknown kind {self.kind!r}; expected one of {CONSTRAINT_KINDS}")
         object.__setattr__(self, "gamma", as_number(self.gamma, f"constraint on {self.target_column!r}: gamma"))
         if self.kind == "general-moment":
-            object.__setattr__(self, "group_column", None)
-            object.__setattr__(self, "group_value", None)
+            if self.group_column is not None or self.group_value is not None:
+                raise DataError(f"constraint on {self.target_column!r}: a general-moment takes no group_column or "
+                                f"group_value, got {self.group_column!r} and {self.group_value!r}")
         elif self.group_column is None or self.group_value is None:
             raise DataError(
                 f"constraint on {self.target_column!r}: subgroup-moment needs group_column and group_value"

@@ -15,8 +15,8 @@ for some weight vector ``w``:
   equation, so the fit is the ``ce`` fit, whose score residual certifies it.
 
 ``FitProblem(...).fit(name)`` fits any of :data:`ESTIMATORS`, building the
-constraint matrix and the design-weighted start once for all of them;
-``fit_pl``, ``fit_cs``, ``fit_ce`` and ``profile_fit_joint`` use a fresh one.
+design and constraint matrices and the design-weighted start once for all of
+them; ``fit_pl``, ``fit_cs``, ``fit_ce`` and ``profile_fit_joint`` use a fresh one.
 
 Step 2 always starts from the design-weighted estimate.  A fit raises only
 :class:`DataError`.  A failed fit is flagged (``converged`` False, with the
@@ -35,7 +35,7 @@ import numpy as np
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, as_number, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError, InfeasibleError
-from .glm import ModelSpec, _solve_score, design_matrix, irls_fit
+from .glm import ModelSpec, _check_response, _score_newton, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel, VisibilitySpec
 
@@ -78,10 +78,11 @@ def _failed(estimator, p, weights, multiplier, Bp_hat, logEL, diagnostics) -> Es
 class FitProblem:
     """One sample prepared for fitting any estimator of :data:`ESTIMATORS`.
 
-    The constraint matrix :attr:`cm` (not needed by ``pl``; a matrix
-    rejected with :class:`DataError` is kept as that error), the
-    design-weighted start :attr:`start` and every fit, failed or not, are
-    built on first use and kept; ``ce-joint`` is a copy of the ``ce`` fit.
+    The design matrix :attr:`A`, the constraint matrix :attr:`cm` (not
+    needed by ``pl``; a matrix rejected with :class:`DataError` is kept as
+    that error), the design-weighted start :attr:`start` and every fit,
+    failed or not, are built on first use and kept; ``ce-joint`` is a copy
+    of the ``ce`` fit.
     ``vis`` is the visibility source, a :class:`VisibilitySpec` or a
     :class:`VisibilityModel`; only :data:`NEEDS_VISIBILITY` resolve it.
     Its solver settings are checked when it is built: the tolerances are
@@ -119,14 +120,25 @@ class FitProblem:
         raise self._cm_error
 
     @cached_property
+    def A(self) -> np.ndarray:
+        """The design matrix of the start, every score solve and every sandwich; the response is checked after it."""
+        A = design_matrix(self.model, self.data)
+        _check_response(self.model.family, self.data.y)
+        return A
+
+    @cached_property
     def start(self):
-        """``(theta, iterations, residual, converged, reason)`` of the design-weighted fit, failed or not."""
-        data, model = self.data, self.model
+        """``(theta, iterations, residual, reason)`` of the design-weighted fit; an empty reason means converged."""
         try:
-            theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
+            theta0 = irls_fit(self.model.family, self.data.y, self.A, case_weights=self.data.d)
         except ConvergenceError as exc:
-            return None, 0, np.nan, False, str(exc)
-        return _solve_score(data.d, model, data, theta0, self.newton_tol, self.newton_max_iter)
+            return None, 0, np.nan, str(exc)
+        return self._newton(self.data.d, theta0)
+
+    def _newton(self, w, theta):
+        """The score Newton under weights ``w`` from a copy of ``theta``: a solve with no step returns its input."""
+        return _score_newton(self.model.family, self.A, self.data.y, w, theta.copy(), self.newton_tol,
+                             self.newton_max_iter)
 
     def fit(self, name: str) -> EstimateResult:
         """Fit estimator ``name`` once per problem; its InfeasibleError or ConvergenceError is a flagged fit."""
@@ -145,7 +157,7 @@ class FitProblem:
     def _result(self, name, theta, w, multiplier, Bp_hat, logEL, diagnostics, H, bp) -> EstimateResult:
         """The fit with its sandwich covariance, or flagged failed if the sandwich is singular."""
         try:
-            comps = components_from_arrays(name, theta, w, self.data, self.model, H, bp=bp)
+            comps = components_from_arrays(theta, w, self.data, self.model, H, bp=bp, A=self.A)
             V = assemble_covariance(comps)
         except np.linalg.LinAlgError as exc:
             diagnostics.update(converged=False, failure=f"singular sandwich covariance: {exc}")
@@ -156,24 +168,23 @@ class FitProblem:
 
     def _two_step(self, name, w, multiplier, Bp_hat, logEL, diagnostics, bp) -> EstimateResult:
         """Step 2: the score equation under the step-1 weights ``w``, from the design-weighted start."""
-        start, _, _, converged, reason = self.start
-        if not converged:
+        start, _, _, reason = self.start
+        if reason:
             diagnostics.update(converged=False, failure=f"design-weighted start failed: {reason}")
         else:
-            theta, iters, resid, converged, reason = _solve_score(w, self.model, self.data, start,
-                                                                  self.newton_tol, self.newton_max_iter)
-            diagnostics.update(converged=bool(converged), newton_iterations=iters, score_residual=resid)
-            if converged:
+            theta, iters, resid, reason = self._newton(w, start)
+            diagnostics.update(converged=not reason, newton_iterations=iters, score_residual=resid)
+            if not reason:
                 return self._result(name, theta, w, multiplier, Bp_hat, logEL, diagnostics, self.cm.H, bp)
             diagnostics["failure"] = reason
         return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)
 
     def _pl(self) -> EstimateResult:
-        theta, iters, resid, converged, reason = self.start
+        theta, iters, resid, reason = self.start
         d = self.data.d
         diagnostics = {"converged": True, "newton_iterations": iters, "score_residual": resid,
                        "coef_names": list(self.model.coef_names)}
-        if not converged:
+        if reason:
             diagnostics.update(converged=False, failure=f"design-weighted start failed: {reason}")
             return _failed("pl", self.model.p, d.copy(), np.zeros(0), None, float(d @ np.log(d)), diagnostics)
         return self._result("pl", theta.copy(), d.copy(), np.zeros(0), None, float(d @ np.log(d)),

@@ -157,16 +157,6 @@ def _check_unsaturated(family: str, eta: np.ndarray, caller: str) -> None:
         raise ConvergenceError(f"{caller}: fitted probabilities of exactly 0 or 1 (separation suspected)")
 
 
-def _solve_score(weights, model: ModelSpec, data, theta0, tol: float, max_iter: int):
-    """:func:`_score_newton` from ``theta0``, stopping on the residual, with ``theta0`` and the
-    response checked once.  Returns ``(theta, iterations, residual, converged, reason)``."""
-    theta = _check_theta(model, theta0).copy()
-    A = design_matrix(model, data)
-    _check_response(model.family, data.y)
-    theta, iters, resid, reason = _score_newton(model.family, A, data.y, weights, theta, tol, max_iter)
-    return theta, iters, resid, not reason, reason
-
-
 def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
                        tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
     """Solve ``sum_i weights_i psi_i(theta) = 0`` by :func:`damped_newton`, to a score max-norm below ``tol``.
@@ -181,12 +171,13 @@ def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (data.n,) or np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise DataError("newton_solve_score: weights must be strictly positive, finite, length n")
-    if theta0 is None:
-        theta0 = irls_fit(model.family, data.y, design_matrix(model, data), case_weights=data.d)
-    theta, _, _, converged, reason = _solve_score(weights, model, data, theta0, tol, max_iter)
-    if not converged:
-        raise ConvergenceError(f"newton_solve_score: {reason}")
+    theta = None if theta0 is None else _check_theta(model, theta0).copy()
     A = design_matrix(model, data)
+    theta = irls_fit(model.family, data.y, A, case_weights=data.d) if theta is None else theta
+    _check_response(model.family, data.y)
+    theta, _, _, reason = _score_newton(model.family, A, data.y, weights, theta, tol, max_iter)
+    if reason:
+        raise ConvergenceError(f"newton_solve_score: {reason}")
     eta = A @ theta
     _check_unsaturated(model.family, eta, "newton_solve_score")
     # An exactly saturated row has no curvature, so only the check above sees it; a score that

@@ -125,6 +125,7 @@ def _sampling_design(design) -> dict:
     if fam:
         if not isinstance(fam, dict) or not {"values", "probs"} <= set(fam):
             raise DataError(f"DesignSpec: design.family_sizes must hold values and probs, got {fam!r}")
+        check_keys(fam, ("values", "probs"), "design.design.family_sizes")
         values = _floats(fam["values"], "DesignSpec: design.family_sizes.values")
         if not all(v >= 1.0 for v in values):
             raise DataError(f"DesignSpec: design.family_sizes.values must be at least 1, got {values!r}")

@@ -2,18 +2,18 @@
 
 Every estimator's covariance is one sandwich over six weighted moments of the
 score ``psi``, its derivative ``psi'`` and the constraint residuals ``h``.
-The estimators differ only in three row weights, the bread weight ``b`` and
-the meat weights ``m1`` and ``m2``, built from the fit's weights ``w``, the
-design weights ``d`` and the visibility ``bp``:
+The fits differ only in three row weights, the bread weight ``b`` and the
+meat weights ``m1`` and ``m2``, built from the fit's weights ``w``, the
+design weights ``d`` and, for a composite fit, the visibility ``bp``:
 
 =====================  ==========  ==========  ==========
-estimator              ``b``       ``m1``      ``m2``
+rows                   ``b``       ``m1``      ``m2``
 =====================  ==========  ==========  ==========
-``pl``, ``cs``         ``w d``     ``w^2 d``   ``m1 d``
-``ce``, ``ce-joint``   ``w / bp``  ``b^2``     ``m1``
+without ``bp``         ``w d``     ``w^2 d``   ``m1 d``
+with ``bp``            ``w / bp``  ``b^2``     ``m1``
 =====================  ==========  ==========  ==========
 
-``pl`` is ``cs`` with no constraints (``q = 0``).  The sums are
+``pl`` and ``cs`` (``q = 0`` for ``pl``) take the rows without ``bp``.  The sums are
 
 * ``G  = sum_i b_i  psi'_i``      ``G* = sum_i m2_i psi_i psi_i'``
 * ``K1 = sum_i m1_i psi_i h_i'``  ``K2 = sum_i m2_i psi_i h_i'``
@@ -67,28 +67,22 @@ class CovarianceComponents:
     H2: np.ndarray
 
 
-def components_from_arrays(estimator: str, theta, w, data: Dataset, model: ModelSpec,
-                           H: np.ndarray, bp=None) -> CovarianceComponents:
-    """Evaluate the component sums for given weights and constraint residuals."""
+def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndarray, bp=None,
+                           A=None) -> CovarianceComponents:
+    """The component sums for weights ``w`` and constraint residuals ``H``: the composite rows (``ce``)
+    given ``bp``, else the design rows (``pl``, ``cs``); the design matrix ``A`` is built unless given."""
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n,):
         raise DataError(f"components_from_arrays: weights have shape {w.shape}, expected ({data.n},)")
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != data.n:
         raise DataError(f"components_from_arrays: H has shape {H.shape}, expected ({data.n}, q)")
-    if estimator not in ("pl", "cs", "ce", "ce-joint"):
-        raise DataError(f"components_from_arrays: unknown estimator {estimator!r}")
-    if estimator == "pl" and H.shape[1]:
-        raise DataError(f"components_from_arrays: pl uses no constraints, so H must have no columns; "
-                        f"got shape {H.shape}")
-    composite = estimator in ("ce", "ce-joint")
+    composite = bp is not None
     if composite:
-        if bp is None:
-            raise DataError("components_from_arrays: the composite estimator needs visibility values")
         bp = np.asarray(bp, dtype=float)
         if bp.shape != (data.n,):
             raise DataError(f"components_from_arrays: bp has shape {bp.shape}, expected ({data.n},)")
-    A, psi, curv = _score_parts(model, theta, data)
+    A, psi, curv = _score_parts(model, theta, data, A)
     # G is formed, and A and curv dropped, before the meat weights exist: no more
     # n-vectors are alive at once than in G's own evaluation.
     b = w / bp if composite else w * data.d
@@ -103,20 +97,17 @@ def components_from_arrays(estimator: str, theta, w, data: Dataset, model: Model
 
 def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
                           vis=None) -> CovarianceComponents:
-    """Component sums for a converged fit (see :func:`components_from_arrays`); ``pl`` uses
-    no constraints, so its ``K`` and ``H`` blocks have no columns whatever ``constraints`` holds."""
+    """Component sums for a converged fit (see :func:`components_from_arrays`) in its own form: with no
+    multiplier (``pl``) ``H`` has no columns, and a composite fit (with ``Bp_hat``) takes ``vis.bp``."""
     if not fit.diagnostics.get("converged", False):
         raise DataError("covariance_components: fit did not converge; no covariance is available")
-    if fit.estimator == "pl":
-        H = np.empty((data.n, 0))
-    else:
-        H = build_constraint_matrix(data, constraints).H
+    H = build_constraint_matrix(data, constraints).H if fit.multiplier.size else np.empty((data.n, 0))
     bp = None
-    if fit.estimator in ("ce", "ce-joint"):
+    if fit.Bp_hat is not None:
         if vis is None:
-            raise DataError("covariance_components: the composite estimator needs the visibility model")
+            raise DataError("covariance_components: the composite fit needs the visibility model")
         bp = vis.bp
-    return components_from_arrays(fit.estimator, fit.theta, fit.weights, data, model, H, bp=bp)
+    return components_from_arrays(fit.theta, fit.weights, data, model, H, bp=bp)
 
 
 def _warn_cond(M: np.ndarray, name: str) -> None:

@@ -388,7 +388,7 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
     psi = logit_psi(theta, A, y)
     psi_prime = logit_psi_prime(theta, A)
 
-    comps_cs = components_from_arrays("cs", theta, w, data, model, H)
+    comps_cs = components_from_arrays(theta, w, data, model, H)
     oracle_cs = loop_cs_components(w, data.d, psi, psi_prime, H)
     errs = [float(np.max(np.abs(got - want))) for got, want in
             zip((comps_cs.G, comps_cs.Gstar, comps_cs.K1, comps_cs.K2,
@@ -396,7 +396,7 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
     v_cs = assemble_covariance(comps_cs)
     errs.append(float(np.max(np.abs(v_cs - cs_sandwich(*oracle_cs)))))
 
-    comps_ce = components_from_arrays("ce", theta, w, data, model, H, bp=bp)
+    comps_ce = components_from_arrays(theta, w, data, model, H, bp=bp)
     oracle_ce = loop_ce_components(w, bp, psi, psi_prime, H)
     errs.extend(float(np.max(np.abs(got - want))) for got, want in
                 zip((comps_ce.G, comps_ce.Gstar, comps_ce.K2,

@@ -621,6 +621,28 @@ def test_a_design_entry_that_is_not_an_object_exits_1_naming_it(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["fit", "mc"])
+def test_a_general_moment_with_a_group_field_exits_1_naming_it_before_any_data_or_replicate(tmp_path, capsys,
+                                                                                           command):
+    # A general moment has no subgroup, so a group field given with one is a config error, not a field to drop.
+    out = tmp_path / "run"
+    entry = {"kind": "general-moment", "target_column": "x", "gamma": 0.0, "group_column": "zz", "group_value": "abc"}
+    if command == "fit":
+        cfg = _fit_config(tmp_path / "absent.csv", out, {0.0: 0.3})
+        cfg["constraints"].append(entry)
+        where = "section 'constraints[1]'"
+    else:
+        cfg = _mc_config(tmp_path, out, reps=2)
+        cfg["design"]["constraints"].append(entry)
+        where = "section 'design'"
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert (f"parse_config: {where}: constraint on 'x': a general-moment takes no group_column or group_value, "
+            f"got 'zz' and 'abc'") in err
+    assert "absent.csv" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "mc"])
 def test_an_empty_estimator_list_exits_1_before_any_data_or_replicate(tmp_path, capsys, command):
     out = tmp_path / "run"
     if command == "fit":
@@ -632,6 +654,22 @@ def test_an_empty_estimator_list_exits_1_before_any_data_or_replicate(tmp_path, 
     assert "parse_config: 'estimators' must be a non-empty list of names, got []" in err
     assert "absent.csv" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "mc", "simulate"])
+@pytest.mark.parametrize("path", [5, None, ["a"], True, ""], ids=["number", "null", "list", "true", "empty"])
+def test_an_output_path_that_is_not_a_non_empty_string_exits_1_before_any_data_or_replicate(tmp_path, capsys,
+                                                                                           command, path):
+    # Run without --out, which would replace the value.
+    if command == "fit":
+        cfg = _fit_config(tmp_path / "absent.csv", tmp_path / "run", {0.0: 0.3})
+    else:
+        cfg = _mc_config(tmp_path, tmp_path / "run", reps=2)
+    cfg["output"]["path"] = path
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"parse_config: output.path must be a directory name, got {path!r}" in err
+    assert "absent.csv" not in err
 
 
 @pytest.mark.parametrize("command, section, key, message", [
@@ -678,9 +716,12 @@ def test_a_nested_list_of_column_names_exits_1(tmp_path, capsys, command, sectio
     ((), "intercept", "false", "DesignSpec: intercept must be true or false, got 'false'"),
     ((), "fixed_population", "no", "DesignSpec: fixed_population must be true or false, got 'no'"),
     (("design",), "mask_latent", "false", "DesignSpec: design.mask_latent must be true or false, got 'false'"),
+    ((), "design", {"kind": "two-strata", "column": "v", "rates": [0.5, 0.5],
+                    "family_sizes": {"values": [1.0, 2.0], "probs": [0.5, 0.5], "prob": [0.9, 0.1]}},
+     "unknown key 'prob' in 'design.design.family_sizes'"),
 ], ids=["lo", "coeffs", "rates", "bernoulli", "normal", "choice", "dummies", "lo out of range",
         "hi out of range", "rates out of range", "family sizes out of range", "null params", "negative params",
-        "intercept", "fixed population", "mask latent"])
+        "intercept", "fixed population", "mask latent", "family sizes key"])
 def test_a_bad_value_in_the_design_section_exits_1_before_any_replicate(tmp_path, capsys, path, key, value, message):
     out = tmp_path / "mc"
     cfg = _mc_config(tmp_path, out, reps=2)

@@ -256,8 +256,11 @@ def test_unknown_columns_and_kind_rejected():
 def test_constraint_entry_takes_config_values():
     entry = ConstraintEntry("subgroup-moment", "y", gamma="0.25", group_column="v", group_value=1)
     assert (entry.gamma, entry.group_value) == (0.25, 1.0) and isinstance(entry.group_value, float)
-    general = ConstraintEntry("general-moment", "y", gamma=1, group_column="v", group_value=1)
+    general = ConstraintEntry("general-moment", "y", gamma=1, group_column=None, group_value=None)
     assert (general.gamma, general.group_column, general.group_value) == (1.0, None, None)
+    for group_column, group_value in (("v", 1), ("v", None), (None, 1), ("zz", "abc")):
+        with pytest.raises(DataError, match="constraint on 'y': a general-moment takes no group_column or group_value"):
+            ConstraintEntry("general-moment", "y", gamma=1, group_column=group_column, group_value=group_value)
     with pytest.raises(ValueError):
         ConstraintEntry("general-moment", "y", gamma="abc")
     for gamma in (True, float("inf")):

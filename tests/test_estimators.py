@@ -612,10 +612,24 @@ def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatc
         assert all(res.diagnostics["converged"] for res in fits.values())
         counts.append(len(calls))
         work.append((fits["cs"].diagnostics["newton_iterations"], fits["ce"].diagnostics["newton_iterations"]))
-    # Start (IRLS + Newton), three sandwiches (ce-joint copies the ce fit) and the cs and ce
-    # Newton solves: 7, whatever the iteration counts.
-    assert counts == [7, 7]
+    # FitProblem.A serves the start (IRLS + Newton), the cs and ce Newton solves and the three
+    # sandwiches (ce-joint copies the ce fit): 1, whatever the iteration counts.
+    assert counts == [1, 1]
     assert work[0] != work[1]
+
+
+def test_a_fit_that_takes_no_newton_step_shares_no_theta_with_the_start(rng):
+    # With no constraints the cs weights are the design weights, so its Newton solve starts at
+    # its root and returns at once; the fit must still own its theta.
+    data = _logistic_data(rng, n=200)
+    problem = FitProblem(data, MODEL, NO_CONSTRAINTS, visibility_from_pi(data))
+    start = problem.start[0].copy()
+    cs = problem.fit("cs")
+    assert cs.diagnostics["newton_iterations"] == 0
+    cs.theta[:] = 99.0
+    assert problem.start[0].tobytes() == start.tobytes()
+    fresh = FitProblem(data, MODEL, NO_CONSTRAINTS, visibility_from_pi(data)).fit("ce")
+    assert problem.fit("ce").theta.tobytes() == fresh.theta.tobytes()
 
 
 def test_a_rejected_constraint_matrix_is_built_once(monkeypatch):

@@ -50,16 +50,14 @@ def _logit_instance(rng, n=500, q=2):
     return ModelSpec("bernoulli-logit", ("x", "v")), data, w / w.sum(), random_feasible_u(rng, n, q)
 
 
-@pytest.mark.parametrize("estimator", ["pl", "cs", "ce", "ce-joint"])
-def test_components_agree_on_row_and_column_major_constraints(rng, estimator):
+@pytest.mark.parametrize("with_bp", [False, True], ids=["without bp", "with bp"])
+def test_components_agree_on_row_and_column_major_constraints(rng, with_bp):
     model, data, w, H = _logit_instance(rng)
-    bp = rng.uniform(0.2, 0.9, size=data.n)
+    bp = rng.uniform(0.2, 0.9, size=data.n) if with_bp else None
     theta = np.array([-0.3, 0.8, 1.0])
     C, F = _layouts(H)
-    if estimator == "pl":  # pl uses no constraints
-        C, F = C[:, :0], F[:, :0]
-    a = components_from_arrays(estimator, theta, w, data, model, C, bp=bp)
-    b = components_from_arrays(estimator, theta, w, data, model, F, bp=bp)
+    a = components_from_arrays(theta, w, data, model, C, bp=bp)
+    b = components_from_arrays(theta, w, data, model, F, bp=bp)
     for key, value in vars(a).items():
         assert (value is None) == (getattr(b, key) is None), key
         if value is not None:

@@ -209,12 +209,18 @@ def test_invalid_specs_are_rejected():
     (lambda: _basic_spec(visibility={"mode": "given-pi", "formla": ["v"]}),
      "unknown key 'formla' in 'design.visibility'"),
     (lambda: _basic_spec(visibility=["given-pi"]), "section 'design.visibility' must be an object"),
+    (lambda: _basic_spec(design={"kind": "two-strata", "column": "v", "rates": (0.5, 0.5), "family_sizes": {
+        "values": (1.0, 2.0), "probs": (0.5, 0.5), "prob": (0.9, 0.1)}}),
+     "unknown key 'prob' in 'design.design.family_sizes'; allowed keys: ['probs', 'values']"),
+    (lambda: _basic_spec(constraints=({"kind": "general-moment", "target_column": "y", "gamma": 0.5,
+                                       "group_column": "zz", "group_value": "abc"},)),
+     "constraint on 'y': a general-moment takes no group_column or group_value, got 'zz' and 'abc'"),
 ], ids=["normal sd", "choice probs", "choice values", "map source", "name", "rates", "family sizes",
         "family probs", "misspelled design key", "design number true", "terms", "fit terms", "design coeffs",
         "strata column", "map source order", "dummies parent", "visibility formula", "nf adjust", "latent sd",
         "infinite N", "fractional N", "zero terms", "zero estimand", "N above the array size limit",
         "unknown covariate key", "missing covariate key", "unknown constraint key", "unknown visibility key",
-        "visibility not an object"])
+        "visibility not an object", "unknown family sizes key", "general moment with a group"])
 def test_design_values_that_would_crash_a_replicate_are_rejected_when_built(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
         build()

@@ -77,7 +77,7 @@ def test_component_sums_match_hand_loops(p):
     psi = logit_psi(theta, A, data.y)
     psip = logit_psi_prime(theta, A)
 
-    roman = components_from_arrays("cs", theta, w, data, model, H)
+    roman = components_from_arrays(theta, w, data, model, H)
     G, Gs, K1, K2, H1, H2 = loop_cs_components(w, data.d, psi, psip, H)
     np.testing.assert_allclose(roman.G, G, atol=1e-12)
     np.testing.assert_allclose(roman.Gstar, Gs, atol=1e-12)
@@ -86,7 +86,7 @@ def test_component_sums_match_hand_loops(p):
     np.testing.assert_allclose(roman.H1, H1, atol=1e-12)
     np.testing.assert_allclose(roman.H2, H2, atol=1e-12)
 
-    cal = components_from_arrays("ce", theta, w, data, model, H, bp=bp)
+    cal = components_from_arrays(theta, w, data, model, H, bp=bp)
     cG, cGs, cK2, cH2 = loop_ce_components(w, bp, psi, psip, H)
     np.testing.assert_allclose(cal.G, cG, atol=1e-12)
     np.testing.assert_allclose(cal.Gstar, cGs, atol=1e-12)
@@ -105,14 +105,14 @@ def test_component_sums_match_hand_loops(p):
 def test_empty_constraints_reduce_to_plain_sandwich():
     data, model, theta, w, bp, _ = _tiny_instance(2)
     empty = np.empty((data.n, 0))
-    roman = components_from_arrays("cs", theta, w, data, model, empty)
+    roman = components_from_arrays(theta, w, data, model, empty)
     V_cs = assemble_covariance(roman)
-    V_pl = assemble_covariance(components_from_arrays("pl", theta, w, data, model, empty))
+    V_pl = assemble_covariance(components_from_arrays(theta, w, data, model, empty))
     np.testing.assert_allclose(V_cs, V_pl, atol=0)
     Gi = np.linalg.inv(roman.G)
     np.testing.assert_allclose(V_pl, Gi @ roman.Gstar @ Gi.T, atol=1e-14)
 
-    cal = components_from_arrays("ce", theta, w, data, model, empty, bp=bp)
+    cal = components_from_arrays(theta, w, data, model, empty, bp=bp)
     V_ce = assemble_covariance(cal)
     cGi = np.linalg.inv(cal.G)
     np.testing.assert_allclose(V_ce, cGi @ cal.Gstar @ cGi.T, atol=1e-14)
@@ -264,7 +264,7 @@ def test_unconverged_fit_has_no_covariance(rng):
 
 def test_components_of_every_fit_reproduce_its_covariance(rng):
     # All four estimators on one constrained problem.  pl uses no constraints, so its K and H
-    # blocks have no columns, and pl components with constraint columns are rejected.
+    # blocks have no columns.
     n = 120
     x = rng.choice([-1.0, 0.0, 1.0], size=n)
     y = (rng.uniform(size=n) < expit(0.2 + 0.8 * x)).astype(float)
@@ -283,9 +283,6 @@ def test_components_of_every_fit_reproduce_its_covariance(rng):
         comps = covariance_components(fit, data, MODEL_X, constraints, vis=vis)
         assert comps.H1.shape == ((0, 0) if name == "pl" else (2, 2)), name
         assert assemble_covariance(comps).tobytes() == fit.covariance.tobytes(), name
-    pl = problem.fit("pl")
-    with pytest.raises(DataError, match="pl uses no constraints, so H must have no columns"):
-        components_from_arrays("pl", pl.theta, pl.weights, data, MODEL_X, problem.cm.H)
 
 
 def test_near_singular_constraint_block_warns():
