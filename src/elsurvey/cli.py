@@ -155,19 +155,20 @@ def _need(section: dict, key: str, where: str):
 
 
 def _build(cls, section, where: str):
-    """:func:`data.build` of ``cls`` from ``section``; a TypeError or ValueError it raises is a ConfigError
-    naming ``where``."""
+    """:func:`data.build` of ``cls`` from ``section``; its DataError, which names ``where``, is a ConfigError."""
     try:
         return build(cls, section, where)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parse_config: section {where!r}: {exc}") from exc
+    except DataError as exc:
+        raise ConfigError(f"parse_config: {exc}") from exc
 
 
-def parse_config(source) -> dict:
+def parse_config(source, overrides=None) -> dict:
     """Parse and strictly validate a run config (path or already-loaded dict).
 
-    Unknown keys anywhere in the document are rejected with the section
-    named.  Returns a copy of the config in which ``model``, ``visibility``
+    ``overrides`` maps each of :data:`OVERRIDES` and ``out`` (``output.path``)
+    to a command-line value; one that is not None replaces the config's value
+    before any check.  Unknown keys anywhere in the document are rejected with
+    the section named.  Returns a copy of the config in which ``model``, ``visibility``
     and ``design`` are a :class:`ModelSpec`, a :class:`VisibilitySpec` and a
     :class:`DesignSpec`, and ``constraints`` a :class:`ConstraintSpec`, each
     built once, here, by constructors that check their own values; a value
@@ -186,6 +187,9 @@ def parse_config(source) -> dict:
         cfg = source
     check_keys(cfg, TOP_KEYS, "top level", ConfigError)
     cfg = dict(cfg)
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    out = overrides.pop("out", None)
+    cfg.update(overrides)
     if "data" in cfg:
         check_keys(cfg["data"], DATA_KEYS, "data", ConfigError)
         path = _need(cfg["data"], "path", "data")
@@ -203,8 +207,10 @@ def parse_config(source) -> dict:
                                                   for i, entry in enumerate(cfg["constraints"])))
     if "solver" in cfg:
         check_keys(cfg["solver"], SOLVER_KEYS, "solver", ConfigError)
-    if "output" in cfg:
-        check_keys(cfg["output"], OUTPUT_KEYS, "output", ConfigError)
+    if "output" in cfg or out is not None:
+        check_keys(cfg.setdefault("output", {}), OUTPUT_KEYS, "output", ConfigError)
+        if out is not None:
+            cfg["output"] = dict(cfg["output"], path=out)
         path = cfg["output"].get("path", ".")
         if not isinstance(path, str) or not path:
             raise ConfigError(f"parse_config: output.path must be a directory name, got {path!r}")
@@ -349,12 +355,7 @@ def run_command(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=None, help="override the worker count (mc)")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        for key in OVERRIDES:
-            if getattr(args, key) is not None:
-                cfg[key] = getattr(args, key)
-        if args.out is not None:
-            cfg.setdefault("output", {})["path"] = args.out
+        cfg = parse_config(args.config, {key: getattr(args, key) for key in OVERRIDES + ("out",)})
         command = {"fit": _cmd_fit, "simulate": _cmd_simulate,
                    "mc": _cmd_mc, "decluster": _cmd_decluster}[args.command]
         return command(cfg)

@@ -126,12 +126,15 @@ def check_keys(section, allowed, where: str, error: type[ValueError] = DataError
 
 def build(cls, section, where: str):
     """``cls(**section)`` for a dict ``section`` that holds only fields of the dataclass ``cls``; a
-    missing field, like any key :func:`check_keys` rejects, is a DataError naming ``where``."""
+    missing field, like any key :func:`check_keys` rejects, and a value the constructor rejects with a
+    ValueError are a DataError naming ``where``."""
     check_keys(section, [f.name for f in fields(cls)], where)
     try:
         return cls(**section)
     except TypeError as exc:
         raise DataError(f"{exc} in {where!r}") from exc
+    except ValueError as exc:
+        raise DataError(f"section {where!r}: {exc}") from exc
 
 
 def _validate_roles(roles: dict, columns: dict) -> dict:

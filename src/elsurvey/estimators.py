@@ -18,10 +18,11 @@ for some weight vector ``w``:
 design and constraint matrices and the design-weighted start once for all of
 them; ``fit_pl``, ``fit_cs``, ``fit_ce`` and ``profile_fit_joint`` use a fresh one.
 
-Step 2 always starts from the design-weighted estimate.  A fit raises only
-:class:`DataError`.  A failed fit is flagged (``converged`` False, with the
-``failure`` in its diagnostics), with NaN theta, SE and covariance; it keeps
-the step-1 weights it has, NaN when step 1 or the visibility raised.
+The estimators differ only in step 1, the weights.  One tail runs step 2 from
+the design-weighted estimate (for ``pl`` that estimate is step 2), the sandwich
+and every failure flag.  A fit raises only :class:`DataError`; a failed fit is
+flagged (``converged`` False, ``failure`` in its diagnostics) with NaN theta,
+SE and covariance, and keeps the step-1 weights, NaN when step 1 raised.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ class EstimateResult:
     Bp_hat: float | None
     logEL: float
     diagnostics: dict
-
-
-def _failed(estimator, p, weights, multiplier, Bp_hat, logEL, diagnostics) -> EstimateResult:
-    nan_vec = np.full(p, np.nan)
-    return EstimateResult(estimator=estimator, theta=nan_vec, covariance=np.full((p, p), np.nan),
-                          se=nan_vec.copy(), weights=weights, multiplier=multiplier,
-                          Bp_hat=Bp_hat, logEL=logEL, diagnostics=diagnostics)
 
 
 @dataclass(eq=False)
@@ -136,70 +130,68 @@ class FitProblem:
         return self._newton(self.data.d, theta0)
 
     def _newton(self, w, theta):
-        """The score Newton under weights ``w`` from a copy of ``theta``: a solve with no step returns its input."""
-        return _score_newton(self.model.family, self.A, self.data.y, w, theta.copy(), self.newton_tol,
-                             self.newton_max_iter)
+        """The score Newton under weights ``w`` from ``theta``, which it returns itself if it takes no step."""
+        return _score_newton(self.model.family, self.A, self.data.y, w, theta, self.newton_tol, self.newton_max_iter)
 
     def fit(self, name: str) -> EstimateResult:
-        """Fit estimator ``name`` once per problem; its InfeasibleError or ConvergenceError is a flagged fit."""
+        """Fit estimator ``name`` once per problem: ``ce-joint`` copies the ``ce`` fit, the others run :meth:`_fit`."""
         if name not in ESTIMATORS:
             raise DataError(f"FitProblem.fit: unknown estimator {name!r}; expected one of {ESTIMATORS}")
         if name not in self._fits:
-            try:
-                self._fits[name] = getattr(self, "_" + name.replace("-", "_"))()
-            except (InfeasibleError, ConvergenceError) as exc:
-                diagnostics = {"converged": False, "failure": f"{type(exc).__name__}: {exc}",
-                               "coef_names": list(self.model.coef_names)}
-                self._fits[name] = _failed(name, self.model.p, np.full(self.data.n, np.nan),
-                                           np.full(self.constraints.q, np.nan), None, np.nan, diagnostics)
+            self._fits[name] = self._ce_joint() if name == "ce-joint" else self._fit(name)
         return self._fits[name]
 
-    def _result(self, name, theta, w, multiplier, Bp_hat, logEL, diagnostics, H, bp) -> EstimateResult:
-        """The fit with its sandwich covariance, or flagged failed if the sandwich is singular."""
+    def _fit(self, name: str) -> EstimateResult:
+        """The weight step ``_<name>``, then step 2 and the sandwich: the one place a fit is flagged failed.
+
+        The weight step fills in the step-1 fields and returns its diagnostics, ``H`` and ``bp``; it
+        raises only before it fills any, so its InfeasibleError or ConvergenceError leaves NaN weights.
+        Step 2 is the start itself for ``pl``, else the score Newton from it under the step-1 weights.
+        """
+        p = self.model.p
+        step1 = {"weights": np.full(self.data.n, np.nan), "multiplier": np.full(self.constraints.q, np.nan),
+                 "Bp_hat": None, "logEL": np.nan}
+        theta, V, step2, failure = np.full(p, np.nan), np.full((p, p), np.nan), {}, ""
         try:
-            comps = components_from_arrays(theta, w, self.data, self.model, H, bp=bp, A=self.A)
-            V = assemble_covariance(comps)
-        except np.linalg.LinAlgError as exc:
-            diagnostics.update(converged=False, failure=f"singular sandwich covariance: {exc}")
-            return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)
-        return EstimateResult(estimator=name, theta=theta, covariance=V, se=np.sqrt(np.diag(V)),
-                              weights=w, multiplier=multiplier, Bp_hat=Bp_hat, logEL=logEL,
-                              diagnostics=diagnostics)
-
-    def _two_step(self, name, w, multiplier, Bp_hat, logEL, diagnostics, bp) -> EstimateResult:
-        """Step 2: the score equation under the step-1 weights ``w``, from the design-weighted start."""
-        start, _, _, reason = self.start
-        if reason:
-            diagnostics.update(converged=False, failure=f"design-weighted start failed: {reason}")
+            diagnostics, H, bp = getattr(self, "_" + name)(step1)
+        except (InfeasibleError, ConvergenceError) as exc:
+            diagnostics, failure = {}, f"{type(exc).__name__}: {exc}"
         else:
-            theta, iters, resid, reason = self._newton(w, start)
-            diagnostics.update(converged=not reason, newton_iterations=iters, score_residual=resid)
-            if not reason:
-                return self._result(name, theta, w, multiplier, Bp_hat, logEL, diagnostics, self.cm.H, bp)
-            diagnostics["failure"] = reason
-        return _failed(name, self.model.p, w, multiplier, Bp_hat, logEL, diagnostics)
+            root, iters, resid, reason = self.start
+            if reason:
+                failure = f"design-weighted start failed: {reason}"
+            elif name != "pl":
+                root, iters, resid, failure = self._newton(step1["weights"], root)
+            if name == "pl" or not reason:
+                step2 = {"newton_iterations": iters, "score_residual": resid}
+            if not failure:
+                try:
+                    V = assemble_covariance(components_from_arrays(root, step1["weights"], self.data, self.model,
+                                                                   H, bp=bp, A=self.A))
+                    theta = root.copy()  # a Newton that takes no step returns the start's own theta
+                except np.linalg.LinAlgError as exc:
+                    failure = f"singular sandwich covariance: {exc}"
+        diagnostics.update(coef_names=list(self.model.coef_names), converged=not failure, **step2)
+        if failure:
+            diagnostics["failure"] = failure
+        return EstimateResult(estimator=name, theta=theta, se=np.sqrt(np.diag(V)), covariance=V,
+                              diagnostics=diagnostics, **step1)
 
-    def _pl(self) -> EstimateResult:
-        theta, iters, resid, reason = self.start
+    def _pl(self, step1: dict):
         d = self.data.d
-        diagnostics = {"converged": True, "newton_iterations": iters, "score_residual": resid,
-                       "coef_names": list(self.model.coef_names)}
-        if reason:
-            diagnostics.update(converged=False, failure=f"design-weighted start failed: {reason}")
-            return _failed("pl", self.model.p, d.copy(), np.zeros(0), None, float(d @ np.log(d)), diagnostics)
-        return self._result("pl", theta.copy(), d.copy(), np.zeros(0), None, float(d @ np.log(d)),
-                            diagnostics, np.empty((self.data.n, 0)), None)
+        step1.update(weights=d.copy(), multiplier=np.zeros(0), logEL=float(d @ np.log(d)))
+        return {}, np.empty((self.data.n, 0)), None
 
-    def _cs(self) -> EstimateResult:
+    def _cs(self, step1: dict):
         cm = self.cm
         sol = solve_weighted_el(cm.H, self.data.d, tol=self.el_tol, max_iter=self.el_max_iter)
-        diagnostics = {"el_iterations": sol.iterations, "el_residual": sol.residual,
-                       "el_converged": sol.converged, "constraint_labels": list(cm.labels),
-                       "constraint_residual": float(np.max(np.abs(sol.w @ cm.H))) if cm.q else 0.0,
-                       "vacuous_constraints": list(cm.vacuous), "coef_names": list(self.model.coef_names)}
-        return self._two_step("cs", sol.w, sol.multiplier, None, sol.logEL, diagnostics, None)
+        step1.update(weights=sol.w, multiplier=sol.multiplier, logEL=sol.logEL)
+        return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
+                 "constraint_labels": list(cm.labels),
+                 "constraint_residual": float(np.max(np.abs(sol.w @ cm.H))) if cm.q else 0.0,
+                 "vacuous_constraints": list(cm.vacuous)}, cm.H, None)
 
-    def _ce(self) -> EstimateResult:
+    def _ce(self, step1: dict):
         """Step 1 solves standard EL on the columns ``h_i / bp_i`` for ``w*``; the composite weights are
         ``(w*_i / bp_i) / sum_j (w*_j / bp_j)`` and ``Bp_hat = 1 / sum_j (w*_j / bp_j)``."""
         vis = None if self.vis is None else self.vis.resolve(self.data)
@@ -211,15 +203,14 @@ class FitProblem:
         S = w.sum()
         w /= S  # in place: no second n-vector stays alive through step 2
         Bp_hat = 1.0 / S
-        logEL = float(np.sum(np.log(w)) - bp.size * np.log(w @ bp))
+        step1.update(weights=w, multiplier=sol.multiplier, Bp_hat=Bp_hat,
+                     logEL=float(np.sum(np.log(w)) - bp.size * np.log(w @ bp)))
         # n * (bp_i + kappa'h_i) = bp_i / w*_i, which the unit-weight restriction bounds below by Bp_hat.
-        diagnostics = {"el_iterations": sol.iterations, "el_residual": sol.residual,
-                       "el_converged": sol.converged,
-                       "restriction_active": bool(np.min(bp / sol.w) - Bp_hat <= 1e-9 * Bp_hat),
-                       "constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
-                       "constraint_residual": float(np.max(np.abs(w @ cm.H))) if cm.q else 0.0,
-                       "visibility_mode": vis.mode, "coef_names": list(self.model.coef_names)}
-        return self._two_step("ce", w, sol.multiplier, Bp_hat, logEL, diagnostics, bp)
+        return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
+                 "restriction_active": bool(np.min(bp / sol.w) - Bp_hat <= 1e-9 * Bp_hat),
+                 "constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
+                 "constraint_residual": float(np.max(np.abs(w @ cm.H))) if cm.q else 0.0,
+                 "visibility_mode": vis.mode}, cm.H, bp)
 
     def _ce_joint(self) -> EstimateResult:
         """The ``ce`` fit under the name ``ce-joint`` (see :func:`profile_fit_joint`), sharing no

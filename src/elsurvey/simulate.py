@@ -417,10 +417,6 @@ def _replicate(spec: DesignSpec, estimators, pop_seed: int, sample_seed: int, po
     return out
 
 
-def _replicate_task(args):
-    return _replicate(*args)
-
-
 @dataclass(frozen=True)
 class EstimatorSummary:
     """Per-coefficient Monte Carlo aggregates for one estimator."""
@@ -484,9 +480,9 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     workers = min(jobs, reps, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_task, tasks, chunksize=max(1, reps // (8 * workers))))
+            results = list(pool.map(_replicate, *zip(*tasks), chunksize=max(1, reps // (8 * workers))))
     else:
-        results = [_replicate_task(t) for t in tasks]
+        results = [_replicate(*t) for t in tasks]
 
     target = np.asarray(spec.estimand)
     p = target.size

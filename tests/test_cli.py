@@ -633,13 +633,39 @@ def test_a_general_moment_with_a_group_field_exits_1_naming_it_before_any_data_o
     else:
         cfg = _mc_config(tmp_path, out, reps=2)
         cfg["design"]["constraints"].append(entry)
-        where = "section 'design'"
+        where = "section 'design': section 'design.constraints[2]'"
     assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
     assert (f"parse_config: {where}: constraint on 'x': a general-moment takes no group_column or group_value, "
             f"got 'zz' and 'abc'") in err
     assert "absent.csv" not in err
     assert not out.exists()
+
+
+def test_a_rejected_design_constraint_is_named_by_its_place_not_only_by_its_column(tmp_path, capsys):
+    # Both design constraints are on y; the message must tell which of them holds the bad value.
+    out = tmp_path / "mc"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg["design"]["constraints"][1]["group_value"] = "abc"
+    assert run_command(["mc", "--config", _write_config(tmp_path, cfg)]) == 1
+    assert ("parse_config: section 'design': section 'design.constraints[1]': constraint on 'y': "
+            "group_value must be a finite number, got 'abc'") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "mc", "simulate", "decluster"])
+def test_an_empty_out_flag_exits_1_before_any_data_or_replicate(tmp_path, capsys, command):
+    # --out replaces output.path before the config is checked, so "" is rejected as the config's own "" is.
+    if command in ("fit", "decluster"):
+        cfg = _fit_config(tmp_path / "absent.csv", tmp_path / "run", {0.0: 0.3})
+        if command == "decluster":
+            cfg = {"data": cfg["data"], "seed": 3}
+    else:
+        cfg = _mc_config(tmp_path, tmp_path / "run", reps=2)
+    assert run_command([command, "--config", _write_config(tmp_path, cfg), "--out", ""]) == 1
+    err = capsys.readouterr().err
+    assert "parse_config: output.path must be a directory name, got ''" in err
+    assert "absent.csv" not in err and "load_dataset" not in err
 
 
 @pytest.mark.parametrize("command", ["fit", "mc"])

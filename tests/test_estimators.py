@@ -2,6 +2,7 @@
 the certified joint fit."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from scipy.special import expit, logit
 
 from conftest import SEPARATED_LOGIT, dataset_from
 from elsurvey import estimators, glm
-from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, build_constraint_matrix
+from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, build_constraint_matrix, make_dataset
 from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
 from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, profile_fit_joint
 from elsurvey.glm import ModelSpec, design_matrix, irls_fit, newton_solve_score, score
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
-from elsurvey.visibility import VisibilityModel, visibility_from_pi
+from elsurvey.visibility import VisibilityModel, VisibilitySpec, visibility_from_pi
 from oracles import (composite_profile, dual_minimize_kappa, gamma_inverse_psi, logistic_fisher_inverse,
                      logit_psi, nelder_mead_profile)
 
@@ -589,6 +590,71 @@ def test_singular_sandwich_is_flagged_not_raised():
         assert not res.diagnostics["converged"] and "singular sandwich covariance" in res.diagnostics["failure"]
         assert np.all(np.isnan(res.theta))
     assert np.all(np.isfinite(fits["cs"].weights)) and np.all(np.isfinite(fits["ce"].weights))
+
+
+def _infeasible_constraint(problem):
+    problem.constraints = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=5.0),))
+
+
+def _failed_visibility_regression(problem):
+    # A gamma regression on a column that moves by 1e-5 diverges.
+    data = problem.data
+    problem.data = make_dataset(dict(data.columns, tiny=1.0 + 1e-5 * data.columns["v"]), data.roles)
+    problem.vis = VisibilitySpec("gamma-regression", formula=("tiny",))
+
+
+def _failed_start(problem):
+    problem.newton_max_iter = 0
+
+
+def _failed_step_two(problem):
+    problem.start  # converges under the default cap
+    problem.newton_max_iter = 0
+
+
+def _singular_sandwich(problem):
+    cm = problem.cm
+    problem.cm = ConstraintMatrix(np.column_stack([cm.H, cm.H]), cm.labels * 2, cm.vacuous * 2)
+
+
+STEP_ONE_RAISED = ("step-1 InfeasibleError", "failed visibility regression")
+NO_STEP = "no convergence in 0 iterations"
+FLAGGED = {  # failure kind: (set-up, failure prefix of pl, cs and ce, None where the fit converges)
+    "step-1 InfeasibleError": (_infeasible_constraint, (None, "InfeasibleError: solve_weighted_el: ",
+                                                        "InfeasibleError: solve_el: ")),
+    "failed visibility regression": (_failed_visibility_regression,
+                                     (None, None, "ConvergenceError: estimate_visibility: ")),
+    "failed start": (_failed_start, (f"design-weighted start failed: {NO_STEP}",) * 3),
+    "failed step-2 Newton": (_failed_step_two, (None, NO_STEP, NO_STEP)),
+    "singular sandwich": (_singular_sandwich, (None, "singular sandwich covariance: ",
+                                               "singular sandwich covariance: ")),
+}
+
+
+@pytest.mark.parametrize("kind", FLAGGED)
+def test_a_flagged_fit_keeps_exactly_what_its_failure_leaves(kind):
+    # Regression guard for the flagged-fit contract of every estimator: NaN theta, SE and covariance;
+    # NaN weights and multiplier only after a step-1 exception; the failure's prefix; and the step-2
+    # diagnostics exactly when step 2 ran, which for pl (its step 2 is the start) includes a failed start.
+    setup, prefixes = FLAGGED[kind]
+    problem = _d67_problem(4000, seed=31)
+    setup(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a singular sandwich warns of its condition number first
+        fits = {name: problem.fit(name) for name in ESTIMATORS}
+    for name, prefix in zip(ESTIMATORS, prefixes + (prefixes[-1] and "ce fit failed: " + prefixes[-1],)):
+        fit, diagnostics = fits[name], fits[name].diagnostics
+        step_one_raised = prefix is not None and kind in STEP_ONE_RAISED
+        step_two_ran = not step_one_raised and (kind != "failed start" or name == "pl")
+        assert diagnostics["converged"] is (prefix is None), name
+        assert diagnostics.get("failure", "").startswith(prefix or "") and ("failure" in diagnostics) == bool(prefix)
+        for values in (fit.theta, fit.se, fit.covariance):
+            assert np.all(np.isnan(values) if prefix else np.isfinite(values)), name
+        for values in (fit.weights, fit.multiplier):
+            assert np.all(np.isnan(values) if step_one_raised else np.isfinite(values)), name
+        assert fit.weights.shape == (problem.data.n,) and np.isnan(fit.logEL) == step_one_raised, name
+        assert ("newton_iterations" in diagnostics) == ("score_residual" in diagnostics) == step_two_ran, name
+        assert diagnostics["coef_names"] == list(problem.model.coef_names), name
 
 
 def test_fit_problem_builds_the_design_matrix_a_fixed_number_of_times(monkeypatch):

@@ -421,9 +421,9 @@ def _recording_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, *iterables, chunksize=1):
             pools.append((self.max_workers, chunksize))
-            return map(fn, tasks)
+            return map(fn, *iterables)
 
     monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
