@@ -19,18 +19,27 @@ Monte Carlo harness (``simulate``) checks the asymptotics at desk scale.
 
 __version__ = "0.1.0"
 
+import numpy as _np
+
 from .data import (ConstraintEntry, ConstraintMatrix, ConstraintSpec, Dataset,
                    build_constraint_matrix, decluster, load_dataset, make_dataset,
                    normalize_design_weights)
 from .elcore import ELSolution, solve_el, solve_weighted_el
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, EstimateResult, FitProblem, fit_ce, fit_cs, fit_pl, profile_fit_joint
-from .glm import ModelSpec, design_matrix, irls_fit, newton_solve_score, score, score_jacobian
+from .glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
 from .simulate import (CovariateSpec, DesignSpec, MCSummary, draw_sample, gen_population,
                        population_constraint_spec, run_monte_carlo)
 from .variance import (CovarianceComponents, EfficiencyGap, assemble_covariance,
                        covariance_components, efficiency_gap)
 from .visibility import VisibilityModel, estimate_visibility, visibility_from_pi
+
+# glibc's malloc maps each request of 128 KiB or more on its own and trims its heap top whenever 128 KiB of it
+# is free, until the process frees a larger mapped block, whose size then becomes the first limit and twice it
+# the second.  A fit on a few thousand rows frees none, so each fit would map its QR workspace anew and fault
+# its heap top back in.  Freeing one 2 MiB block raises the limits to 2 and 4 MiB; larger blocks raise them
+# further when they are freed.
+_np.empty(1 << 18)
 
 __all__ = [
     "__version__",
@@ -42,7 +51,6 @@ __all__ = [
     "ELSolution", "solve_el", "solve_weighted_el",
     "VisibilityModel", "estimate_visibility", "visibility_from_pi",
     "ESTIMATORS", "FitProblem", "EstimateResult", "fit_pl", "fit_cs", "fit_ce", "profile_fit_joint",
-    "newton_solve_score",
     "CovarianceComponents", "EfficiencyGap", "covariance_components",
     "assemble_covariance", "efficiency_gap",
     "CovariateSpec", "DesignSpec", "MCSummary", "gen_population", "draw_sample",

@@ -83,8 +83,9 @@ def damped_newton(evaluate, x, tol: float, max_iter: int, bound: float, stop_on_
     dual or a concave log-likelihood the Newton direction always decreases it,
     and unlike a test on the objective this cannot stall at double-precision
     resolution.  ``jac()`` gives the Jacobian at ``x``; it is formed only for
-    a step.  Stops when ``|g| < tol`` or, with ``stop_on_step``, when the
-    full step's max-norm is below ``tol``, taking that step.  Returns ``(x,
+    a step.  Stops when ``|g| < tol``, at the start or after any step up to
+    the ``max_iter``-th, or, with ``stop_on_step``, when the full step's
+    max-norm is below ``tol``, taking that step.  Returns ``(x,
     iterations, |g|, failure)``, ``failure`` one of ``""`` (converged),
     ``"start"`` (``x`` off the domain), ``"line search"``, ``"bound"`` (``|x|``
     exceeded ``bound``) and ``"max_iter"``.
@@ -94,9 +95,11 @@ def damped_newton(evaluate, x, tol: float, max_iter: int, bound: float, stop_on_
         return x, 0, np.inf, "start"
     g, jac = ev
     gnorm = float(np.abs(g).max())
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 2):  # the last pass only tests the iterate of the last allowed step
         if gnorm < tol and not stop_on_step:
             return x, it - 1, gnorm, ""
+        if it > max_iter:
+            break
         J = jac()
         try:
             step = np.linalg.solve(J, -g)

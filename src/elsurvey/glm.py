@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .data import Dataset, as_bool, as_names
+from .data import as_bool, as_names
 from .elcore import damped_newton
 from .errors import ConvergenceError, DataError
 
@@ -46,6 +45,18 @@ class ModelSpec:
     @property
     def coef_names(self) -> tuple[str, ...]:
         return (("intercept",) if self.intercept else ()) + self.terms
+
+
+def expit(x):
+    """The logistic function ``1 / (1 + exp(-x))``, the formula of scipy's ``expit``, in one new array.
+
+    Takes a number or an array and leaves it unchanged; a 0-d result is returned as a numpy scalar.
+    """
+    with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709.78, and 1 / inf is 0
+        out = np.negative(x, out=np.empty(np.shape(x)), dtype=float)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)[()]
 
 
 def design_matrix(model: ModelSpec, data) -> np.ndarray:
@@ -149,45 +160,10 @@ def _check_unsaturated(family: str, eta: np.ndarray, caller: str) -> None:
 
     Such a row adds nothing to the score or its Jacobian, so both a step and a score near 0 can
     stop a Newton on separated data while the likelihood still rises.  ``expit`` is monotone: the
-    extreme rows tell.  A saturation that stops the score rule before any probability rounds, as
-    a quasi-separation on the negative side only does near ``eta = -22`` at 1e-10, is left to the
-    step check of :func:`newton_solve_score`.
+    extreme rows tell.
     """
     if family == "bernoulli-logit" and (expit(eta.min()) == 0.0 or expit(eta.max()) == 1.0):
         raise ConvergenceError(f"{caller}: fitted probabilities of exactly 0 or 1 (separation suspected)")
-
-
-def newton_solve_score(weights, model: ModelSpec, data: Dataset, theta0=None,
-                       tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
-    """Solve ``sum_i weights_i psi_i(theta) = 0`` by :func:`damped_newton`, to a score max-norm below ``tol``.
-
-    ``theta0`` defaults to the design-weighted (:func:`irls_fit`) estimate,
-    which is always feasible for the score's domain.  Raises
-    :class:`DataError` for weights that are not strictly positive and finite,
-    and :class:`ConvergenceError` when the iteration fails or stops where the
-    likelihood still rises (separated logit data): at a fitted probability of
-    exactly 0 or 1, or where the full Newton step still exceeds ``sqrt(tol)``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (data.n,) or np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-        raise DataError("newton_solve_score: weights must be strictly positive, finite, length n")
-    theta = None if theta0 is None else _check_theta(model, theta0).copy()
-    A = design_matrix(model, data)
-    theta = irls_fit(model.family, data.y, A, case_weights=data.d) if theta is None else theta
-    _check_response(model.family, data.y)
-    theta, _, _, reason = _score_newton(model.family, A, data.y, weights, theta, tol, max_iter)
-    if reason:
-        raise ConvergenceError(f"newton_solve_score: {reason}")
-    eta = A @ theta
-    _check_unsaturated(model.family, eta, "newton_solve_score")
-    # An exactly saturated row has no curvature, so only the check above sees it; a score that
-    # vanishes as theta grows (a separation) leaves a step of order one.
-    r, curv = _resid_curv(model.family, eta, data.y, "newton_solve_score")
-    step = float(np.abs(np.linalg.lstsq(_jacobian(A, weights, curv), A.T @ (weights * r), rcond=None)[0]).max())
-    if step > np.sqrt(tol):
-        raise ConvergenceError(f"newton_solve_score: Newton step {step:.3e} at the score root exceeds "
-                               f"sqrt(tol) (separation suspected)")
-    return theta
 
 
 def _wls(X: np.ndarray, z: np.ndarray, W: np.ndarray) -> np.ndarray:

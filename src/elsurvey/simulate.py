@@ -17,13 +17,12 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .data import (ConstraintEntry, ConstraintSpec, Dataset, as_bool, as_names, as_number, as_tuple, build,
                    check_keys, make_dataset)
 from .errors import DataError
 from .estimators import ESTIMATORS, FitProblem
-from .glm import FAMILIES, ModelSpec
+from .glm import FAMILIES, ModelSpec, expit
 from .visibility import VisibilitySpec
 
 GAMMA_SHAPE = 5.0  # shape of the gamma outcome; only the mean enters the estimand

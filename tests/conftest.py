@@ -15,11 +15,15 @@ def dataset_from(columns, **roles):
 
 
 # Logit samples with no finite maximum-likelihood fit: completely separated (y = 1 exactly when
-# x > 0), and quasi-completely separated (every x = 1 row has y = 1, the x = 0 rows have both).
+# x > 0), and quasi-completely separated (the x = 0 rows have both responses) with every x = 1 row
+# at y = 1 or, on the negative side, at y = 0.  There a Newton from theta = 0 that stopped on the
+# score's max-norm would stop near eta = -23 at 1e-10, where no fitted probability rounds to 0.
 SEPARATED_LOGIT = {
     "complete": {"x": [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], "y": [0, 0, 0, 1, 1, 1],
                  "pi": np.linspace(0.3, 0.7, 6)},
     "quasi": {"x": [0, 0, 0, 0, 1, 1, 1, 1], "y": [0, 1, 0, 1, 1, 1, 1, 1], "pi": np.linspace(0.3, 0.7, 8)},
+    "quasi-negative": {"x": [0, 0, 0, 0, 0, 1, 1, 1, 1], "y": [1, 0, 1, 0, 1, 0, 0, 0, 0],
+                       "pi": np.linspace(0.3, 0.7, 9)},
 }
 
 

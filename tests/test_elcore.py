@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_feasible_u
 from elsurvey.elcore import _sign_precheck, solve_el, solve_weighted_el
-from elsurvey.errors import DataError, InfeasibleError
+from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
 from oracles import bisect_scalar_dual, dual_minimize_kappa, nelder_mead_dual
 
 
@@ -212,3 +212,34 @@ def test_kappa_weights_satisfy_constraints(rng):
         assert np.all(denom > 0.0)
         winv = (1.0 / denom) / np.sum(1.0 / denom)
         np.testing.assert_allclose(sol.w, winv, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the iteration cap
+
+
+def test_a_dual_solve_needing_k_steps_converges_with_the_cap_set_to_k(rng):
+    # Regression guard: the iterate of the last allowed step is tested against the tolerance too.
+    n = 300
+    d = rng.uniform(0.5, 1.5, size=n)
+    d /= d.sum()
+    U = random_feasible_u(rng, n, 2) + 0.1
+    for solve in (solve_el, lambda U, **kw: solve_weighted_el(U, d, **kw)):
+        sol = solve(U)
+        k = sol.iterations
+        assert k >= 2
+        capped = solve(U, max_iter=k)
+        assert capped.iterations == k and capped.multiplier.tobytes() == sol.multiplier.tobytes()
+        with pytest.raises(ConvergenceError, match=f"no convergence in {k - 1} iterations"):
+            solve(U, max_iter=k - 1)
+
+
+def test_a_cap_of_0_accepts_a_start_at_the_root(rng):
+    # Columns with a design-weighted mean of 0 are solved by the zero multiplier, where the dual starts.
+    n = 50
+    d = rng.uniform(0.5, 1.5, size=n)
+    d /= d.sum()
+    U = rng.normal(size=(n, 2))
+    U -= d @ U
+    sol = solve_weighted_el(U, d, max_iter=0)
+    assert sol.iterations == 0 and np.array_equal(sol.w, d)

@@ -15,7 +15,7 @@ from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, bui
 from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
 from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl, profile_fit_joint
-from elsurvey.glm import ModelSpec, design_matrix, irls_fit, newton_solve_score, score
+from elsurvey.glm import ModelSpec, _score_newton, design_matrix, irls_fit, score
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
 from elsurvey.visibility import VisibilityModel, VisibilitySpec, visibility_from_pi
 from oracles import (composite_profile, dual_minimize_kappa, gamma_inverse_psi, logistic_fisher_inverse,
@@ -49,6 +49,16 @@ def _mean_constraint(data, column="y", group=None):
 
 MODEL = ModelSpec("bernoulli-logit", terms=("x",))
 NO_CONSTRAINTS = ConstraintSpec(())
+
+
+def _solve_score(w, model, data, theta0=None):
+    """Step 2's score Newton under weights ``w`` at the default settings, from ``theta0`` or, as a fit
+    starts it, from the design-weighted estimate; asserts that it converged."""
+    A = design_matrix(model, data)
+    theta0 = irls_fit(model.family, data.y, A, case_weights=data.d) if theta0 is None else np.asarray(theta0)
+    theta, _, _, reason = _score_newton(model.family, A, data.y, w, theta0, 1e-10, 100)
+    assert reason == ""
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,7 @@ def test_cs_uniform_weights_reduce_to_standard_el_two_step(rng):
     cm = build_constraint_matrix(data, constraints)
     sol = solve_el(cm.H)
     np.testing.assert_allclose(res.weights, sol.w, atol=1e-10)
-    theta = newton_solve_score(sol.w, MODEL, data)
+    theta = _solve_score(sol.w, MODEL, data)
     np.testing.assert_allclose(res.theta, theta, atol=1e-10)
 
 
@@ -295,7 +305,7 @@ def test_joint_agrees_with_two_step_on_well_conditioned_instance(rng):
 
 
 # ---------------------------------------------------------------------------
-# newton_solve_score
+# the score Newton of step 2
 
 
 def test_newton_gaussian_is_weighted_least_squares(rng):
@@ -306,31 +316,10 @@ def test_newton_gaussian_is_weighted_least_squares(rng):
     model = ModelSpec("gaussian-identity", terms=("x",))
     w = rng.uniform(0.5, 1.5, size=n)
     w /= w.sum()
-    theta = newton_solve_score(w, model, data)
+    theta = _solve_score(w, model, data)
     X = design_matrix(model, data)
     XtW = X.T * w
     np.testing.assert_allclose(theta, np.linalg.solve(XtW @ X, XtW @ y), atol=1e-9)
-
-
-def test_newton_saturates_on_separated_data():
-    # The weighted score has no finite root under perfect separation; from theta = 0 the
-    # solver reaches a saturated fit where the score is numerically zero and one fitted
-    # probability is exactly 1, and raises there as irls_fit does on the same data.
-    for n in (6, 50):
-        x = np.linspace(-2.0, 2.0, n)
-        data = dataset_from({"y": (x > 0).astype(float), "x": x}, response="y")
-        with pytest.raises(ConvergenceError, match="newton_solve_score: fitted probabilities of exactly 0 or 1"):
-            newton_solve_score(np.full(n, 1 / n), MODEL, data, theta0=np.zeros(2))
-
-
-def test_newton_rejects_a_separation_on_the_negative_side_only():
-    # Every x = 1 row has y = 0, the x = 0 rows have both.  From theta = 0 the score max-norm falls
-    # below 1e-10 near theta = (0.405, -23.6), where no fitted probability rounds to 0, but the full
-    # Newton step there is still -1 on the slope.
-    x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-    data = dataset_from({"y": [1, 0, 1, 0, 1, 0, 0, 0, 0], "x": x}, response="y")
-    with pytest.raises(ConvergenceError, match="newton_solve_score: Newton step 1.000e[+]00 at the score root"):
-        newton_solve_score(np.full(9, 1 / 9), MODEL, data, theta0=np.zeros(2))
 
 
 @pytest.mark.parametrize("case", SEPARATED_LOGIT)
@@ -368,14 +357,6 @@ def test_a_problem_fits_each_estimator_once_and_flags_a_failed_start_in_each(mon
     np.testing.assert_array_equal(fits[0].weights, data.d)
 
 
-def test_newton_solve_score_rejects_a_non_finite_weight(rng):
-    data = _logistic_data(rng, n=40)
-    w = np.full(40, 1 / 40)
-    w[3] = np.nan
-    with pytest.raises(DataError, match="newton_solve_score: weights must be strictly positive, finite"):
-        newton_solve_score(w, MODEL, data)
-
-
 def test_newton_matches_bracketing_oracle_on_scalar_instances(rng):
     model = ModelSpec("bernoulli-logit", terms=())
     for _ in range(10):
@@ -383,7 +364,7 @@ def test_newton_matches_bracketing_oracle_on_scalar_instances(rng):
         data = _logistic_data(rng, n=n)
         w = rng.uniform(0.2, 1.0, size=n)
         w /= w.sum()
-        theta = newton_solve_score(w, model, data)
+        theta = _solve_score(w, model, data)
         resid = w @ score(model, theta, data)
         assert np.max(np.abs(resid)) < 1e-10
         root = scipy.optimize.brentq(
@@ -408,7 +389,7 @@ def test_newton_halves_a_gamma_step_that_leaves_the_domain_and_converges(rng):
     for t in (1.0, 0.5):
         with pytest.raises(ConvergenceError, match="nonpositive linear predictor"):
             score(model, [theta0[0], (3.0 - 6.0 * t) / ybar[1] - theta0[0]], data)
-    theta = newton_solve_score(w, model, data, theta0=theta0)
+    theta = _solve_score(w, model, data, theta0=theta0)
     np.testing.assert_allclose(theta, [1.0 / ybar[0], 1.0 / ybar[1] - 1.0 / ybar[0]], rtol=1e-10)
 
 
@@ -578,6 +559,26 @@ def test_ce_joint_carries_the_ce_failure():
     assert np.all(np.isnan(joint.theta)) and joint.multiplier.shape == (problem.cm.q,)
 
 
+def test_a_score_newton_needing_k_steps_converges_with_the_cap_set_to_k():
+    # Regression guard: the iterate of the last allowed step is tested against the tolerance too.  A cap
+    # of 0 accepts the start, which is at its root under the design weights, so pl converges there.
+    fits = {name: _d67_problem(4000, seed=31).fit(name) for name in ("pl", "cs", "ce")}
+    for name, fit in fits.items():
+        k = fit.diagnostics["newton_iterations"]
+        assert (k == 0) == (name == "pl"), name
+        for cap, converged in ((k, True), (k - 1, False)):
+            if cap < 0:
+                continue
+            problem = _d67_problem(4000, seed=31)
+            problem.newton_max_iter = cap
+            capped = problem.fit(name)
+            assert capped.diagnostics["converged"] is converged, (name, cap)
+            if converged:
+                assert capped.theta.tobytes() == fit.theta.tobytes(), name
+            else:
+                assert capped.diagnostics["failure"].startswith(f"no convergence in {cap} iterations"), name
+
+
 def test_singular_sandwich_is_flagged_not_raised():
     # Every constraint column twice, passed around build_constraint_matrix's rank check:
     # the EL weights exist, but the H1 and H2 blocks are singular.
@@ -604,12 +605,13 @@ def _failed_visibility_regression(problem):
 
 
 def _failed_start(problem):
-    problem.newton_max_iter = 0
+    # The fitted covariate x set to the response: a complete separation, which irls_fit rejects.
+    data = problem.data
+    problem.data = make_dataset(dict(data.columns, x=data.y.copy()), data.roles)
 
 
 def _failed_step_two(problem):
-    problem.start  # converges under the default cap
-    problem.newton_max_iter = 0
+    problem.newton_max_iter = 0  # the start is at its root after 0 steps; the cs and ce step 2 must leave it
 
 
 def _singular_sandwich(problem):
@@ -624,7 +626,7 @@ FLAGGED = {  # failure kind: (set-up, failure prefix of pl, cs and ce, None wher
                                                         "InfeasibleError: solve_el: ")),
     "failed visibility regression": (_failed_visibility_regression,
                                      (None, None, "ConvergenceError: estimate_visibility: ")),
-    "failed start": (_failed_start, (f"design-weighted start failed: {NO_STEP}",) * 3),
+    "failed start": (_failed_start, ("design-weighted start failed: irls_fit: ",) * 3),
     "failed step-2 Newton": (_failed_step_two, (None, NO_STEP, NO_STEP)),
     "singular sandwich": (_singular_sandwich, (None, "singular sandwich covariance: ",
                                                "singular sandwich covariance: ")),

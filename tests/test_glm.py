@@ -1,12 +1,19 @@
-"""Score functions, analytic Jacobians, and the weighted maximum-likelihood fitter."""
+"""Score functions, analytic Jacobians, the weighted maximum-likelihood fitter and the logistic kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
+import scipy.special
 
+import elsurvey
 from conftest import dataset_from
 from elsurvey.errors import ConvergenceError, DataError
-from elsurvey.glm import FAMILIES, ModelSpec, _jacobian, _score_parts, design_matrix, irls_fit, score, score_jacobian
+from elsurvey.glm import (FAMILIES, ModelSpec, _jacobian, _score_parts, design_matrix, expit, irls_fit, score,
+                          score_jacobian)
 from oracles import gamma_glm_se, irls_reference
 
 
@@ -104,7 +111,7 @@ def test_jacobian_symmetric(family, rng):
 
 
 def _two_pass_score_and_jacobian(model, theta, data, weights):
-    """The score and its weighted Jacobian written out as two separate passes."""
+    """The score and its weighted Jacobian written out as two separate passes, with the package's ``expit``."""
     A = design_matrix(model, data)
     eta = A @ theta
     if model.family == "bernoulli-logit":
@@ -217,7 +224,7 @@ def test_irls_fit_matches_the_undamped_irls_reference(rng, family, weighted):
         X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, size=(n, p - 1))])
         beta0 = np.concatenate([[1.0], rng.uniform(-0.4, 0.4, size=p - 1)])
         if family == "bernoulli-logit":
-            y = (rng.random(n) < expit(X @ (beta0 - 0.5))).astype(float)
+            y = (rng.random(n) < scipy.special.expit(X @ (beta0 - 0.5))).astype(float)
         else:
             y = rng.gamma(shape=3.0, scale=1.0 / (3.0 * (X @ beta0)))
         c = rng.uniform(0.2, 3.0, size=n) if weighted else None
@@ -231,3 +238,72 @@ def test_irls_fit_rejects_non_finite_input_naming_it(name):
     args[name][-1] = np.nan
     with pytest.raises(DataError, match=f"irls_fit: {name} has non-finite values"):
         irls_fit("gaussian-identity", args["y"], args["X"])
+
+
+# ---------------------------------------------------------------------------
+# the logistic kernel
+
+
+def test_expit_matches_scipy_to_4_ulp_with_the_same_exact_0_and_1_sets():
+    # Both compute 1 / (1 + exp(-x)); numpy's SIMD exp is not libm's, so values may differ by a few ulp.
+    x = np.linspace(-800.0, 800.0, 2_000_001)
+    got, want = expit(x), scipy.special.expit(x)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_array_equal(got == 1.0, want == 1.0)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+@pytest.mark.parametrize("x", [0.3, -800.0, 800.0, np.float64(-2.5), np.array(1.5), np.array([[0.2, -40.0], [3.0, 710.0]])])
+def test_expit_takes_numbers_and_arrays_and_leaves_them_unchanged(x):
+    before = np.array(x, copy=True)
+    got, want = expit(x), scipy.special.expit(x)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    np.testing.assert_array_equal(x, before)
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter, which has loaded no module of the tests."""
+    src = str(Path(elsurvey.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    # Regression guard: scipy is a test dependency only; the runtime needs numpy alone.
+    code = "import sys, elsurvey, elsurvey.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_python(code).strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc limits")
+def test_refitting_a_small_sample_faults_no_pages_back_in():
+    # Regression guard for the 2 MiB block freed at import: without it, each of these fits (n = 4,066)
+    # maps its QR workspace anew and faults its heap top back in: about 100 page faults per refit.
+    code = """
+import resource
+from elsurvey.estimators import ESTIMATORS, FitProblem
+from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
+from elsurvey.visibility import visibility_from_pi
+spec = DesignSpec(N=8000, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
+                  covariates=(CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
+                              CovariateSpec("v", "bernoulli", (0.5,))),
+                  design={"kind": "poisson", "lo": 0.3, "hi": 0.7, "const": -0.6, "coeffs": {"v": 0.55},
+                          "response_coef": 1.0},
+                  terms=("x", "v"),
+                  constraints=({"kind": "subgroup-moment", "target_column": "y", "group_column": "v", "group_value": 1.0},))
+pop = gen_population(spec, seed=3)
+sample, constraints = draw_sample(pop, spec, seed=4), population_constraint_spec(pop, spec)
+
+def fit():  # a fresh problem that is freed on return, as each call of fit_ce or profile_fit_joint is
+    problem = FitProblem(sample, spec.model, constraints, visibility_from_pi(sample))
+    assert all(problem.fit(name).diagnostics["converged"] for name in ESTIMATORS)
+
+fit()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    fit()
+print(sample.n, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
+    n, faults = map(int, _fresh_python(code).split())
+    assert n == 4066 and faults < 100

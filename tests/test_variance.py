@@ -253,11 +253,13 @@ def test_unconverged_fit_has_no_covariance(rng):
     x = rng.choice([-1.0, 0.0, 1.0], size=n)
     y = (rng.uniform(size=n) < expit(0.2 + 0.8 * x)).astype(float)
     data = dataset_from({"y": y, "x": x}, response="y", covariates=("x",))
-    gamma = float(y[x == 1.0].mean())
+    # A target off the sample mean moves the weights, so step 2 must leave the start, and at a cap of 0 it cannot.
+    gamma = float(y[x == 1.0].mean()) + 0.05
     constraints = ConstraintSpec((
         ConstraintEntry("subgroup-moment", "y", gamma=gamma, group_column="x", group_value=1.0),
     ))
     res = fit_cs(data, MODEL_X, constraints, newton_max_iter=0)
+    assert res.diagnostics["failure"].startswith("no convergence in 0 iterations")
     with pytest.raises(DataError, match="converge"):
         covariance_components(res, data, MODEL_X, constraints)
 
