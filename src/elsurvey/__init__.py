@@ -36,10 +36,10 @@ from .visibility import VisibilityModel, estimate_visibility, visibility_from_pi
 
 # glibc's malloc maps each request of 128 KiB or more on its own and trims its heap top whenever 128 KiB of it
 # is free, until the process frees a larger mapped block, whose size then becomes the first limit and twice it
-# the second.  A fit on a few thousand rows frees none, so each fit would map its QR workspace anew and fault
-# its heap top back in.  Freeing one 2 MiB block raises the limits to 2 and 4 MiB; larger blocks raise them
-# further when they are freed.
-_np.empty(1 << 18)
+# the second, up to a mapped block of 32 MiB with its header.  A fit would otherwise map its n-sized arrays and
+# its QR workspace anew and fault them back in, each time.  Freeing one 31 MiB block raises the limits to 31 and
+# 62 MiB, which covers the per-fit arrays up to about 1e6 rows.
+_np.empty(31 << 17)
 
 __all__ = [
     "__version__",

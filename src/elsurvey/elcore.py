@@ -124,21 +124,23 @@ def damped_newton(evaluate, x, tol: float, max_iter: int, bound: float, stop_on_
     return x, max_iter, gnorm, "max_iter"
 
 
-def _dual_newton(U: np.ndarray, d: np.ndarray, tol: float, max_iter: int, name: str):
+def _dual_newton(U: np.ndarray, d: np.ndarray | float, tol: float, max_iter: int, name: str):
     """Minimize ``phi(lam) = -sum_i d_i log(1 + lam'U_i)`` over ``1 + lam'U_i > d_i``.
 
-    Vacuous columns keep a zero multiplier; the rest form the C-contiguous
-    ``(k, n)`` transpose ``Ut``, so the Hessian ``(Ut * v) @ Ut.T`` scales and
-    sums contiguous rows.  Returns ``(lam, iterations)``; raises when no
-    solution is found.
+    ``d`` is a length-n array or one number for all rows.  Vacuous columns
+    keep a zero multiplier; the rest form the C-contiguous ``(k, n)``
+    transpose ``Ut`` (``U.T`` itself for a column-major ``U`` with none), so
+    the Hessian ``(Ut * v) @ Ut.T`` scales and sums contiguous rows.
+    Returns ``(lam, iterations)``; raises when no solution is found.
     """
     active, lam = _sign_precheck(U, name), np.zeros(U.shape[1])
     if not active:
         return lam, 0
-    Ut = np.ascontiguousarray(U.T[active])
+    Ut = np.ascontiguousarray(U.T if len(active) == U.shape[1] else U.T[active])
 
     def evaluate(v):
-        s = 1.0 + v @ Ut
+        s = v @ Ut
+        s += 1.0
         if not (s > d).all():
             return None
         r = d / s
@@ -192,7 +194,7 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
         w = np.full(n, 1.0 / n)
         return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
                           iterations=0, converged=True, residual=0.0)
-    lam, iters = _dual_newton(U, np.full(n, 1.0 / n), tol, max_iter, "solve_el")
+    lam, iters = _dual_newton(U, 1.0 / n, tol, max_iter, "solve_el")
     w = 1.0 / (n * (1.0 + U @ lam))
     residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),

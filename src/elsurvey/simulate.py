@@ -455,10 +455,10 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
 
     Per-replicate seeds are pre-drawn from one master stream, so results are
     identical for any ``jobs`` (at least 1; at most one worker process starts
-    per replicate and per CPU).  Failed replicates (infeasible constraints,
-    non-convergence, empty samples) are counted per estimator, never abort
-    the batch, and are excluded from the aggregates.  Coverage counts
-    ``|theta_hat_k - theta0_k| <= 1.96 se_k`` per coefficient.
+    per replicate and per CPU the process may run on).  Failed replicates
+    (infeasible constraints, non-convergence, empty samples) are counted per
+    estimator, never abort the batch, and are excluded from the aggregates.
+    Coverage counts ``|theta_hat_k - theta0_k| <= 1.96 se_k`` per coefficient.
     """
     estimators = tuple(estimators)
     if not estimators:
@@ -476,7 +476,8 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
 
     tasks = [(spec, estimators, int(rep_seeds[r, 0]), int(rep_seeds[r, 1]), population)
              for r in range(reps)]
-    workers = min(jobs, reps, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, reps, cpus)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, *zip(*tasks), chunksize=max(1, reps // (8 * workers))))

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import elsurvey
 from elsurvey.data import make_dataset
 
 
@@ -25,6 +33,35 @@ SEPARATED_LOGIT = {
     "quasi-negative": {"x": [0, 0, 0, 0, 0, 1, 1, 1, 1], "y": [1, 0, 1, 0, 1, 0, 0, 0, 0],
                        "pi": np.linspace(0.3, 0.7, 9)},
 }
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter, which has loaded no module of the tests."""
+    src = str(Path(elsurvey.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+# Page-fault counts read through `resource` and depend on glibc's malloc limits.
+needs_glibc = pytest.mark.skipif(importlib.util.find_spec("resource") is None or platform.libc_ver()[0] != "glibc",
+                                 reason="counts minor page faults under glibc's malloc")
+
+
+def refit_faults(setup: str, refits: int) -> int:
+    """Minor page faults of ``refits`` calls of the ``fit()`` that ``setup`` defines, after one untimed call.
+
+    Runs in a fresh interpreter, so the heap is the package's alone.
+    """
+    code = setup + f"""
+import resource
+fit()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range({refits}):
+    fit()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
+    return int(fresh_python(code))
 
 
 @pytest.fixture

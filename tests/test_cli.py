@@ -927,3 +927,40 @@ def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(tmp_path):
                 bad.append((command, path, "zz", stderr.getvalue(), code))
     assert bad == []
     assert exit_2 == SAMPLE_DEPENDENT
+
+
+OUTPUT_VALUES = dict(FUZZ_VALUES, empty="", object={})
+
+
+@pytest.mark.parametrize("command", ["fit", "mc", "simulate"])
+def test_an_output_key_dropped_or_mistyped_exits_0_or_1_with_the_key_named(tmp_path, monkeypatch, capsys, command):
+    """Regression guard for the section the one-key fuzz leaves to ``--out``: ``output.path`` and
+    ``output.format``, each dropped or set to each of :data:`OUTPUT_VALUES`, without ``--out``.  Only a
+    dropped key or the directory name ``"abc"`` exits 0, with its artifact written; any other value exits 1
+    with the key named, and no run prints a traceback."""
+    configs = _fuzz_configs(tmp_path)
+    base = configs["fit" if command == "fit" else "mc"]
+    if command == "simulate":
+        base = {"design": base["design"], "seed": base["seed"]}
+    base["output"] = {"path": "run", "format": "both"}
+    stem = "sim" if command == "simulate" else command
+    for key in ("path", "format"):
+        for name, value in OUTPUT_VALUES.items():
+            cfg = copy.deepcopy(base)
+            if value is _DROP:
+                del cfg["output"][key]
+            else:
+                cfg["output"][key] = value
+            cwd = tmp_path / f"{key}-{name}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)  # a dropped path writes into the working directory
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run_command([command, "--config", _write_config(cwd, cfg)])
+            err = capsys.readouterr().err
+            ok = value is _DROP or (key == "path" and value == "abc")
+            assert (code, "Traceback" in err) == (0 if ok else 1, False), (key, name, err)
+            if ok:
+                assert (cwd / cfg["output"].get("path", ".") / f"{stem}.json").exists(), (key, name)
+            else:
+                assert f"output.{key} must be" in err, (key, name, err)

@@ -243,3 +243,34 @@ def test_a_cap_of_0_accepts_a_start_at_the_root(rng):
     U -= d @ U
     sol = solve_weighted_el(U, d, max_iter=0)
     assert sol.iterations == 0 and np.array_equal(sol.w, d)
+
+
+# ---------------------------------------------------------------------------
+# the layout of U
+
+
+def test_the_dual_reads_every_layout_of_u_as_the_same_rows(rng):
+    # Regression guard: the dual takes a column-major U's transpose in place and copies any other U, or the
+    # non-vacuous columns of any U, into the same C-contiguous rows, so its arithmetic is the same.  A strided
+    # column-major U of the same values takes the copy, and its weights, which `U @ lam` forms in U's own
+    # layout, keep every bit; a row-major U and a vacuous column move only those weights' last bits.
+    n = 5000
+    d = rng.uniform(0.5, 1.5, size=n)
+    d /= d.sum()
+    U = np.asfortranarray(random_feasible_u(rng, n, 3) + 0.1)
+    layouts = {"strided": (np.asfortranarray(np.repeat(U, 2, axis=1))[:, ::2], [0, 1, 2]),
+               "row-major": (np.ascontiguousarray(U), [0, 1, 2]),
+               "vacuous": (np.asfortranarray(np.insert(U, 1, 0.0, axis=1)), [0, 2, 3])}
+    assert not layouts["strided"][0].T.flags.c_contiguous
+    for solve in (solve_el, lambda U: solve_weighted_el(U, d)):
+        ref = solve(U)
+        assert ref.iterations >= 2
+        for name, (V, active) in layouts.items():
+            sol = solve(V)
+            assert sol.multiplier[active].tobytes() == ref.multiplier.tobytes(), name
+            assert sol.iterations == ref.iterations, name
+            if name == "strided":
+                assert sol.w.tobytes() == ref.w.tobytes()
+            else:
+                np.testing.assert_allclose(sol.w, ref.w, rtol=1e-13, atol=0)
+        assert sol.multiplier[1] == 0.0

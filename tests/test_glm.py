@@ -1,16 +1,10 @@
 """Score functions, analytic Jacobians, the weighted maximum-likelihood fitter and the logistic kernel."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.special
 
-import elsurvey
-from conftest import dataset_from
+from conftest import dataset_from, fresh_python, needs_glibc, refit_faults
 from elsurvey.errors import ConvergenceError, DataError
 from elsurvey.glm import (FAMILIES, ModelSpec, _jacobian, _score_parts, design_matrix, expit, irls_fit, score,
                           score_jacobian)
@@ -262,48 +256,44 @@ def test_expit_takes_numbers_and_arrays_and_leaves_them_unchanged(x):
     np.testing.assert_array_equal(x, before)
 
 
-def _fresh_python(code: str) -> str:
-    """Standard output of ``code`` run in a new interpreter, which has loaded no module of the tests."""
-    src = str(Path(elsurvey.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-                          timeout=120).stdout
-
-
 def test_importing_the_package_and_its_cli_loads_no_scipy():
     # Regression guard: scipy is a test dependency only; the runtime needs numpy alone.
     code = "import sys, elsurvey, elsurvey.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _fresh_python(code).strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc limits")
-def test_refitting_a_small_sample_faults_no_pages_back_in():
-    # Regression guard for the 2 MiB block freed at import: without it, each of these fits (n = 4,066)
-    # maps its QR workspace anew and faults its heap top back in: about 100 page faults per refit.
-    code = """
-import resource
+def _d67_refits(N: int, n: int) -> str:
+    """Set-up that defines ``fit()``: every estimator on a fresh problem over one d67 sample of ``n`` rows."""
+    return f"""
 from elsurvey.estimators import ESTIMATORS, FitProblem
 from elsurvey.simulate import CovariateSpec, DesignSpec, draw_sample, gen_population, population_constraint_spec
 from elsurvey.visibility import visibility_from_pi
-spec = DesignSpec(N=8000, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
+spec = DesignSpec(N={N}, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),
                   covariates=(CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
                               CovariateSpec("v", "bernoulli", (0.5,))),
-                  design={"kind": "poisson", "lo": 0.3, "hi": 0.7, "const": -0.6, "coeffs": {"v": 0.55},
-                          "response_coef": 1.0},
+                  design={{"kind": "poisson", "lo": 0.3, "hi": 0.7, "const": -0.6, "coeffs": {{"v": 0.55}},
+                          "response_coef": 1.0}},
                   terms=("x", "v"),
-                  constraints=({"kind": "subgroup-moment", "target_column": "y", "group_column": "v", "group_value": 1.0},))
+                  constraints=({{"kind": "subgroup-moment", "target_column": "y", "group_column": "v", "group_value": 1.0}},))
 pop = gen_population(spec, seed=3)
 sample, constraints = draw_sample(pop, spec, seed=4), population_constraint_spec(pop, spec)
+assert sample.n == {n}, sample.n
 
 def fit():  # a fresh problem that is freed on return, as each call of fit_ce or profile_fit_joint is
     problem = FitProblem(sample, spec.model, constraints, visibility_from_pi(sample))
     assert all(problem.fit(name).diagnostics["converged"] for name in ESTIMATORS)
-
-fit()
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    fit()
-print(sample.n, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 """
-    n, faults = map(int, _fresh_python(code).split())
-    assert n == 4066 and faults < 100
+
+
+@needs_glibc
+def test_refitting_a_small_sample_faults_no_pages_back_in():
+    # Regression guard for the heap block freed at import: without it, each of these fits (n = 4,066)
+    # maps its QR workspace anew and faults its heap top back in: about 100 page faults per refit.
+    assert refit_faults(_d67_refits(8000, 4066), 10) < 100
+
+
+@needs_glibc
+def test_refitting_a_large_sample_faults_no_pages_back_in():
+    # Regression guard for the 31 MiB block freed at import: with a 2 MiB one, each of these fits maps its
+    # n-sized arrays anew and faults them and its heap top back in: about 4,200 page faults per refit.
+    assert refit_faults(_d67_refits(130_000, 66_491), 3) < 100

@@ -408,7 +408,8 @@ def test_a_fixed_population_serves_every_replicate(monkeypatch):
 
 def _recording_pool(monkeypatch, cpus):
     """Put into ``simulate`` a stand-in for ``ProcessPoolExecutor`` that starts no process, runs
-    in-process and records ``(max_workers, chunksize)``, and a machine of ``cpus`` CPUs."""
+    in-process and records ``(max_workers, chunksize)``, and a machine of ``cpus`` CPUs, on all of which
+    the process may run; ``None`` is a platform that reports neither its CPUs nor the process's affinity."""
     pools = []
 
     class RecordingPool:
@@ -427,6 +428,10 @@ def _recording_pool(monkeypatch, cpus):
 
     monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return pools
 
 
@@ -448,6 +453,16 @@ def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, want):
     pools = _recording_pool(monkeypatch, cpus)
     assert run_monte_carlo(spec, ("pl",), reps=40, seed=5, jobs=5000).as_dict() == serial
     assert pools == want
+
+
+def test_monte_carlo_starts_no_more_workers_than_the_cpus_the_process_may_run_on(monkeypatch):
+    # Under taskset or a cpuset, os.cpu_count() still counts every CPU of the machine.
+    spec = _basic_spec(N=400)
+    serial = run_monte_carlo(spec, ("pl",), reps=12, seed=5, jobs=1).as_dict()
+    pools = _recording_pool(monkeypatch, cpus=8)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_monte_carlo(spec, ("pl",), reps=12, seed=5, jobs=2).as_dict() == serial
+    assert pools == []
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
