@@ -1,38 +1,38 @@
 """Plug-in sandwich covariance for the fitted estimators.
 
-Every estimator's covariance is one sandwich over six weighted moments of the
-score ``psi``, its derivative ``psi'`` and the constraint residuals ``h``.
-The fits differ only in three row weights, the bread weight ``b`` and the
-meat weights ``m1`` and ``m2``, built from the fit's weights ``w``, the
-design weights ``d`` and, for a composite fit, the visibility ``bp``:
+Every estimator's covariance is one sandwich over the score ``psi``, its
+derivative ``psi'`` and the constraint residuals ``h``.  The fits differ only
+in two row weights, the bread weight ``b`` and the weight ``m1`` of the
+constraint projection, built from the fit's weights ``w``, the design weights
+``d`` and, for a composite fit, the visibility ``bp``:
 
-=====================  ==========  ==========  ==========
-rows                   ``b``       ``m1``      ``m2``
-=====================  ==========  ==========  ==========
-without ``bp``         ``w d``     ``w^2 d``   ``m1 d``
-with ``bp``            ``w / bp``  ``b^2``     ``m1``
-=====================  ==========  ==========  ==========
+=====================  ==========  ==========
+rows                   ``b``       ``m1``
+=====================  ==========  ==========
+without ``bp``         ``w d``     ``w^2 d``
+with ``bp``            ``w / bp``  ``b^2``
+=====================  ==========  ==========
 
-``pl`` and ``cs`` (``q = 0`` for ``pl``) take the rows without ``bp``.  The sums are
+``pl`` and ``cs`` (``q = 0`` for ``pl``) take the rows without ``bp``.  With
+``G = sum_i b_i psi'_i``, ``K1 = sum_i m1_i psi_i h_i'``, ``H1 = sum_i m1_i h_i h_i'``
+and ``A = K1 H1^-1``, each row's influence is ``u_i = b_i (psi_i - A h_i)``,
+the meat is their Gram ``M = sum_i u_i u_i' = U'U`` and the covariance is
 
-* ``G  = sum_i b_i  psi'_i``      ``G* = sum_i m2_i psi_i psi_i'``
-* ``K1 = sum_i m1_i psi_i h_i'``  ``K2 = sum_i m2_i psi_i h_i'``
-* ``H1 = sum_i m1_i h_i h_i'``    ``H2 = sum_i m2_i h_i h_i'``
+    V = G^-1 M G^-T.
 
-and the covariance is ``V = G^-1 M(A) G^-T`` with ``A = K1 H1^-1`` and
+``M`` is positive semidefinite by construction.  Expanded, it is ``M(A) = G* -
+A K2' - K2 A' + A H2 A'`` with the ``b^2``-weighted sums ``G*``, ``K2`` and
+``H2`` of ``psi psi'``, ``psi h'`` and ``h h'``, and ``M(A) = M(A*) + (A -
+A*) H2 (A - A*)'`` with ``A* = K2 H2^-1``.  ``ce`` has ``m1 = b^2``, so it
+takes ``A = A*``, where ``M`` is smallest.  Where ``cs`` and ``ce`` share
+``G``, ``G*``, ``K2`` and ``H2``, ``G (V_cs - V_ce) G'`` is therefore the
+positive semidefinite ``(A - A*) H2 (A - A*)'`` of the ``cs`` ``A``: the
+composite fit is no less efficient (:func:`efficiency_gap` reports the gap).
+The expanded form is not computed, as it loses digits to cancellation.
 
-    M(A) = G* - A K2' - K2 A' + A H2 A'.
-
-``M(A) = M(A*) + (A - A*) H2 (A - A*)'`` with ``A* = K2 H2^-1``.  ``ce``
-has ``K1 = K2`` and ``H1 = H2``, so it takes ``A = A*``, where ``M`` is
-smallest.  Where ``cs`` and ``ce`` share ``G``, ``G*``, ``K2`` and ``H2``,
-``G (V_cs - V_ce) G'`` is therefore the positive semidefinite
-``(A - A*) H2 (A - A*)'`` of the ``cs`` ``A``: the composite fit is no less
-efficient (:func:`efficiency_gap` reports the gap).
-
-Each sum is formed as ``(X.T * v) @ Y`` with ``v`` the per-row weight, so with
-the column-major ``psi`` and ``H`` that the package builds, the weighting scales
-contiguous rows of ``X.T``; any layout is accepted.
+Each weighted sum is formed as ``(X.T * v) @ Y`` with ``v`` the per-row weight,
+so with the column-major ``psi`` and ``H`` that the package builds, the
+weighting scales contiguous rows of ``X.T``; any layout is accepted.
 
 Because these sums carry the sample-size scale themselves (``n`` times each
 literal sum is the asymptotic-variance component), the assembled sandwich is
@@ -56,21 +56,20 @@ COND_WARN = 1e12
 
 @dataclass(frozen=True)
 class CovarianceComponents:
-    """Weighted moment matrices entering the sandwich; ``K1``, ``K2`` are ``p x q`` and
-    ``H1``, ``H2`` are ``q x q``, with ``q = 0`` when there are no constraints."""
+    """The bread ``G`` (``p x p``), the projection sums ``K1`` (``p x q``) and ``H1`` (``q x q``), with
+    ``q = 0`` when there are no constraints, and the meat ``M = U'U`` (``p x p``) of the sandwich."""
 
     G: np.ndarray
-    Gstar: np.ndarray
     K1: np.ndarray
-    K2: np.ndarray
     H1: np.ndarray
-    H2: np.ndarray
+    M: np.ndarray
 
 
 def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndarray, bp=None,
                            A=None) -> CovarianceComponents:
-    """The component sums for weights ``w`` and constraint residuals ``H``: the composite rows (``ce``)
-    given ``bp``, else the design rows (``pl``, ``cs``); the design matrix ``A`` is built unless given."""
+    """The components for weights ``w`` and constraint residuals ``H``: the composite rows (``ce``)
+    given ``bp``, else the design rows (``pl``, ``cs``); the design matrix ``A`` is built unless given.
+    Warns on an ``H1`` with condition number above ``COND_WARN``; a singular one raises LinAlgError."""
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n,):
         raise DataError(f"components_from_arrays: weights have shape {w.shape}, expected ({data.n},)")
@@ -83,16 +82,20 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
         if bp.shape != (data.n,):
             raise DataError(f"components_from_arrays: bp has shape {bp.shape}, expected ({data.n},)")
     A, psi, curv = _score_parts(model, theta, data, A)
-    # G is formed, and A and curv dropped, before the meat weights exist: no more
-    # n-vectors are alive at once than in G's own evaluation.
+    # G is formed, and A and curv dropped, before m1 exists: no more n-vectors are alive at once
+    # than in G's own evaluation.  The influence rows then overwrite psi, which _score_parts made
+    # for this call, through its p x n transpose: contiguous rows for the column-major psi.
     b = w / bp if composite else w * data.d
     G = _jacobian(A, b, curv)
     del A, curv
     m1 = b * b if composite else w * w * data.d
-    m2 = m1 if composite else m1 * data.d
     K1, H1 = (psi.T * m1) @ H, (H.T * m1) @ H
-    K2, H2 = (K1, H1) if composite else ((psi.T * m2) @ H, (H.T * m2) @ H)
-    return CovarianceComponents(G=G, Gstar=(psi.T * m2) @ psi, K1=K1, K2=K2, H1=H1, H2=H2)
+    Ut = psi.T
+    if H1.size:
+        _warn_cond(H1, "components_from_arrays: H1")
+        Ut -= np.linalg.solve(H1, K1.T).T @ H.T  # psi' - A H', with A = K1 H1^-1
+    Ut *= b
+    return CovarianceComponents(G=G, K1=K1, H1=H1, M=Ut @ Ut.T)
 
 
 def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
@@ -112,11 +115,11 @@ def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: Con
 
 def _warn_cond(M: np.ndarray, name: str) -> None:
     if M.size and np.linalg.cond(M) > COND_WARN:
-        warnings.warn(f"assemble_covariance: {name} has condition number above {COND_WARN:.0e}", stacklevel=3)
+        warnings.warn(f"{name} has condition number above {COND_WARN:.0e}", stacklevel=3)
 
 
 def assemble_covariance(components: CovarianceComponents) -> np.ndarray:
-    """Assemble the sandwich ``G^-1 M(A) G^-T`` with ``A = K1 H1^-1`` (module docstring).
+    """Assemble the sandwich ``G^-1 M G^-T`` (module docstring).
 
     Returns the estimated covariance of ``theta_hat``; ``n`` times the
     result estimates the asymptotic variance of ``sqrt(n) (theta_hat -
@@ -125,13 +128,8 @@ def assemble_covariance(components: CovarianceComponents) -> np.ndarray:
     symmetrized.
     """
     c = components
-    M = c.Gstar
-    if c.H1.size:
-        _warn_cond(c.H1, "H1")
-        A = np.linalg.solve(c.H1, c.K1.T).T  # K1 H1^-1
-        M = c.Gstar - A @ c.K2.T - c.K2 @ A.T + A @ c.H2 @ A.T
-    _warn_cond(c.G, "G")
-    X = np.linalg.solve(c.G, M)
+    _warn_cond(c.G, "assemble_covariance: G")
+    X = np.linalg.solve(c.G, c.M)
     V = np.linalg.solve(c.G, X.T).T
     return 0.5 * (V + V.T)
 

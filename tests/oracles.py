@@ -288,6 +288,50 @@ def ce_sandwich(G, Gs, K2, H2):
     return 0.5 * (V + V.T)
 
 
+def expanded_meat(Gs, K1, K2, H1, H2, inv=np.linalg.inv):
+    """The sandwich meat in its expanded form ``M(A) = G* - A K2' - K2 A' + A H2 A'``, ``A = K1 H1^-1``,
+    with the inverse ``inv``; the composite rows take ``K1 = K2`` and ``H1 = H2``."""
+    if not H1.size:
+        return Gs
+    A = K1 @ inv(H1)
+    return Gs - A @ K2.T - K2 @ A.T + A @ H2 @ A.T
+
+
+def _longdouble_inverse(X):
+    """``X^-1`` in ``np.longdouble``, which ``np.linalg`` does not take: the float64 inverse refined by
+    two Newton-Schulz steps ``Y <- Y (2 I - X Y)``, each of which squares the relative error."""
+    Y = np.linalg.inv(X.astype(float)).astype(np.longdouble)
+    two = 2 * np.eye(X.shape[0], dtype=np.longdouble)
+    for _ in range(2):
+        Y = Y @ (two - X @ Y)
+    return Y
+
+
+def longdouble_logit_sandwich(theta, A, y, w, h, d=None, bp=None):
+    """The logistic plug-in sandwich ``G^-1 M(A) G^-T`` in ``np.longdouble``, with the expanded meat.
+
+    The design rows (``b = w d``, ``m1 = w^2 d``) given ``d``, else the composite rows (``b = w / bp``,
+    ``m1 = b^2``); the meat's sums take ``m2 = b^2`` in both.
+    """
+    ld = np.longdouble
+    A, y, w, h = (np.asarray(v, dtype=ld) for v in (A, y, w, h))
+    mu = 1 / (1 + np.exp(-(A @ np.asarray(theta, dtype=ld))))
+    psi = (y - mu)[:, None] * A
+    if bp is None:
+        d = np.asarray(d, dtype=ld)
+        b, m1 = w * d, w * w * d
+    else:
+        b = w / np.asarray(bp, dtype=ld)
+        m1 = b * b
+    m2 = b * b
+    G = -(A.T * (b * mu * (1 - mu))) @ A
+    M = expanded_meat((psi.T * m2) @ psi, (psi.T * m1) @ h, (psi.T * m2) @ h, (h.T * m1) @ h, (h.T * m2) @ h,
+                      inv=_longdouble_inverse)
+    Gi = _longdouble_inverse(G)
+    V = Gi @ M @ Gi.T
+    return (V + V.T) / 2
+
+
 # ---------------------------------------------------------------------------
 # Exact enumeration over a discrete design: joint law of (x, v, y, pi),
 # population score roots, cell response moments, and the limits of the

@@ -9,11 +9,13 @@ import os
 import time
 
 import numpy as np
+from conftest import d9_spec
 from oracles import (
     bisect_scalar_dual,
     dual_minimize_kappa,
     ce_sandwich,
     cs_sandwich,
+    expanded_meat,
     logit_psi,
     logit_psi_prime,
     loop_ce_components,
@@ -40,7 +42,6 @@ from elsurvey.simulate import (
     run_monte_carlo,
 )
 from elsurvey.variance import (
-    CovarianceComponents,
     assemble_covariance,
     components_from_arrays,
     covariance_components,
@@ -310,44 +311,9 @@ def test_criterion_08_composite_no_less_precise_when_visibility_is_designed(caps
             f"mean SE ce/cs {np.round(mean_se_ce / mean_se_cs, 4).tolist()}, {elapsed:.0f}s")
 
 
-def _d9_spec():
-    pz = 0.35
-    age_eff = {1: 0.0, 2: 0.3, 3: 0.6, 4: 0.9, 5: 1.2, 6: 1.5, 7: 1.8}
-    theta0 = [-1.2, 0.7] + [age_eff[a] for a in range(2, 8)] + [0.4]
-    cells = list(range(14))
-    probs = [(1.0 - pz) / 7.0] * 7 + [pz / 7.0] * 7
-    ages = [c % 7 + 1 for c in cells]
-    zs = [0.0 if c < 7 else 1.0 for c in cells]
-    constraints = []
-    for c in cells:
-        lp0 = -1.2 + 0.7 * zs[c] + age_eff[ages[c]]
-        gam = float(np.mean(expit(lp0 + 0.4 * np.array([-1.0, 0.0, 1.0]))))
-        constraints.append({"kind": "subgroup-moment", "target_column": "y",
-                            "group_column": "cell", "group_value": float(c),
-                            "gamma": gam})
-    terms = ("z",) + tuple(f"age_{a}" for a in range(2, 8)) + ("u",)
-    return DesignSpec(
-        N=30_000,
-        family="bernoulli-logit",
-        theta0=tuple(theta0),
-        covariates=(
-            CovariateSpec("cell", "choice", (tuple(float(c) for c in cells), tuple(probs))),
-            CovariateSpec("z", "map", ("cell", tuple(float(c) for c in cells), tuple(zs))),
-            CovariateSpec("age", "map", ("cell", tuple(float(c) for c in cells),
-                                         tuple(float(a) for a in ages))),
-            CovariateSpec("u", "choice", ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))),
-        ),
-        design={"kind": "two-strata", "column": "z", "rates": (0.05, 0.5),
-                "family_sizes": {"values": (1.0, 2.0, 3.0), "probs": (0.3, 0.4, 0.3)}},
-        terms=terms,
-        dummies={"age": tuple(float(a) for a in range(2, 8))},
-        constraints=tuple(constraints),
-    )
-
-
 def test_criterion_09_subgroup_benchmarks_sharpen_constrained_coefficients(capsys):
     t0 = time.perf_counter()
-    spec = _d9_spec()
+    spec = d9_spec()
     rng = np.random.default_rng(424242)
     pop_seed, sample_seed = (int(s) for s in rng.integers(0, 2**62, size=2))
     pop = gen_population(spec, pop_seed)
@@ -390,23 +356,25 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
 
     comps_cs = components_from_arrays(theta, w, data, model, H)
     oracle_cs = loop_cs_components(w, data.d, psi, psi_prime, H)
+    G, Gs, K1, K2, H1, H2 = oracle_cs
     errs = [float(np.max(np.abs(got - want))) for got, want in
-            zip((comps_cs.G, comps_cs.Gstar, comps_cs.K1, comps_cs.K2,
-                 comps_cs.H1, comps_cs.H2), oracle_cs)]
+            zip((comps_cs.G, comps_cs.K1, comps_cs.H1, comps_cs.M),
+                (G, K1, H1, expanded_meat(Gs, K1, K2, H1, H2)))]
     v_cs = assemble_covariance(comps_cs)
     errs.append(float(np.max(np.abs(v_cs - cs_sandwich(*oracle_cs)))))
 
     comps_ce = components_from_arrays(theta, w, data, model, H, bp=bp)
     oracle_ce = loop_ce_components(w, bp, psi, psi_prime, H)
+    G, Gs, K2, H2 = oracle_ce
     errs.extend(float(np.max(np.abs(got - want))) for got, want in
-                zip((comps_ce.G, comps_ce.Gstar, comps_ce.K2,
-                     comps_ce.H2), oracle_ce))
+                zip((comps_ce.G, comps_ce.K1, comps_ce.H1, comps_ce.M),
+                    (G, K2, H2, expanded_meat(Gs, K2, K2, H2, H2))))
     v_ce = assemble_covariance(comps_ce)
     errs.append(float(np.max(np.abs(v_ce - ce_sandwich(*oracle_ce)))))
     plug_in_err = max(errs)
 
-    # Factorization identity on shared components: the precision gap between
-    # the two sandwiches is an exact quadratic form in the tilt difference.
+    # Factorization identity: the cs meat exceeds the ce meat M(A*) = G* - K2 H2^-1 K2' of the
+    # same sums by an exact quadratic form in the tilt difference D = A* - A.
     rng = np.random.default_rng(88)
     n = 300
     cols = _random_logistic_columns(rng, n)
@@ -416,15 +384,15 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
     spec2 = ConstraintSpec(entries=(ConstraintEntry(
         kind="general-moment", target_column="x",
         gamma=float(data2.d @ cols["x"])),))
-    cs_fit = fit_cs(data2, ModelSpec("bernoulli-logit", ("x",)), spec2)
-    comps = covariance_components(cs_fit, data2, ModelSpec("bernoulli-logit", ("x",)), spec2)
-    shared = CovarianceComponents(G=comps.G, Gstar=comps.Gstar, K1=comps.K2,
-                                  K2=comps.K2, H1=comps.H2, H2=comps.H2)
-    v_cs2 = assemble_covariance(comps)
-    v_ce2 = assemble_covariance(shared)
-    left = comps.G @ (v_cs2 - v_ce2) @ comps.G.T
-    D = comps.K2 @ np.linalg.inv(comps.H2) - comps.K1 @ np.linalg.inv(comps.H1)
-    right = D @ comps.H2 @ D.T
+    cs_fit = fit_cs(data2, model, spec2)
+    comps = covariance_components(cs_fit, data2, model, spec2)
+    A2 = design_matrix(model, data2)
+    _, Gs, _, K2, _, H2 = loop_cs_components(cs_fit.weights, data2.d, logit_psi(cs_fit.theta, A2, data2.y),
+                                             logit_psi_prime(cs_fit.theta, A2),
+                                             build_constraint_matrix(data2, spec2).H)
+    left = comps.M - (Gs - K2 @ np.linalg.solve(H2, K2.T))
+    D = K2 @ np.linalg.inv(H2) - comps.K1 @ np.linalg.inv(comps.H1)
+    right = D @ H2 @ D.T
     ident_err = float(np.max(np.abs(left - right)))
     ident_scale = max(1.0, float(np.max(np.abs(left))))
 

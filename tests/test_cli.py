@@ -292,7 +292,7 @@ def test_fit_unknown_estimator_fails_before_loading(tmp_path, capsys):
 
 
 def test_fit_singular_sandwich_is_flagged_not_raised(tmp_path, capsys):
-    # Two identical constraints would leave the H1 and H2 blocks singular; the rank check of the
+    # Two identical constraints would leave the H1 block singular; the rank check of the
     # constraint matrix rejects them as an input error before any fit.
     spec = DesignSpec(
         N=4000, family="bernoulli-logit", theta0=(-0.9, 0.8, 1.4),

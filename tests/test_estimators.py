@@ -581,7 +581,7 @@ def test_a_score_newton_needing_k_steps_converges_with_the_cap_set_to_k():
 
 def test_singular_sandwich_is_flagged_not_raised():
     # Every constraint column twice, passed around build_constraint_matrix's rank check:
-    # the EL weights exist, but the H1 and H2 blocks are singular.
+    # the EL weights exist, but H1 is singular, so A = K1 H1^-1 cannot be formed.
     problem = _d67_problem(4000, seed=0)
     cm = problem.cm
     problem.cm = ConstraintMatrix(np.column_stack([cm.H, cm.H]), cm.labels * 2, cm.vacuous * 2)

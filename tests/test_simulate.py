@@ -496,7 +496,7 @@ def test_monte_carlo_counts_failures_without_aborting():
 
 
 def test_monte_carlo_counts_singular_sandwiches_as_failures():
-    # Two identical constraints would give singular H1 / H2 sandwiches; the rank
+    # Two identical constraints would give a singular H1 in the sandwich; the rank
     # check rejects them, and the batch must finish and count every such fit as failed.
     duplicate = {"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
                  "group_value": 1.0, "gamma": 0.6112839324775846}

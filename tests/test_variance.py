@@ -1,27 +1,31 @@
 """Plug-in component sums and sandwich covariance assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import dataset_from
+from conftest import d9_spec, dataset_from, needs_wide_longdouble
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
 from elsurvey.errors import DataError
 from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl
 from elsurvey.glm import ModelSpec, design_matrix
+from elsurvey.simulate import draw_sample, gen_population, population_constraint_spec
 from elsurvey.variance import (
-    CovarianceComponents,
     assemble_covariance,
     components_from_arrays,
     covariance_components,
     efficiency_gap,
 )
-from elsurvey.visibility import VisibilityModel, visibility_from_pi
+from elsurvey.visibility import VisibilityModel, estimate_visibility, visibility_from_pi
 from oracles import (
     ce_sandwich,
     cs_sandwich,
+    expanded_meat,
     informative_cells,
     logistic_fisher_inverse,
+    longdouble_logit_sandwich,
     logit_psi,
     logit_psi_prime,
     loop_ce_components,
@@ -80,22 +84,18 @@ def test_component_sums_match_hand_loops(p):
     roman = components_from_arrays(theta, w, data, model, H)
     G, Gs, K1, K2, H1, H2 = loop_cs_components(w, data.d, psi, psip, H)
     np.testing.assert_allclose(roman.G, G, atol=1e-12)
-    np.testing.assert_allclose(roman.Gstar, Gs, atol=1e-12)
     np.testing.assert_allclose(roman.K1, K1, atol=1e-12)
-    np.testing.assert_allclose(roman.K2, K2, atol=1e-12)
     np.testing.assert_allclose(roman.H1, H1, atol=1e-12)
-    np.testing.assert_allclose(roman.H2, H2, atol=1e-12)
+    np.testing.assert_allclose(roman.M, expanded_meat(Gs, K1, K2, H1, H2), atol=1e-12)
 
     cal = components_from_arrays(theta, w, data, model, H, bp=bp)
     cG, cGs, cK2, cH2 = loop_ce_components(w, bp, psi, psip, H)
     np.testing.assert_allclose(cal.G, cG, atol=1e-12)
-    np.testing.assert_allclose(cal.Gstar, cGs, atol=1e-12)
     np.testing.assert_allclose(cal.K1, cK2, atol=1e-12)
-    np.testing.assert_allclose(cal.K2, cK2, atol=1e-12)
     np.testing.assert_allclose(cal.H1, cH2, atol=1e-12)
-    np.testing.assert_allclose(cal.H2, cH2, atol=1e-12)
+    np.testing.assert_allclose(cal.M, expanded_meat(cGs, cK2, cK2, cH2, cH2), atol=1e-12)
 
-    # Sandwich assembly agrees with plain-inverse assembly of the same sums.
+    # Sandwich assembly agrees with plain-inverse assembly of the expanded sums.
     np.testing.assert_allclose(assemble_covariance(roman),
                                cs_sandwich(G, Gs, K1, K2, H1, H2), atol=1e-12)
     np.testing.assert_allclose(assemble_covariance(cal),
@@ -103,19 +103,19 @@ def test_component_sums_match_hand_loops(p):
 
 
 def test_empty_constraints_reduce_to_plain_sandwich():
+    # With no constraint columns the meat is the score Gram G* itself.
     data, model, theta, w, bp, _ = _tiny_instance(2)
     empty = np.empty((data.n, 0))
-    roman = components_from_arrays(theta, w, data, model, empty)
-    V_cs = assemble_covariance(roman)
-    V_pl = assemble_covariance(components_from_arrays(theta, w, data, model, empty))
-    np.testing.assert_allclose(V_cs, V_pl, atol=0)
-    Gi = np.linalg.inv(roman.G)
-    np.testing.assert_allclose(V_pl, Gi @ roman.Gstar @ Gi.T, atol=1e-14)
-
-    cal = components_from_arrays(theta, w, data, model, empty, bp=bp)
-    V_ce = assemble_covariance(cal)
-    cGi = np.linalg.inv(cal.G)
-    np.testing.assert_allclose(V_ce, cGi @ cal.Gstar @ cGi.T, atol=1e-14)
+    A = design_matrix(model, data)
+    psi, psip = logit_psi(theta, A, data.y), logit_psi_prime(theta, A)
+    for comps, Gs in ((components_from_arrays(theta, w, data, model, empty),
+                       loop_cs_components(w, data.d, psi, psip, empty)[1]),
+                      (components_from_arrays(theta, w, data, model, empty, bp=bp),
+                       loop_ce_components(w, bp, psi, psip, empty)[1])):
+        assert comps.K1.shape == (2, 0) and comps.H1.shape == (0, 0)
+        np.testing.assert_allclose(comps.M, Gs, atol=1e-14)
+        Gi = np.linalg.inv(comps.G)
+        np.testing.assert_allclose(assemble_covariance(comps), Gi @ comps.M @ Gi.T, atol=1e-14)
 
 
 def _uniform_design_constant_visibility(n=90, c=0.37):
@@ -132,9 +132,9 @@ def _uniform_design_constant_visibility(n=90, c=0.37):
 
 
 def test_constant_weight_correspondence_between_component_sets():
-    # Uniform d and constant bp force the same weights on both estimators;
-    # the visibility sums then equal the design sums times (n/c) per weight
-    # power, and the two assembled sandwiches coincide exactly.
+    # Uniform d = 1/n and constant bp = c force the same weights on both estimators; the bread
+    # and influence weights of the visibility rows are then s = n/c times the design rows', the
+    # projection weights s/c times, and the two assembled sandwiches coincide.
     data, constraints, vis, c = _uniform_design_constant_visibility()
     cs = fit_cs(data, MODEL_X, constraints)
     ce = fit_ce(data, MODEL_X, constraints, vis)
@@ -143,9 +143,9 @@ def test_constant_weight_correspondence_between_component_sets():
     cal = covariance_components(ce, data, MODEL_X, constraints, vis=vis)
     s = data.n / c
     np.testing.assert_allclose(cal.G, s * roman.G, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(cal.Gstar, s**2 * roman.Gstar, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(cal.K2, s**2 * roman.K2, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(cal.H2, s**2 * roman.H2, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.K1, s / c * roman.K1, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.H1, s / c * roman.H1, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(cal.M, s**2 * roman.M, rtol=1e-9, atol=1e-14)
     np.testing.assert_allclose(ce.covariance, cs.covariance, rtol=1e-8, atol=1e-14)
 
 
@@ -178,16 +178,24 @@ def test_cs_matches_simplified_form_when_weights_independent_of_model():
     res = fit_cs(data, MODEL_X, constraints)
     comps = covariance_components(res, data, MODEL_X, constraints)
     V_full = assemble_covariance(comps)
+    _, Gs, _, K2, _, H2 = _loop_components(res, data, constraints)
     Gi = np.linalg.inv(comps.G)
-    M = comps.Gstar - comps.K2 @ np.linalg.solve(comps.H2, comps.K2.T)
+    M = Gs - K2 @ np.linalg.solve(H2, K2.T)
     V_simplified = Gi @ M @ Gi.T
     err = np.linalg.norm(V_full - V_simplified) / np.linalg.norm(V_full)
     assert err < 0.05
 
 
+def _loop_components(fit, data, constraints):
+    """The oracle's six design-row sums at a fit of ``MODEL_X``."""
+    A = design_matrix(MODEL_X, data)
+    return loop_cs_components(fit.weights, data.d, logit_psi(fit.theta, A, data.y),
+                              logit_psi_prime(fit.theta, A), build_constraint_matrix(data, constraints).H)
+
+
 def test_shared_component_efficiency_identity():
-    # With visibility equal to the inclusion probability and the component
-    # matrices shared, the bread-conjugated covariance gap factors exactly.
+    # With the component sums shared, the cs meat exceeds the ce meat M(A*) = G* - K2 H2^-1 K2' by
+    # exactly D H2 D', D = A* - A; conjugated by the bread, this is the covariance gap.
     rng = np.random.default_rng(88)
     n = 300
     x = rng.choice([-1.0, 0.0, 1.0], size=n)
@@ -201,16 +209,12 @@ def test_shared_component_efficiency_identity():
     ))
     res = fit_cs(data, MODEL_X, constraints)
     comps = covariance_components(res, data, MODEL_X, constraints)
-    shared = CovarianceComponents(G=comps.G, Gstar=comps.Gstar, K1=comps.K2,
-                                  K2=comps.K2, H1=comps.H2, H2=comps.H2)
-    V_cs = assemble_covariance(comps)
-    V_ce = assemble_covariance(shared)
-    G, K1, K2, H1, H2 = comps.G, comps.K1, comps.K2, comps.H1, comps.H2
-    left = G @ (V_cs - V_ce) @ G.T
-    D = K2 @ np.linalg.inv(H2) - K1 @ np.linalg.inv(H1)
+    _, Gs, _, K2, _, H2 = _loop_components(res, data, constraints)
+    left = comps.M - (Gs - K2 @ np.linalg.solve(H2, K2.T))
+    D = K2 @ np.linalg.inv(H2) - comps.K1 @ np.linalg.inv(comps.H1)
     right = D @ H2 @ D.T
-    scale = max(1.0, np.max(np.abs(left)))
-    assert np.max(np.abs(left - right)) < 1e-10 * scale
+    # Relative to G*, the size of the terms that cancel in ``left``.
+    assert np.max(np.abs(left - right)) < 1e-10 * np.max(np.abs(Gs))
 
 
 def test_efficiency_gap_identity_and_reporting():
@@ -288,17 +292,13 @@ def test_components_of_every_fit_reproduce_its_covariance(rng):
 
 
 def test_near_singular_constraint_block_warns():
-    eps = 1e-13
-    comps = CovarianceComponents(
-        G=-np.eye(2),
-        Gstar=np.eye(2),
-        K1=np.array([[0.1, 0.1], [0.0, 0.0]]),
-        K2=np.array([[0.1, 0.1], [0.0, 0.0]]),
-        H1=np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]),
-        H2=np.eye(2),
-    )
-    with pytest.warns(UserWarning, match="condition"):
-        assemble_covariance(comps)
+    # A second constraint column within 1e-7 of the first leaves H1 invertible but ill conditioned.
+    data, model, theta, w, bp, H = _tiny_instance(3)
+    H = np.column_stack([H[:, 0], H[:, 0] + 1e-7 * H[:, 1]])
+    for rows_bp in (None, bp):
+        with pytest.warns(UserWarning, match="H1 has condition number"):
+            comps = components_from_arrays(theta, w, data, model, H, bp=rows_bp)
+        assert np.linalg.cond(comps.H1) > 1e12 and np.all(np.isfinite(comps.M))
 
 
 def test_component_sums_converge_to_population_limits():
@@ -336,11 +336,62 @@ def test_component_sums_converge_to_population_limits():
     ce = fit_ce(data, MODEL_X, constraints, vis)
     roman = covariance_components(cs, data, MODEL_X, constraints)
     cal = covariance_components(ce, data, MODEL_X, constraints, vis=vis)
-    for name, (power, target) in roman_t.items():
-        observed = getattr(roman, name) * float(n) ** power
+    # The meat's limit is the expansion's, at the n^3 (design rows) or n (visibility rows) power of G*.
+    limits = {
+        "G": (roman, roman_t["G"]), "K1": (roman, roman_t["K1"]), "H1": (roman, roman_t["H1"]),
+        "M": (roman, (3, expanded_meat(*(roman_t[k][1] for k in ("Gstar", "K1", "K2", "H1", "H2"))))),
+        "calG": (cal, cal_t["calG"]), "calK1": (cal, cal_t["calK2"]), "calH1": (cal, cal_t["calH2"]),
+        "calM": (cal, (1, expanded_meat(*(cal_t[k][1] for k in ("calGstar", "calK2", "calK2", "calH2", "calH2"))))),
+    }
+    for name, (comps, (power, target)) in limits.items():
+        observed = getattr(comps, name.removeprefix("cal")) * float(n) ** power
         err = np.linalg.norm(observed - target) / np.linalg.norm(target)
         assert err < 0.05, f"{name}: relative error {err:.3f}"
-    for name, (power, target) in cal_t.items():
-        observed = getattr(cal, name.removeprefix("cal")) * float(n) ** power
-        err = np.linalg.norm(observed - target) / np.linalg.norm(target)
-        assert err < 0.05, f"{name}: relative error {err:.3f}"
+
+
+@needs_wide_longdouble
+def test_sandwich_ses_hold_to_a_longdouble_reference_with_fourteen_cell_benchmarks():
+    # The d9 design (q = 14) of ACCEPTANCE 09.  Over 20 such samples the expanded meat
+    # G* - A K2' - K2 A' + A H2 A' put up to 4.8e-13 relative error on an SE through cancellation,
+    # above 1e-13 in 9 of the cs fits and 12 of the ce fits; the Gram of the influence rows stays
+    # below 1.7e-14.
+    spec = d9_spec()
+    rng = np.random.default_rng(9)
+    population = gen_population(spec, int(rng.integers(2**62)))
+    constraints = population_constraint_spec(population, spec)
+    for _ in range(5):
+        sample = draw_sample(population, spec, int(rng.integers(2**62)))
+        vis = estimate_visibility(sample, ["z"])
+        A = design_matrix(spec.model, sample)
+        H = build_constraint_matrix(sample, constraints).H
+        for fit, rows in ((fit_cs(sample, spec.model, constraints), {"d": sample.d}),
+                          (fit_ce(sample, spec.model, constraints, vis), {"bp": vis.bp})):
+            se = np.sqrt(np.diag(longdouble_logit_sandwich(fit.theta, A, sample.y, fit.weights, H, **rows)))
+            err = float(np.max(np.abs(fit.se - se) / se))
+            assert err < 5e-14, (fit.estimator, err)
+
+
+def test_the_sandwich_holds_at_most_seven_row_vectors_at_once():
+    # At 256,000 rows one n-vector is 1.95 MiB.  The influence rows overwrite the score matrix, so
+    # the traced peak is that of the bread's evaluation; one more n x p copy would add 3.9 MiB.
+    n = 256_000
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=n)
+    y = (rng.random(n) < expit(0.3 + 0.8 * x)).astype(float)
+    d = rng.uniform(0.5, 2.0, size=n)
+    data = dataset_from({"y": y, "x": x, "dw": d / d.sum()}, response="y", weight="dw")
+    w = rng.uniform(0.5, 1.5, size=n)
+    w /= w.sum()
+    bp = rng.uniform(0.2, 0.9, size=n)
+    H = np.asfortranarray(rng.normal(size=(n, 2)))
+    A = design_matrix(MODEL_X, data)
+    theta = np.array([0.3, 0.8])
+    for form, rows_H, rows_bp in (("pl", np.empty((n, 0)), None), ("cs", H, None), ("ce", H, bp)):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            assemble_covariance(components_from_arrays(theta, w, data, MODEL_X, rows_H, bp=rows_bp, A=A))
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20, (form, peak / 2**20)
