@@ -12,6 +12,12 @@ returning a fabricated answer.
   subject to ``sum_i w_i U_i = 0``.
 * :func:`solve_weighted_el` - design-weighted EL: maximize
   ``sum_i d_i log w_i`` under the same constraints.
+
+Every sum over the ``n`` rows of the numeric core (the dual here, the score
+Newton of :mod:`elsurvey.glm` and the sandwich of :mod:`elsurvey.variance`) is
+:func:`row_sum`: the sum of one whole-array computation applied to consecutive
+blocks of :data:`ROWS` rows, so that its temporaries stay in the core's cache.
+With at most ``ROWS`` rows it is that computation itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +31,29 @@ from .errors import ConvergenceError, DataError, InfeasibleError
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-14
 MAX_MULTIPLIER = 1e8
+# Rows per block of a row sum.  One logit score evaluation with its Jacobian, and one dual evaluation with its
+# Hessian (q = 2), at 256,000 rows and one BLAS thread took 4.25 and 2.57 ms over whole arrays, and 2.87 and
+# 1.60, 2.83 and 1.41, 2.74 and 1.43, and 2.82 and 1.46 ms in blocks of 8,192, 16,384, 24,576 and 32,768 rows.
+# Where the whole arrays fit in a core's 2 MiB cache, a block adds a fixed cost: at 20,000 rows 0.167 and
+# 0.093 ms became 0.211 and 0.107 ms in blocks of 16,384.  With at most ROWS rows a sum is one block.
+ROWS = 16384
+
+
+def row_sum(f, *rows):
+    """The sum of ``f(*blocks)`` over the consecutive blocks of ``ROWS`` rows of ``rows``, arrays that share their
+    first axis or numbers that hold for every row, or ``f(*rows)`` itself when one block covers them.  ``f`` returns
+    an array, a tuple of arrays (summed term by term) or None, which marks the rows off a domain and makes the sum
+    None without evaluating the blocks after it."""
+    n = len(rows[0])
+    if n <= ROWS:
+        return f(*rows)
+    total = None
+    for start in range(0, n, ROWS):
+        part = f(*(a[start:start + ROWS] if isinstance(a, np.ndarray) else a for a in rows))
+        if part is None:
+            return None
+        total = part if total is None else tuple(map(np.add, total, part)) if isinstance(part, tuple) else total + part
+    return total
 
 
 @dataclass(frozen=True)
@@ -130,7 +159,9 @@ def _dual_newton(U: np.ndarray, d: np.ndarray | float, tol: float, max_iter: int
     ``d`` is a length-n array or one number for all rows.  Vacuous columns
     keep a zero multiplier; the rest form the C-contiguous ``(k, n)``
     transpose ``Ut`` (``U.T`` itself for a column-major ``U`` with none), so
-    the Hessian ``(Ut * v) @ Ut.T`` scales and sums contiguous rows.
+    the Hessian ``(Ut * v) @ Ut.T`` scales and sums contiguous rows.  Each
+    evaluation fills one n-vector of its weights ``v = d / (1 + lam'U_i)^2``
+    block by block; the Hessian, formed only for a step, reads it in a second pass.
     Returns ``(lam, iterations)``; raises when no solution is found.
     """
     active, lam = _sign_precheck(U, name), np.zeros(U.shape[1])
@@ -139,12 +170,18 @@ def _dual_newton(U: np.ndarray, d: np.ndarray | float, tol: float, max_iter: int
     Ut = np.ascontiguousarray(U.T if len(active) == U.shape[1] else U.T[active])
 
     def evaluate(v):
-        s = v @ Ut
-        s += 1.0
-        if not (s > d).all():
-            return None
-        r = d / s
-        return -Ut @ r, lambda: (Ut * (r / s)) @ Ut.T
+        def block(U, d, curv):  # rows of Ut.T
+            s = v @ U.T
+            s += 1.0
+            if not (s > d).all():
+                return None
+            r = d / s
+            np.divide(r, s, out=curv)
+            return -(U.T @ r)
+
+        curv = np.empty(Ut.shape[1])
+        g = row_sum(block, Ut.T, d, curv)
+        return None if g is None else (g, lambda: row_sum(lambda U, curv: (U.T * curv) @ U, Ut.T, curv))
 
     lam[active], iters, gnorm, failure = damped_newton(evaluate, np.zeros(len(active)), tol, max_iter,
                                                        MAX_MULTIPLIER)

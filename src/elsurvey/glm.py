@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import as_bool, as_names
-from .elcore import damped_newton
+from .elcore import damped_newton, row_sum
 from .errors import ConvergenceError, DataError
 
 FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
@@ -87,26 +87,29 @@ def _check_response(family: str, y: np.ndarray) -> None:
         raise DataError("gamma-inverse: response must be strictly positive")
 
 
-def _resid_curv(family: str, eta: np.ndarray, y: np.ndarray, name: str):
-    """``(r, c)`` with ``psi_i = r_i a_i`` and ``d psi_i / d theta = -c_i a_i a_i'``, from one ``eta``."""
+def _resid_curv(family: str, eta: np.ndarray, y: np.ndarray, name: str, curv=None):
+    """``(r, c)`` with ``psi_i = r_i a_i`` and ``d psi_i / d theta = -c_i a_i a_i'``, from one ``eta``; ``c`` is
+    written into ``curv`` when it is given."""
+    curv = np.empty_like(eta) if curv is None else curv
     if family == "bernoulli-logit":
         mu = expit(eta)
-        return y - mu, mu * (1.0 - mu)
+        return y - mu, np.multiply(mu, 1.0 - mu, out=curv)
     if family == "gaussian-identity":
-        return y - eta, np.ones_like(eta)
+        curv.fill(1.0)
+        return y - eta, curv
     if np.any(eta <= 0.0):
         raise ConvergenceError(f"gamma-inverse {name}: nonpositive linear predictor")
-    return 1.0 / eta - y, 1.0 / eta**2
+    return 1.0 / eta - y, np.divide(1.0, eta**2, out=curv)
 
 
 def _jacobian(A: np.ndarray, weights: np.ndarray, curv: np.ndarray) -> np.ndarray:
     return -(A.T * (weights * curv)) @ A
 
 
-def _score_parts(model: ModelSpec, theta, data, A=None):
-    """``(A, psi, curv)`` at ``theta``, checked as :func:`score` checks them; ``A`` is built unless given."""
+def _score_parts(model: ModelSpec, theta, data):
+    """``(A, psi, curv)`` at ``theta``, checked as :func:`score` checks them."""
     theta = _check_theta(model, theta)
-    A = design_matrix(model, data) if A is None else A
+    A = design_matrix(model, data)
     _check_response(model.family, data.y)
     resid, curv = _resid_curv(model.family, A @ theta, data.y, "score")
     return A, (A.T * resid).T, curv
@@ -133,18 +136,24 @@ def score_jacobian(model: ModelSpec, theta, data, weights) -> np.ndarray:
 
 def _score_newton(family: str, A: np.ndarray, y: np.ndarray, weights: np.ndarray, theta: np.ndarray,
                   tol: float, max_iter: int, stop_on_step: bool = False):
-    """:func:`damped_newton` on the weighted score sum ``A'(weights * r)``, which never forms the
-    ``(n, p)`` score matrix; a candidate outside the score's domain shortens the step.
+    """:func:`damped_newton` on the weighted score sum ``A'(weights * r)``, a :func:`row_sum` that never
+    forms the ``(n, p)`` score matrix; a candidate outside the score's domain in any block shortens the step.
+    Each evaluation fills one n-vector of curvatures, which the Jacobian, formed only for a step, reads.
 
     Returns ``(theta, iterations, residual, reason)``, with ``reason`` empty
     on success; never raises for non-convergence.
     """
     def evaluate(theta):
+        def block(A, y, weights, curv):
+            r = _resid_curv(family, A @ theta, y, "score", curv)[0]
+            return A.T @ (weights * r)
+
+        curv = np.empty(len(y))
         try:
-            r, curv = _resid_curv(family, A @ theta, y, "score")
+            g = row_sum(block, A, y, weights, curv)
         except ConvergenceError:
             return None
-        return A.T @ (weights * r), lambda: _jacobian(A, weights, curv)
+        return g, lambda: row_sum(_jacobian, A, weights, curv)
 
     theta, iters, resid, failure = damped_newton(evaluate, theta, tol, max_iter, 1e3, stop_on_step)
     reason = {"": "",

@@ -30,9 +30,12 @@ positive semidefinite ``(A - A*) H2 (A - A*)'`` of the ``cs`` ``A``: the
 composite fit is no less efficient (:func:`efficiency_gap` reports the gap).
 The expanded form is not computed, as it loses digits to cancellation.
 
-Each weighted sum is formed as ``(X.T * v) @ Y`` with ``v`` the per-row weight,
-so with the column-major ``psi`` and ``H`` that the package builds, the
-weighting scales contiguous rows of ``X.T``; any layout is accepted.
+Each weighted sum is :func:`elsurvey.elcore.row_sum` of ``(X[rows].T * v[rows])
+@ Y[rows]`` over blocks of ``ROWS`` rows, with ``v`` the per-row weight; with
+the column-major ``H`` that the package builds, the weighting scales contiguous
+pieces of the rows of ``X.T``, and any layout is accepted.  The first pass
+forms ``G``, ``K1`` and ``H1`` and fills ``psi'`` and ``b``; the second
+overwrites each block of ``psi'`` with its influence rows and sums ``U'U``.
 
 Because these sums carry the sample-size scale themselves (``n`` times each
 literal sum is the asymptotic-variance component), the assembled sandwich is
@@ -48,8 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ConstraintSpec, Dataset, build_constraint_matrix
+from .elcore import row_sum
 from .errors import DataError
-from .glm import ModelSpec, _jacobian, _score_parts
+from .glm import ModelSpec, _check_response, _check_theta, _jacobian, _resid_curv, design_matrix
 
 COND_WARN = 1e12
 
@@ -81,21 +85,31 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
         bp = np.asarray(bp, dtype=float)
         if bp.shape != (data.n,):
             raise DataError(f"components_from_arrays: bp has shape {bp.shape}, expected ({data.n},)")
-    A, psi, curv = _score_parts(model, theta, data, A)
-    # G is formed, and A and curv dropped, before m1 exists: no more n-vectors are alive at once
-    # than in G's own evaluation.  The influence rows then overwrite psi, which _score_parts made
-    # for this call, through its p x n transpose: contiguous rows for the column-major psi.
-    b = w / bp if composite else w * data.d
-    G = _jacobian(A, b, curv)
-    del A, curv
-    m1 = b * b if composite else w * w * data.d
-    K1, H1 = (psi.T * m1) @ H, (H.T * m1) @ H
-    Ut = psi.T
-    if H1.size:
-        _warn_cond(H1, "components_from_arrays: H1")
-        Ut -= np.linalg.solve(H1, K1.T).T @ H.T  # psi' - A H', with A = K1 H1^-1
-    Ut *= b
-    return CovarianceComponents(G=G, K1=K1, H1=H1, M=Ut @ Ut.T)
+    theta = _check_theta(model, theta)
+    A = design_matrix(model, data) if A is None else A
+    _check_response(model.family, data.y)
+    Ut, b = np.empty((model.p, data.n)), np.empty(data.n)  # psi', then the influence rows; the bread weight
+    rw = bp if composite else data.d  # b is w / bp or w d
+
+    def bread(A, H, w, y, rw, psi, b):  # psi: rows of Ut.T
+        r, curv = _resid_curv(model.family, A @ theta, y, "score")
+        np.multiply(A.T, r, out=psi.T)
+        (np.divide if composite else np.multiply)(w, rw, out=b)
+        m1 = b * b if composite else w * w * rw
+        return _jacobian(A, b, curv), (psi.T * m1) @ H, (H.T * m1) @ H
+
+    G, K1, H1 = row_sum(bread, A, H, w, data.y, rw, Ut.T, b)
+    _warn_cond(H1, "components_from_arrays: H1")
+    proj = np.linalg.solve(H1, K1.T).T if H1.size else None  # A = K1 H1^-1
+
+    def meat(H, u, b):  # u: rows of Ut.T
+        u = u.T
+        if proj is not None:
+            u -= proj @ H.T  # psi' - A H'
+        u *= b
+        return u @ u.T
+
+    return CovarianceComponents(G=G, K1=K1, H1=H1, M=row_sum(meat, H, Ut.T, b))
 
 
 def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: ConstraintSpec,

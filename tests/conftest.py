@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from scipy.special import expit
 
 import elsurvey
+from elsurvey import elcore
 from elsurvey.data import make_dataset
 from elsurvey.simulate import CovariateSpec, DesignSpec
 
@@ -69,6 +71,33 @@ for _ in range({refits}):
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 """
     return int(fresh_python(code))
+
+
+def traced_peak(call) -> int:
+    """Bytes of the ``tracemalloc`` peak of ``call()`` above what was traced at its entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def rejected_candidates(monkeypatch, module) -> list:
+    """The iterates, in order, at which the ``evaluate`` that ``module`` passes to ``damped_newton`` gives None."""
+    rejected, newton = [], elcore.damped_newton
+
+    def recording(evaluate, x, *args):
+        def checked(x):
+            ev = evaluate(x)
+            if ev is None:
+                rejected.append(x)
+            return ev
+        return newton(checked, x, *args)
+
+    monkeypatch.setattr(module, "damped_newton", recording)
+    return rejected
 
 
 @pytest.fixture

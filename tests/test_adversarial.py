@@ -72,6 +72,26 @@ def test_every_fit_converges_or_is_flagged_with_a_target_just_inside_the_hull():
     _assert_converged_or_flagged(FitProblem(data, MODEL_X, constraints, visibility_from_pi(data)))
 
 
+@pytest.mark.filterwarnings("ignore:assemble_covariance. G has condition number")
+@pytest.mark.parametrize("n", [400, 20_000])  # one block of rows, and two (elcore.ROWS = 16,384)
+@pytest.mark.parametrize("floor", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_every_gamma_fit_converges_or_is_flagged_with_a_linear_predictor_near_0(n, floor):
+    # Gamma-inverse rows with mean 1 / (floor + x), x uniform on [0, 1], and the last five rows, in the
+    # last block, at x = 0, where y is about 1 / floor.  Every fit converges up to floor = 1e-6.  At 1e-9
+    # ce is flagged at n = 400 (score max-norm 2.9e-10 after 100 steps against newton_tol = 1e-10), and
+    # at 1e-12, where y reaches 1e12, the start of every estimator stops at a score max-norm of 1.0e-7
+    # (n = 400) or 1.6e-10 (n = 20,000), so all are flagged.
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, size=n)
+    x[-5:] = 0.0
+    y = rng.gamma(2.0, 1.0 / (2.0 * (floor + x)))
+    data = dataset_from({"y": y, "x": x, "pi": rng.uniform(0.2, 0.8, size=n)},
+                        response="y", covariates=("x",), pi="pi")
+    constraints = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=0.5),))
+    model = ModelSpec("gamma-inverse", terms=("x",))
+    _assert_converged_or_flagged(FitProblem(data, model, constraints, visibility_from_pi(data)))
+
+
 def test_a_constant_covariate_is_a_data_error_and_fit_exits_1(tmp_path, capsys):
     rng, x, y = _logit_rows()
     data = dataset_from({"y": y, "x": x, "c": np.full(x.size, 2.0), "pi": rng.uniform(0.2, 0.8, size=x.size)},

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_feasible_u
-from elsurvey.elcore import _sign_precheck, solve_el, solve_weighted_el
+from conftest import random_feasible_u, rejected_candidates, traced_peak
+from elsurvey import elcore
+from elsurvey.elcore import _sign_precheck, row_sum, solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
 from oracles import bisect_scalar_dual, dual_minimize_kappa, nelder_mead_dual
 
@@ -274,3 +275,61 @@ def test_the_dual_reads_every_layout_of_u_as_the_same_rows(rng):
             else:
                 np.testing.assert_allclose(sol.w, ref.w, rtol=1e-13, atol=0)
         assert sol.multiplier[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# row sums in blocks
+
+
+def test_row_sum_adds_blocks_term_by_term_and_stops_at_the_first_block_off_the_domain(monkeypatch):
+    monkeypatch.setattr(elcore, "ROWS", 4)
+    x, y, firsts = np.arange(10.0), np.ones((10, 2)), []
+
+    def f(x):
+        firsts.append(x[0])
+        return None if x.max() >= 6.0 else x.sum()
+
+    assert row_sum(np.sum, x) == 45.0
+    total, xy = row_sum(lambda x, y: (x.sum(), x @ y), x[:9], y[:9])
+    assert total == 36.0 and np.array_equal(xy, [36.0, 36.0])
+    assert row_sum(f, x) is None and firsts == [0.0, 4.0]
+    rows = x[:4]
+    assert row_sum(lambda x: x, rows) is rows  # one block is the whole-array call itself
+
+
+def test_a_dual_step_off_the_domain_in_the_last_block_alone_is_rejected(monkeypatch):
+    # From lambda = 0 the full Newton step puts 1 + lambda u of the last row, u = -20, below d = 1/n, and of
+    # no other.  In blocks of 64 rows only the last block's check sees it; both solvers must reject the
+    # step as the one-block check does and reach the same multiplier in as many steps.
+    rng = np.random.default_rng(3)
+    n = 200
+    u = rng.uniform(0.5, 1.5, size=n)
+    u[-1] = -20.0
+    full = np.sum(u) / np.sum(u * u)
+    assert np.array_equal(np.flatnonzero(~(1.0 + full * u > 1.0 / n)), [n - 1])
+    for solve in (solve_el, lambda U: solve_weighted_el(U, np.full(n, 1.0 / n))):
+        runs = {}
+        for rows in (elcore.ROWS, 64):
+            monkeypatch.setattr(elcore, "ROWS", rows)
+            rejected = rejected_candidates(monkeypatch, elcore)
+            runs[rows] = solve(u[:, None]), rejected
+            monkeypatch.undo()
+        (one, one_rejected), (blocked, blocked_rejected) = runs.values()
+        assert blocked.iterations == one.iterations
+        np.testing.assert_allclose(blocked.multiplier, one.multiplier, rtol=1e-13, atol=0)
+        assert len(blocked_rejected) == len(one_rejected) >= 1
+        np.testing.assert_allclose(blocked_rejected[0], [full], rtol=1e-13, atol=0)
+
+
+def test_a_weighted_dual_solve_holds_at_most_two_and_a_half_row_vectors_at_once(rng):
+    # At 256,000 rows one n-vector is 1.95 MiB.  Each evaluation fills one n-vector d / s^2, block by block,
+    # and the step's Hessian reads the last accepted one; the weights w and log(w) are two more at the end.
+    # Over whole arrays, which kept s and d / s for the Hessian and formed it from n-sized products, it was six.
+    n = 256_000
+    d = rng.uniform(0.5, 1.5, size=n)
+    d /= d.sum()
+    U = np.asfortranarray(rng.normal(size=(n, 2)) + [0.1, -0.05])
+    solved = []
+    peak = traced_peak(lambda: solved.append(solve_weighted_el(U, d)))
+    assert solved[0].iterations >= 3
+    assert peak <= 2.5 * 8 * n, peak / (8 * n)

@@ -10,7 +10,7 @@ import scipy.optimize
 from scipy.special import expit, logit
 
 from conftest import SEPARATED_LOGIT, dataset_from
-from elsurvey import estimators, glm
+from elsurvey import elcore, estimators, glm
 from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, build_constraint_matrix, make_dataset
 from elsurvey.elcore import solve_el, solve_weighted_el
 from elsurvey.errors import ConvergenceError, DataError, InfeasibleError
@@ -577,6 +577,31 @@ def test_a_score_newton_needing_k_steps_converges_with_the_cap_set_to_k():
                 assert capped.theta.tobytes() == fit.theta.tobytes(), name
             else:
                 assert capped.diagnostics["failure"].startswith(f"no convergence in {cap} iterations"), name
+
+
+def test_fits_summed_in_blocks_of_rows_match_the_one_block_fit(monkeypatch):
+    # The score Newton, both EL duals and the sandwich sum their rows in blocks of elcore.ROWS.  Fewer
+    # rows than that, or as many, are one block and keep every bit; more move only round-off, and take
+    # the same iterations.  n = 1,994 here: 32 blocks of 64 rows and one of 10, two of 1,000 and 994,
+    # one of 1,993 and one of 1 row, then one block at n and at n + 1.
+    names = ("pl", "cs", "ce")
+    ref = {name: _d67_problem(4000, seed=31).fit(name) for name in names}
+    n = ref["pl"].weights.size
+    assert n < elcore.ROWS
+    for rows in (64, 1000, n - 1, n, n + 1):
+        monkeypatch.setattr(elcore, "ROWS", rows)
+        problem = _d67_problem(4000, seed=31)
+        for name in names:
+            fit, one = problem.fit(name), ref[name]
+            kept = [{k: v for k, v in f.diagnostics.items() if not k.endswith("_residual")} for f in (fit, one)]
+            assert kept[0] == kept[1], (rows, name)  # the iterations too; the residuals are round-off
+            for field in ("theta", "se", "weights", "multiplier"):
+                got, want = getattr(fit, field), getattr(one, field)
+                if rows >= n:
+                    assert got.tobytes() == want.tobytes(), (rows, name, field)
+                else:  # a multiplier's error is on the scale of the largest one, as its gradient's is
+                    scale = np.abs(want).max(initial=0.0) if field == "multiplier" else np.abs(want)
+                    assert np.all(np.abs(got - want) <= 1e-13 * scale), (rows, name, field)
 
 
 def test_singular_sandwich_is_flagged_not_raised():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.special
 
-from conftest import dataset_from, fresh_python, needs_glibc, refit_faults
+from conftest import dataset_from, fresh_python, needs_glibc, refit_faults, rejected_candidates, traced_peak
+from elsurvey import elcore, glm
 from elsurvey.errors import ConvergenceError, DataError
-from elsurvey.glm import (FAMILIES, ModelSpec, _jacobian, _score_parts, design_matrix, expit, irls_fit, score,
-                          score_jacobian)
+from elsurvey.glm import (FAMILIES, ModelSpec, _jacobian, _score_newton, _score_parts, design_matrix, expit, irls_fit,
+                          score, score_jacobian)
 from oracles import gamma_glm_se, irls_reference
 
 
@@ -124,7 +125,7 @@ def test_score_parts_give_the_two_pass_bits(family, rng):
         psi, J = _two_pass_score_and_jacobian(model, theta, data, w)
         assert score(model, theta, data).tobytes() == psi.tobytes()
         assert score_jacobian(model, theta, data, w).tobytes() == J.tobytes()
-        A, psi_parts, curv = _score_parts(model, theta, data, design_matrix(model, data))
+        A, psi_parts, curv = _score_parts(model, theta, data)
         assert psi_parts.tobytes() == psi.tobytes()
         assert _jacobian(A, w, curv).tobytes() == J.tobytes()
 
@@ -297,3 +298,50 @@ def test_refitting_a_large_sample_faults_no_pages_back_in():
     # Regression guard for the 31 MiB block freed at import: with a 2 MiB one, each of these fits maps its
     # n-sized arrays anew and faults them and its heap top back in: about 4,200 page faults per refit.
     assert refit_faults(_d67_refits(130_000, 66_491), 3) < 100
+
+
+# ---------------------------------------------------------------------------
+# the score Newton in blocks of rows
+
+
+def test_a_gamma_step_off_the_domain_in_the_last_block_alone_is_halved(monkeypatch):
+    # From theta = (1, 0) the full Newton step puts the linear predictor of the last row, x = 30, below 0,
+    # and of no other.  In blocks of 64 rows that row is alone in the last block's check; its rejection
+    # must halve the step as the one-block rejection does, to the same root in as many steps.
+    rng = np.random.default_rng(3)
+    n = 200
+    x = rng.uniform(0.0, 1.0, size=n)
+    x[-1] = 30.0
+    y = rng.gamma(2.0, 1.0 / (2.0 * (1.0 + 0.5 * x)))
+    y[-1] = 5.0
+    A, w, theta0 = np.asfortranarray(np.column_stack([np.ones(n), x])), np.full(n, 1.0 / n), np.array([1.0, 0.0])
+    eta = A @ theta0
+    full = theta0 + np.linalg.solve((A.T * (w / eta**2)) @ A, A.T @ (w * (1.0 / eta - y)))
+    assert np.array_equal(np.flatnonzero(A @ full <= 0.0), [n - 1])
+    runs = {}
+    for rows in (elcore.ROWS, 64):
+        monkeypatch.setattr(elcore, "ROWS", rows)
+        rejected = rejected_candidates(monkeypatch, glm)
+        runs[rows] = _score_newton("gamma-inverse", A, y, w, theta0, 1e-10, 100), rejected
+    (one, one_rejected), (blocked, blocked_rejected) = runs.values()
+    assert one[3] == blocked[3] == "" and one[1] == blocked[1]
+    np.testing.assert_allclose(blocked[0], one[0], rtol=1e-13, atol=0)
+    assert len(blocked_rejected) == len(one_rejected) >= 1
+    np.testing.assert_allclose(blocked_rejected[0], full, rtol=1e-13, atol=0)
+
+
+def test_a_score_newton_holds_at_most_two_and_a_half_row_vectors_at_once():
+    # At 256,000 rows one n-vector is 1.95 MiB.  Each evaluation fills one n-vector of curvatures, block by
+    # block, and the step's Jacobian reads the last accepted one: two are alive during a line search.  Over
+    # whole arrays, with each evaluation's n-sized temporaries, the peak was five.
+    n = 256_000
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=n)
+    y = (rng.random(n) < expit(0.3 + 0.8 * x)).astype(float)
+    A = np.asfortranarray(np.column_stack([np.ones(n), x]))
+    w = rng.uniform(0.5, 1.5, size=n)
+    w /= w.sum()
+    solved = []
+    peak = traced_peak(lambda: solved.append(_score_newton("bernoulli-logit", A, y, w, np.zeros(2), 1e-10, 100)))
+    assert solved[0][3] == "" and solved[0][1] >= 3
+    assert peak <= 2.5 * 8 * n, peak / (8 * n)
