@@ -6,7 +6,8 @@ They share one exact helper, :func:`_scaled`, which forms ``M * 2**E * 10**(16 -
 128-bit integer arithmetic from ``uint64`` partial products.
 
 :func:`format_rows` gives the bytes of ``format(x, ".17g")`` for an array of values in the
-range.  :func:`parse_tokens` turns ASCII number tokens of the form
+range; an array of integers among them takes a short path that writes only their digits.
+:func:`parse_tokens` turns ASCII number tokens of the form
 ``-?digits[.digits][e[+-]digits]`` into the doubles ``float(token)`` gives, bit for bit, or
 returns None when it cannot prove that for every token; a token outside Clinger's fast path
 is checked against the ``.17g`` digits of its candidate, by the round-trip property of 17
@@ -73,17 +74,54 @@ def _layout(k: int) -> list[int]:
 
 
 _LAYOUTS = np.array([_layout(k) for k in range(K_LO, K_HI + 1)])
+_P9, _TEN = np.uint64(10**9), np.uint32(10)
+
+
+def _put_digits(out, D):
+    """Write the decimal digits of each ``D`` (``uint64``, below ``10**len(out)``) into the
+    rows of ``out``, units last: the digits below and above ``10**9`` each in ``uint32``,
+    whose division is cheaper."""
+    if len(out) > 9:
+        hi = D // _P9
+        _put_digits(out[:-9], hi)
+        out, D = out[-9:], D - hi * _P9
+    D = D.astype(np.uint32)
+    for j in range(len(out) - 1, 0, -1):
+        q = D // _TEN
+        out[j], D = D - q * _TEN, q
+    out[0] = D
+
+
+def _integer_rows(u, negative):
+    """The rows of integers ``|x| = u`` with signs ``negative``: a sign byte, then as many
+    digit columns as the largest needs, leading zeros NUL."""
+    width = len(str(int(u.max(initial=0))))
+    src = np.empty((1 + width, u.size), np.uint8)
+    src[0] = np.uint8(ord("-")) * negative
+    _put_digits(src[1:], u)
+    src[1:] += np.uint8(ord("0"))
+    for j in range(1, width):  # the units digit always shows
+        src[j] *= u >= 10 ** (width - j)
+    return src.T
 
 
 def format_rows(values: np.ndarray) -> np.ndarray | None:
     """``format(x, ".17g")`` of each value of a 1-d float array, as NUL-padded ``uint8``
     rows, computed by exact integer arithmetic; None if any value is outside the
-    exact range (non-finite, or nonzero outside ``1e-11 <= |x| < 2**51``)."""
+    exact range (non-finite, or nonzero outside ``1e-11 <= |x| < 2**51``).
+
+    When every value is an integer, the rows hold a sign byte and as many digits as the
+    largest value has (two bytes for 0/1 flags); otherwise each value takes the 17-digit
+    layout of its decimal exponent, 23 bytes wide."""
     x = values.astype(float, copy=False)
-    if not np.isfinite(x).all():
+    a = np.abs(x)
+    if not a.max(initial=0.0) < 2.0**51:  # NaN fails the comparison too
         return None
+    u = a.astype(np.uint64)
+    if (u == a).all():
+        return _integer_rows(u, np.signbit(x))
     M, E = _binary(x)
-    k = np.floor(np.log10(np.where(M > 0, np.abs(x), 1.0))).astype(np.int64)
+    k = np.floor(np.log10(np.where(M > 0, a, 1.0))).astype(np.int64)
     q, rem, r, ok = _scaled(M, E, k)
     fix = (q >= _P17).astype(np.int64) - ((q < _P16) & (M > 0))  # log10 may be one off
     if fix.any():
@@ -96,9 +134,7 @@ def format_rows(values: np.ndarray) -> np.ndarray | None:
     D = _round_half_even(q, rem, r)
     src = np.empty((_SRC_NUL + len(_CONSTANTS), x.size), np.uint8)  # one row per source column
     src[_SRC_NUL:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
-    for j in range(16, -1, -1):
-        q = D // np.uint64(10)
-        src[j], D = D - q * np.uint64(10), q
+    _put_digits(src[:17], D)
     first = np.where((k >= -4) & (k < 17), np.maximum(k + 1, 0), 1)  # first fraction digit
     # cut: the first digit not shown, after the last nonzero one and the integer part
     cut = np.maximum(first, np.max(np.arange(1, 18, dtype=np.uint8)[:, None] * (src[:17] != 0), axis=0))
@@ -135,10 +171,10 @@ def _short_key(first, last, length):
 def _short_table() -> np.ndarray:
     """``float(token)`` of every number of one or two bytes at its :func:`_short_key`; NaN elsewhere."""
     table = np.full(2 * _SHORT_SIZE, np.nan)
-    digits = "0123456789"
-    for token in [*digits, *("-" + d for d in digits), *(a + b for a in digits for b in digits)]:
-        raw = np.frombuffer(token.encode(), np.uint8)
-        table[_short_key(raw[0], raw[-1], raw.size)] = float(token)
+    d, c = np.arange(10.0), np.arange(10) + ord("0")  # the digits and their bytes
+    table[_short_key(c, c, 1)] = d
+    table[_short_key(np.full(10, _MINUS), c, 2)] = -d  # "-0" is -0.0
+    table[_short_key(np.repeat(c, 10), np.tile(c, 10), 2)] = np.arange(100.0)
     return table
 
 

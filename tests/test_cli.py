@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEPARATED_LOGIT, dataset_from
+from conftest import SEPARATED_LOGIT, dataset_from, fresh_python
 from oracles import json_text
 import elsurvey
 from elsurvey.cli import OVERRIDES, parse_config, run_command, write_dataset_csv
@@ -964,3 +964,27 @@ def test_an_output_key_dropped_or_mistyped_exits_0_or_1_with_the_key_named(tmp_p
                 assert (cwd / cfg["output"].get("path", ".") / f"{stem}.json").exists(), (key, name)
             else:
                 assert f"output.{key} must be" in err, (key, name, err)
+
+
+def test_simulate_fit_and_mc_run_without_scipy(tmp_path):
+    # Regression guard for the numpy-only runtime: the test extras install scipy and conftest
+    # imports it, so only a fresh interpreter shows a module that imports it, even lazily.
+    design = {"N": 3000, "family": "bernoulli-logit", "theta0": [-0.9, 0.8, 1.4],
+              "covariates": [{"name": "x", "dist": "choice", "params": [[-1.0, 0.0, 1.0], [0.3, 0.3, 0.4]]},
+                             {"name": "v", "dist": "bernoulli", "params": [0.5]}],
+              "design": {"kind": "poisson", "lo": 0.3, "hi": 0.7, "coeffs": {"v": 0.55}, "response_coef": 1.0},
+              "terms": ["x", "v"],
+              "constraints": [{"kind": "subgroup-moment", "target_column": "y", "group_column": "v",
+                               "group_value": 1.0}]}
+    sim = _write_config(tmp_path, {"design": design, "output": {"path": str(tmp_path / "sim")}}, "sim.json")
+    fit = _write_config(tmp_path, _fit_config(tmp_path / "sim" / "sample.csv", tmp_path / "fit", {1.0: 0.6},
+                                              visibility={"mode": "gamma-regression", "formula": ["v"]},
+                                              estimators=list(ESTIMATORS)), "fit.json")
+    mc = _write_config(tmp_path, {"design": design, "estimators": ["pl", "cs", "ce"],
+                                  "output": {"path": str(tmp_path / "mc")}}, "mc.json")
+    code = ("import sys; from elsurvey.cli import run_command; "
+            f"codes = [run_command(['simulate', '--config', {sim!r}, '--seed', '3']), "
+            f"run_command(['fit', '--config', {fit!r}]), "
+            f"run_command(['mc', '--config', {mc!r}, '--seed', '5', '--reps', '2'])]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert fresh_python(code).strip() == "[0, 0, 0] []"

@@ -177,7 +177,8 @@ def _below(j: int) -> float:
 
 ON_PATH = st.one_of(st.sampled_from([0.0, -0.0]),
                     st.floats(math.nextafter(1e-11, 1.0), 2.0**51, exclude_max=True),
-                    st.floats(-(2.0**51), -math.nextafter(1e-11, 1.0), exclude_min=True))
+                    st.floats(-(2.0**51), -math.nextafter(1e-11, 1.0), exclude_min=True),
+                    st.integers(-(2**51) + 1, 2**51 - 1).map(float))
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,7 +224,23 @@ KERNEL_CHUNKS = {
     "non-finite": [0.5, np.nan, np.inf],
     "float32": np.array([0.1, -2.5, 1e-5, 3.4e10, 0.0], dtype=np.float32),
     "float16": np.array([0.1, -2.5, 65504.0], dtype=np.float16),
+    "integers": [0.0, -0.0, 1.0, -1.0, 9.0, 10.0, 99.0, 100.0, 1e15, 2.0**51 - 1, -(2.0**51 - 1)],
+    "integers and 2**51": [0.0, -7.0, 10.0, 2.0**51],
+    "integers and -2**51": [1.0, -(2.0**51), 0.0],
+    "integer float32": np.array([0.0, -0.0, 1.0, -7.0, 2.0**24], dtype=np.float32),
+    "integer float16": np.array([0.0, 1.0, -2.0, 2048.0, 65504.0], dtype=np.float16),
+    "integers and one 0.5": [0.0, -1.0, 10.0, 0.5, 2.0**51 - 1],
 }
+
+
+@pytest.mark.parametrize("values, width", [
+    ([0.0, 1.0, 1.0, 0.0], 2), ([-1.0, 0.0, 1.0], 2), ([-0.0], 2), ([9.0, -10.0], 3),
+    ([0.0, 2.0**51 - 1], 17), (np.array([65504.0], dtype=np.float16), 6), ([1.0, 0.5], 23),
+])
+def test_integer_valued_chunks_take_rows_as_wide_as_their_largest_value(values, width):
+    # An integer-valued chunk gets a sign byte and its largest value's digits; any other
+    # chunk takes the 17-digit layouts, as wide as -0.00012345678901234567.
+    assert format_rows(np.asarray(values)).shape[1] == width
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CHUNKS))
