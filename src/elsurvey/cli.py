@@ -14,12 +14,13 @@ streamed ``CHUNK`` rows at a time, formatted by the exact kernel of
 zero and every ``1e-11 <= |x| < 2**51``, and writes a chunk of integers in that
 range from their digits alone (on a 255,710-row d67 sample with three integer
 columns, the CSV takes 45–55 ms, where the 17-digit path for every cell took
-158–171 ms); a chunk holding any other value is formatted one value at a time.
+158–171 ms); a column chunk holding any other value is formatted one value at a
+time, and its NUL-padded rows join the other columns' rows.
 CSV input is read by ``data.load_dataset``.  A seed must be non-negative.
 
-Exit codes: 0 on success, 1 on input/config errors, 2 on statistical
-failures (infeasible constraints or non-convergence; partial results are
-still written, flagged).
+Exit codes: 0 on success, ``--help`` and ``--version``; 1 on input/config and
+usage (command-line) errors; 2 on statistical failures (infeasible constraints
+or non-convergence; partial results are still written, flagged).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -58,11 +58,6 @@ DEFAULT_ESTIMATORS = ("pl", "cs", "ce")  # fitted by fit and mc when the config 
 # JSON/CSV serialization with exact float round-trips; dataset CSVs streamed in bounded chunks
 
 CHUNK = 8192  # dataset rows formatted per piece of streamed output
-
-
-def _format_floats(values: np.ndarray) -> list[str]:
-    """``format(x, ".17g")`` of each value of a 1-d float array."""
-    return list(map(float.__format__, values.astype(float, copy=False).tolist(), repeat(".17g")))
 
 
 def _rows_text(*blocks) -> str:
@@ -138,13 +133,14 @@ def write_dataset_csv(path: str, data: Dataset) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
         for start in range(0, data.n, CHUNK):
-            chunks = [data.columns[name][start:start + CHUNK] for name in names]
-            blocks = [format_rows(chunk) for chunk in chunks]
-            if all(rows is not None for rows in blocks):
-                fh.write(_rows_text(*(piece for pair in zip(blocks, seps) for piece in pair)))
-            else:
-                cells = [_format_floats(chunk) for chunk in chunks]
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            blocks = []
+            for name, sep in zip(names, seps):
+                chunk = data.columns[name][start:start + CHUNK]
+                rows = format_rows(chunk)
+                if rows is None:  # a value outside the exact range: the chunk's cells one by one, NUL-padded
+                    rows = np.array([format(x, ".17g") for x in chunk.tolist()], "S")[:, None].view(np.uint8)
+                blocks += [rows, sep]
+            fh.write(_rows_text(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +351,10 @@ def run_command(argv=None) -> int:
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--reps", type=int, default=None, help="override the replicate count (mc)")
         p.add_argument("--jobs", type=int, default=None, help="override the worker count (mc)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version
+        return 1 if exc.code else 0
     try:
         cfg = parse_config(args.config, {key: getattr(args, key) for key in OVERRIDES + ("out",)})
         command = {"fit": _cmd_fit, "simulate": _cmd_simulate,

@@ -347,10 +347,6 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     return make_dataset(columns, schema)
 
 
-def _take(columns: dict, idx: np.ndarray) -> dict:
-    return {name: col[idx] for name, col in columns.items()}
-
-
 def decluster(data: Dataset, seed: int) -> Dataset:
     """Keep one member per family, re-weighting survivors by family size.
 
@@ -369,27 +365,17 @@ def decluster(data: Dataset, seed: int) -> Dataset:
     fam = data.columns[fam_col]
     raw = _weight_source(data.columns, data.roles)
 
+    _, first, family, sizes = np.unique(fam, return_index=True, return_inverse=True, return_counts=True)
     rng = np.random.default_rng(seed)
-    # Group by first appearance so the iteration order never depends on id values.
-    order: list[float] = []
-    members: dict[float, list[int]] = {}
-    for i, f in enumerate(fam):
-        if f not in members:
-            members[f] = []
-            order.append(f)
-        members[f].append(i)
-    keep = []
-    sizes = []
-    for f in order:
-        idx = members[f]
-        keep.append(idx[rng.integers(0, len(idx))])
-        sizes.append(len(idx))
-    keep = np.asarray(keep, dtype=int)
-    sizes = np.asarray(sizes, dtype=float)
+    # One draw per family, in order of first appearance, so the draws never depend on id values.
+    order = np.argsort(first)
+    draws = [rng.integers(0, size) for size in sizes[order].tolist()]
+    # The rows of each family in row order, families in id order; each draw picks one of its family's.
+    keep = np.argsort(family, kind="stable")[(np.cumsum(sizes) - sizes)[order] + draws]
     sort = np.argsort(keep)
-    keep, sizes = keep[sort], sizes[sort]
+    keep, sizes = keep[sort], sizes[order][sort].astype(float)
 
-    columns = _take(data.columns, keep)
+    columns = {name: col[keep] for name, col in data.columns.items()}
     columns["nf"] = sizes
     columns["declustered_weight"] = raw[keep] * sizes
     roles = dict(data.roles)

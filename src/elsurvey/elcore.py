@@ -200,39 +200,32 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
 
     The solution has ``w_i = d_i / (1 + lam'U_i)`` with the dual ``lam``
     chosen so the constraints hold; the domain keeps every ``w_i`` in (0, 1).
-    With no constraints the weights are exactly ``d``.
+    With no constraints the dual takes no step and the weights are exactly ``d``.
     """
     U = _check_matrix(U, "solve_weighted_el")
-    n, q = U.shape
+    n = len(U)
     d = np.asarray(d, dtype=float)
     if d.shape != (n,) or np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise DataError("solve_weighted_el: d must be strictly positive, finite, length n")
     if abs(d.sum() - 1.0) > 1e-8:
         raise DataError(f"solve_weighted_el: d sums to {d.sum()!r}, expected 1")
-    if q == 0:
-        return ELSolution(w=d.copy(), multiplier=np.zeros(0), logEL=float(d @ np.log(d)),
-                          iterations=0, converged=True, residual=0.0)
     lam, iters = _dual_newton(U, d, tol, max_iter, "solve_weighted_el")
     w = d / (1.0 + U @ lam)
-    residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
-                      iterations=iters, converged=True, residual=residual)
+                      iterations=iters, converged=True, residual=float(np.abs(w @ U).max(initial=0.0)))
 
 
 def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
     """Standard EL: maximize ``sum_i log w_i`` s.t. simplex and ``sum_i w_i U_i = 0``.
 
     The solution has ``w_i = 1 / (n (1 + lam'U_i))``; the constraint sums at
-    the dual optimum automatically give ``sum_i w_i = 1``.
+    the dual optimum automatically give ``sum_i w_i = 1``.  With no constraints
+    (or only vacuous ones) the dual takes no step and the same path gives the
+    uniform weights ``1 / n``.
     """
     U = _check_matrix(U, "solve_el")
-    n, q = U.shape
-    if q == 0:
-        w = np.full(n, 1.0 / n)
-        return ELSolution(w=w, multiplier=np.zeros(0), logEL=float(-n * np.log(n)),
-                          iterations=0, converged=True, residual=0.0)
+    n = len(U)
     lam, iters = _dual_newton(U, 1.0 / n, tol, max_iter, "solve_el")
     w = 1.0 / (n * (1.0 + U @ lam))
-    residual = float(np.max(np.abs(w @ U)))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
-                      iterations=iters, converged=True, residual=residual)
+                      iterations=iters, converged=True, residual=float(np.abs(w @ U).max(initial=0.0)))

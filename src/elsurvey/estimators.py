@@ -187,8 +187,7 @@ class FitProblem:
         sol = solve_weighted_el(cm.H, self.data.d, tol=self.el_tol, max_iter=self.el_max_iter)
         step1.update(weights=sol.w, multiplier=sol.multiplier, logEL=sol.logEL)
         return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
-                 "constraint_labels": list(cm.labels),
-                 "constraint_residual": float(np.max(np.abs(sol.w @ cm.H))) if cm.q else 0.0,
+                 "constraint_labels": list(cm.labels), "constraint_residual": sol.residual,
                  "vacuous_constraints": list(cm.vacuous)}, cm.H, None)
 
     def _ce(self, step1: dict):
@@ -209,7 +208,7 @@ class FitProblem:
         return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
                  "restriction_active": bool(np.min(bp / sol.w) - Bp_hat <= 1e-9 * Bp_hat),
                  "constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
-                 "constraint_residual": float(np.max(np.abs(w @ cm.H))) if cm.q else 0.0,
+                 "constraint_residual": float(np.abs(w @ cm.H).max(initial=0.0)),
                  "visibility_mode": vis.mode}, cm.H, bp)
 
     def _ce_joint(self) -> EstimateResult:

@@ -11,7 +11,6 @@ and nominal-95% coverage per coefficient.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -479,6 +478,7 @@ def run_monte_carlo(spec: DesignSpec, estimators, reps: int, seed: int, jobs: in
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, reps, cpus)
     if workers > 1:
+        import concurrent.futures  # here, not at module level: only a pool needs it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, *zip(*tasks), chunksize=max(1, reps // (8 * workers))))
     else:

@@ -7,8 +7,9 @@ directly instead of through transformed standard EL, the joint profile and a
 Nelder-Mead search of it instead of taking the ``ce`` root as its maximizer,
 central finite differences instead of analytic Jacobians, plain Python
 accumulation loops instead of vectorized matrix products, exact enumeration
-over discrete designs instead of sampling, and whole-string recursive
-serialization and cell-by-cell CSV parsing instead of streamed and bulk I/O.
+over discrete designs instead of sampling, a row loop over families instead
+of grouping by sort, and whole-string recursive serialization and
+cell-by-cell CSV parsing instead of streamed and bulk I/O.
 Tests compare production output against these oracles.
 """
 
@@ -500,6 +501,21 @@ def gamma_glm_se(X, beta, shape):
     mu = 1.0 / (X @ beta)
     M = (X * (mu ** 2)[:, None]).T @ X
     return np.sqrt(np.diag(np.linalg.inv(M) / shape))
+
+
+# ---------------------------------------------------------------------------
+# Declustering, one row at a time
+
+
+def decluster_rows(fam, seed):
+    """``(kept rows, family sizes)`` in row order of ``data.decluster``: families met row by row,
+    then one ``rng.integers(0, size)`` draw for each in order of first appearance."""
+    members = {}
+    for i, f in enumerate(fam):
+        members.setdefault(f, []).append(i)  # a dict keeps first-appearance order
+    rng = np.random.default_rng(seed)
+    picks = sorted((rows[rng.integers(0, len(rows))], len(rows)) for rows in members.values())
+    return [row for row, _ in picks], [size for _, size in picks]
 
 
 # ---------------------------------------------------------------------------

@@ -966,6 +966,38 @@ def test_an_output_key_dropped_or_mistyped_exits_0_or_1_with_the_key_named(tmp_p
                 assert f"output.{key} must be" in err, (key, name, err)
 
 
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["fit"], ["fit", "--config", "c.json", "--bogus"],
+                                  ["mc", "--config", "c.json", "--reps", "abc"]])
+def test_a_usage_error_exits_1(capsys, argv):
+    # argparse itself exits 2, the code of a flagged statistical failure.
+    assert run_command(argv) == 1
+    assert "usage: elsurvey" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fit", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert run_command(argv) == 0
+    assert "elsurvey" in capsys.readouterr().out
+
+
+def test_the_entry_point_exits_1_on_a_usage_error():
+    src = str(Path(elsurvey.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "elsurvey", "fit"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, "--config" in proc.stderr) == (1, True)
+
+
+def test_concurrent_futures_loads_only_when_mc_starts_a_pool(tmp_path):
+    # Import time is the set-up of every command; only a pool of more than one worker needs the module.
+    path = _write_config(tmp_path, _mc_config(tmp_path, tmp_path / "mc", reps=4))
+    code = ("import sys; from elsurvey.cli import run_command; before = 'concurrent.futures' in sys.modules; "
+            f"code = run_command(['mc', '--config', {path!r}, '--jobs', '2']); "
+            "print(before, code, 'concurrent.futures' in sys.modules)")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert fresh_python(code).split() == ["False", "0", str(cpus > 1)]
+
+
 def test_simulate_fit_and_mc_run_without_scipy(tmp_path):
     # Regression guard for the numpy-only runtime: the test extras install scipy and conftest
     # imports it, so only a fresh interpreter shows a module that imports it, even lazily.

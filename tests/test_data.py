@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_from
+from oracles import decluster_rows
 from elsurvey.data import (
     RANK_RTOL,
     ConstraintEntry,
@@ -164,6 +165,29 @@ def test_decluster_singleton_families_change_nothing_material():
     assert out.n == 2
     np.testing.assert_allclose(out.columns["y"], data.columns["y"])
     np.testing.assert_allclose(out.d, data.d, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed, rows, nf", [(0, [4, 6, 8, 9], [3, 2, 1, 4]), (1, [2, 4, 6, 8], [4, 3, 2, 1]),
+                                             (4, [5, 6, 7, 8], [3, 2, 4, 1])])
+def test_decluster_keeps_the_pinned_rows_of_interleaved_unsorted_families(seed, rows, nf):
+    # Regression guard for the draw order: one draw per family, in order of first appearance (5, 2, 9, 1).
+    data = dataset_from({"y": [1.0, 0.0] * 5, "fam": [5.0, 2.0, 5.0, 9.0, 2.0, 2.0, 9.0, 5.0, 1.0, 5.0],
+                         "w": [1.0] * 10, "rowid": np.arange(10.0)}, response="y", family="fam", weight="w")
+    out = decluster(data, seed=seed)
+    assert out.columns["rowid"].tolist() == rows and out.columns["nf"].tolist() == nf
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-3.5, -0.0, 0.0, 2.0, 7.0, 1e9]), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_decluster_keeps_the_rows_of_the_row_loop_reference(fam, seed):
+    n = len(fam)
+    data = dataset_from({"y": np.arange(n) % 2.0, "fam": fam, "w": np.linspace(1.0, 2.0, n), "rowid": np.arange(n)},
+                        response="y", family="fam", weight="w")
+    out = decluster(data, seed=seed)
+    rows, sizes = decluster_rows(fam, seed)
+    assert out.columns["rowid"].tolist() == rows and out.columns["nf"].tolist() == sizes
+    np.testing.assert_array_equal(out.columns["declustered_weight"], data.columns["w"][rows] * sizes)
 
 
 def test_decluster_requires_family_role_and_integer_seed():

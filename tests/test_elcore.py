@@ -78,6 +78,7 @@ def test_q_zero_returns_uniform():
     sol = solve_el(np.empty((4, 0)))
     np.testing.assert_allclose(sol.w, np.full(4, 0.25), atol=1e-15)
     assert sol.multiplier.size == 0 and sol.converged
+    assert sol.iterations == 0 and sol.residual == 0.0
 
 
 def test_row_permutation_equivariance(rng):
@@ -122,6 +123,8 @@ def test_weighted_q_zero_returns_design_weights():
     sol = solve_weighted_el(np.empty((3, 0)), d)
     np.testing.assert_allclose(sol.w, d, atol=0)
     assert sol.converged and sol.residual == 0.0
+    assert sol.iterations == 0 and sol.multiplier.size == 0
+    assert sol.logEL == float(d @ np.log(d)) and sol.w is not d
 
 
 def test_uniform_design_weights_reduce_to_standard_solver(rng):

@@ -1,5 +1,6 @@
 """Synthetic populations, informative sampling, and the Monte Carlo runner."""
 
+import concurrent.futures
 import re
 import warnings
 
@@ -426,7 +427,7 @@ def _recording_pool(monkeypatch, cpus):
             pools.append((self.max_workers, chunksize))
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # imported where the pool starts
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
     if cpus is None:
         monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
