@@ -5,17 +5,19 @@ rejected at every level, with the offending section named) plus a few
 command-line overrides (``--seed``, ``--out``, ``--reps``, ``--jobs``).
 :func:`parse_config` builds each section that describes a package object
 into that object, once; the commands use the built specs.
-Artifacts are written as JSON and CSV; floats are serialized with 17
-significant digits so results round-trip exactly.  ``fit`` writes each
-estimator's per-unit weights bitwise to ``fit_weights.npz`` (one array per
-estimator, keyed by its name) beside ``fit.json``.  A dataset CSV is
-streamed ``CHUNK`` rows at a time, formatted by the exact kernel of
-``_decimal.format_rows``, which gives the bytes of ``format(x, ".17g")`` for
-zero and every ``1e-11 <= |x| < 2**51``, and writes a chunk of integers in that
-range from their digits alone (on a 255,710-row d67 sample with three integer
-columns, the CSV takes 45–55 ms, where the 17-digit path for every cell took
-158–171 ms); a column chunk holding any other value is formatted one value at a
-time, and its NUL-padded rows join the other columns' rows.
+Artifacts are written as JSON (by ``json.dump``, a non-finite float as
+``null``) and CSV (by ``csv.writer``); each float is its shortest text that
+parses back to the same double (``repr``).  ``fit`` writes each estimator's
+per-unit weights bitwise to ``fit_weights.npz`` (one array per estimator,
+keyed by its name) beside ``fit.json``.  A dataset CSV keeps 17 significant
+digits (``.17g``): it is streamed ``CHUNK`` rows at a time, formatted by the
+exact kernel of ``_decimal.format_rows``, which gives the bytes of
+``format(x, ".17g")`` for zero and every ``1e-11 <= |x| < 2**51``, and writes
+a chunk of integers in that range from their digits alone (on a 255,710-row
+d67 sample with three integer columns, the CSV takes 45–55 ms, where the
+17-digit path for every cell took 158–171 ms); a column chunk holding any
+other value is formatted one value at a time, and its NUL-padded rows join the
+other columns' rows.
 CSV input is read by ``data.load_dataset``.  A seed must be non-negative.
 
 Exit codes: 0 on success, ``--help`` and ``--version``; 1 on input/config and
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -68,66 +71,42 @@ def _rows_text(*blocks) -> str:
     return table.tobytes().translate(None, b"\0").decode()
 
 
-def _json_pieces(obj, pad: str = ""):
-    """Yield the indented JSON text of ``obj`` in pieces: an array as its nested lists, a non-finite
-    float as ``null``.  No artifact holds an n-vector (``fit_weights.npz`` holds the weights)."""
-    if obj is None:
-        yield "null"
-    elif isinstance(obj, (bool, np.bool_)):
-        yield "true" if obj else "false"
-    elif isinstance(obj, (int, np.integer)):
-        yield str(int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        yield format(x, ".17g") if np.isfinite(x) else "null"
-    elif isinstance(obj, str):
-        yield json.dumps(obj)
-    elif isinstance(obj, np.ndarray):
-        items = obj.tolist()
-        if not isinstance(items, list):  # a 0-d array
-            raise ConfigError(f"write_json: cannot serialize value of type {type(items).__name__}")
-        yield from _json_pieces(items, pad)
-    elif isinstance(obj, (list, tuple, dict)):
-        brackets = "{}" if isinstance(obj, dict) else "[]"
-        if not obj:
-            yield brackets
-            return
-        inner = pad + "  "
-        if isinstance(obj, dict):
-            entries = ((inner + json.dumps(str(key)) + ": ", value) for key, value in obj.items())
-        else:
-            entries = ((inner, value) for value in obj)
-        for k, (lead, value) in enumerate(entries):
-            yield (",\n" if k else brackets[0] + "\n") + lead
-            yield from _json_pieces(value, inner)
-        yield "\n" + pad + brackets[1]
-    else:
-        raise ConfigError(f"write_json: cannot serialize value of type {type(obj).__name__}")
+def _plain(obj):
+    """``obj`` as the plain Python objects that ``json`` writes: an array as its nested lists, a numpy
+    scalar as its Python value and a non-finite float as None.  No artifact holds an n-vector
+    (``fit_weights.npz`` holds the weights)."""
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(key): _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    raise ConfigError(f"write_json: cannot serialize value of type {type(obj).__name__}")
 
 
 def write_json(path: str, obj) -> None:
+    obj = _plain(obj)
     with open(path, "w") as fh:
-        fh.writelines(_json_pieces(obj))
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
 
 
 def write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_dataset_csv(path: str, data: Dataset) -> None:
-    """Write every column of ``data``: the same bytes ``write_csv`` would give,
-    formatted ``CHUNK`` rows at a time, column by column."""
+    """Write every column of ``data``, each cell as ``format(x, ".17g")`` in ``csv.writer``'s
+    layout, formatted ``CHUNK`` rows at a time, column by column."""
     names = list(data.columns)
     seps = [","] * (len(names) - 1) + ["\r\n"]  # after each column's cell
     with open(path, "w", newline="") as fh:
@@ -285,8 +264,8 @@ def _cmd_fit(cfg: dict) -> int:
         problem.fit("ce")  # resolves the visibility first, so a bad source fails before any other fit
     results = {name: dict(vars(problem.fit(name))) for name in names}
     weights = {name: payload.pop("weights") for name, payload in results.items()}
-    rows = [[name, coef, payload["theta"][k], payload["se"][k]] for name, payload in results.items()
-            for k, coef in enumerate(payload["diagnostics"]["coef_names"])]
+    rows = [[name, *cells] for name, payload in results.items()
+            for cells in zip(payload["diagnostics"]["coef_names"], payload["theta"].tolist(), payload["se"].tolist())]
     _write_outputs(cfg, "fit", results, ["estimator", "coefficient", "estimate", "se"], rows, weights)
     return 0 if all(payload["diagnostics"]["converged"] for payload in results.values()) else 2
 
@@ -315,12 +294,11 @@ def _cmd_mc(cfg: dict) -> int:
     reps = _required(cfg, "reps", "mc")
     names = tuple(cfg.get("estimators", DEFAULT_ESTIMATORS))
     summary = run_monte_carlo(spec, names, reps=int(reps), seed=seed, jobs=int(cfg.get("jobs", 1)))
-    rows = [[name, coef, summary.theta0[k], s.mean[k], s.bias[k], s.sd[k],
-             s.rmse[k], s.mean_se[k], s.coverage[k], s.n_converged, s.n_failed]
-            for name, s in summary.estimators.items() for k, coef in enumerate(summary.coef_names)]
+    stats = ("mean", "bias", "sd", "rmse", "mean_se", "coverage")
+    rows = [[name, *cells, s.n_converged, s.n_failed] for name, s in summary.estimators.items()
+            for cells in zip(summary.coef_names, summary.theta0, *(getattr(s, key).tolist() for key in stats))]
     _write_outputs(cfg, "mc", summary.as_dict(),
-                   ["estimator", "coefficient", "theta0", "mean", "bias", "sd", "rmse",
-                    "mean_se", "coverage", "n_converged", "n_failed"], rows)
+                   ["estimator", "coefficient", "theta0", *stats, "n_converged", "n_failed"], rows)
     return 2 if any(s.n_converged == 0 for s in summary.estimators.values()) else 0
 
 

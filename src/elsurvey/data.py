@@ -451,6 +451,11 @@ class ConstraintMatrix:
     def q(self) -> int:
         return self.H.shape[1]
 
+    @property
+    def live(self) -> np.ndarray:
+        """The columns of ``H`` that are not vacuous, column-major: those the sandwich is built over."""
+        return self.H.T[np.logical_not(self.vacuous)].T if any(self.vacuous) else self.H
+
 
 def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMatrix:
     """Evaluate constraint residuals row by row.

@@ -144,7 +144,8 @@ class FitProblem:
     def _fit(self, name: str) -> EstimateResult:
         """The weight step ``_<name>``, then step 2 and the sandwich: the one place a fit is flagged failed.
 
-        The weight step fills in the step-1 fields and returns its diagnostics, ``H`` and ``bp``; it
+        The weight step fills in the step-1 fields and returns its diagnostics, the sandwich's constraint
+        columns (:attr:`ConstraintMatrix.live`: a vacuous one keeps multiplier 0) and ``bp``; it
         raises only before it fills any, so its InfeasibleError or ConvergenceError leaves NaN weights.
         Step 2 is the start itself for ``pl``, else the score Newton from it under the step-1 weights.
         """
@@ -188,7 +189,7 @@ class FitProblem:
         step1.update(weights=sol.w, multiplier=sol.multiplier, logEL=sol.logEL)
         return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
                  "constraint_labels": list(cm.labels), "constraint_residual": sol.residual,
-                 "vacuous_constraints": list(cm.vacuous)}, cm.H, None)
+                 "vacuous_constraints": list(cm.vacuous)}, cm.live, None)
 
     def _ce(self, step1: dict):
         """Step 1 solves standard EL on the columns ``h_i / bp_i`` for ``w*``; the composite weights are
@@ -209,7 +210,7 @@ class FitProblem:
                  "restriction_active": bool(np.min(bp / sol.w) - Bp_hat <= 1e-9 * Bp_hat),
                  "constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
                  "constraint_residual": float(np.abs(w @ cm.H).max(initial=0.0)),
-                 "visibility_mode": vis.mode}, cm.H, bp)
+                 "visibility_mode": vis.mode}, cm.live, bp)
 
     def _ce_joint(self) -> EstimateResult:
         """The ``ce`` fit under the name ``ce-joint`` (see :func:`profile_fit_joint`), sharing no

@@ -115,10 +115,11 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
 def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
                           vis=None) -> CovarianceComponents:
     """Component sums for a converged fit (see :func:`components_from_arrays`) in its own form: with no
-    multiplier (``pl``) ``H`` has no columns, and a composite fit (with ``Bp_hat``) takes ``vis.bp``."""
+    multiplier (``pl``) ``H`` has no columns, else the non-vacuous ones; a composite fit (with ``Bp_hat``)
+    takes ``vis.bp``."""
     if not fit.diagnostics.get("converged", False):
         raise DataError("covariance_components: fit did not converge; no covariance is available")
-    H = build_constraint_matrix(data, constraints).H if fit.multiplier.size else np.empty((data.n, 0))
+    H = build_constraint_matrix(data, constraints).live if fit.multiplier.size else np.empty((data.n, 0))
     bp = None
     if fit.Bp_hat is not None:
         if vis is None:

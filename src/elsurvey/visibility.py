@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, as_bool, as_names
 from .errors import ConvergenceError, DataError
-from .glm import irls_fit
+from .glm import ModelSpec, design_matrix, irls_fit
 
 VISIBILITY_MODES = ("given-pi", "gamma-regression")
 
@@ -72,15 +72,6 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
     positive scale factor.
     """
     formula_columns = tuple(formula_columns)
-    cols = [np.ones(data.n)]
-    for name in formula_columns:
-        if name not in data.columns:
-            raise DataError(f"estimate_visibility: formula column {name!r} is not present")
-        col = data.columns[name]
-        if not np.all(np.isfinite(col)):
-            raise DataError(f"estimate_visibility: formula column {name!r} has non-finite values")
-        cols.append(col)
-    X = np.stack(cols).T
     response = data.d
     nf = None
     if nf_adjust:
@@ -93,10 +84,11 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
     # bp is scale-free, so fit at mean one; the normalized d would otherwise
     # put the Gamma coefficients at 1/n scale and trip the divergence guard
     response = response / response.mean()
-    try:
+    try:  # design_matrix rejects a missing formula column, and irls_fit a non-finite value
+        X = design_matrix(ModelSpec("gamma-inverse", formula_columns), data)
         alpha = irls_fit("gamma-inverse", response, X)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"estimate_visibility: {exc}") from None
+    except (ConvergenceError, DataError) as exc:
+        raise type(exc)(f"estimate_visibility: {exc}") from None
     fitted = 1.0 / (X @ alpha)
     if nf is not None:
         fitted = fitted * nf

@@ -525,8 +525,9 @@ def decluster_rows(fam, seed):
 def json_text(obj, indent: int = 0) -> str:
     """The indented JSON text ``cli.write_json`` writes, built as one string.
 
-    Floats get 17 significant digits and non-finite ones become ``null``;
-    arrays are converted with ``tolist`` and serialized element by element.
+    A finite float is written as ``repr`` (its shortest round-trip text) and a
+    non-finite one as ``null``; arrays are converted with ``tolist`` and
+    serialized element by element.
     """
     pad = " " * indent
     if obj is None:
@@ -537,7 +538,7 @@ def json_text(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return format(x, ".17g") if np.isfinite(x) else "null"
+        return repr(x) if np.isfinite(x) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):

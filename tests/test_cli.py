@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -17,7 +19,7 @@ import pytest
 from conftest import SEPARATED_LOGIT, dataset_from, fresh_python
 from oracles import json_text
 import elsurvey
-from elsurvey.cli import OVERRIDES, parse_config, run_command, write_dataset_csv
+from elsurvey.cli import OVERRIDES, _write_outputs, parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
 from elsurvey.errors import ConfigError
 from elsurvey.estimators import ESTIMATORS, EstimateResult, FitProblem
@@ -487,6 +489,67 @@ def test_decluster_command_keeps_one_row_per_family(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The CSV and JSON artifacts hold the same doubles
+
+
+def _strict_json(path):
+    """``json.load`` of ``path`` that rejects the ``NaN`` and ``Infinity`` tokens, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{path} holds the token {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _assert_same_double(value, cell, where):
+    """A JSON number, read as a float (null for a non-finite one), and a CSV cell hold the same double."""
+    if value is None:
+        assert not np.isfinite(float(cell)), where
+    else:
+        assert type(value) is float and struct.pack("<d", value) == struct.pack("<d", float(cell)), (where, value)
+
+
+def test_fit_and_mc_csvs_hold_the_doubles_of_their_json(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=3000)
+    fit_out, mc_out = tmp_path / "fit", tmp_path / "mc"
+    cfg = _fit_config(data_path, fit_out, gammas, estimators=list(ESTIMATORS),
+                      visibility={"mode": "gamma-regression", "formula": ["v"]})
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+    mc_cfg = _write_config(tmp_path, _mc_config(tmp_path, mc_out, reps=3), "mc-config.json")
+    assert run_command(["mc", "--config", mc_cfg]) == 0
+    fits, rows = _strict_json(fit_out / "fit.json"), _csv_rows(fit_out / "fit.csv")
+    assert len(rows) == len(ESTIMATORS) * 3
+    for row in rows:
+        fit = fits[row["estimator"]]
+        k = fit["diagnostics"]["coef_names"].index(row["coefficient"])
+        _assert_same_double(fit["theta"][k], row["estimate"], row)
+        _assert_same_double(fit["se"][k], row["se"], row)
+    summary, rows = _strict_json(mc_out / "mc.json"), _csv_rows(mc_out / "mc.csv")
+    assert len(rows) == 2 * 3
+    for row in rows:
+        s, k = summary["estimators"][row["estimator"]], summary["coef_names"].index(row["coefficient"])
+        _assert_same_double(summary["theta0"][k], row["theta0"], row)
+        for key in ("mean", "bias", "sd", "rmse", "mean_se", "coverage"):  # a coverage of 1 is the float 1.0
+            _assert_same_double(s[key][k], row[key], (row, key))
+        assert (int(row["n_converged"]), int(row["n_failed"])) == (s["n_converged"], s["n_failed"])
+
+
+def test_both_artifacts_keep_negative_zero_and_integral_floats(tmp_path):
+    values = np.array([-0.0, 0.0, 1.0, -3.0, 2.0**53, 1e22, 0.1, 5e-324, np.nan, np.inf, -np.inf])
+    _write_outputs({"output": {"path": str(tmp_path)}}, "t", {"v": values}, ["k", "v"], enumerate(values.tolist()))
+    loaded, rows = json.loads((tmp_path / "t.json").read_text())["v"], _csv_rows(tmp_path / "t.csv")
+    assert len(loaded) == len(rows) == values.size
+    for value, row, want in zip(loaded, rows, values.tolist()):
+        _assert_same_double(value, row["v"], want)
+        _assert_same_double(value, repr(want), want)
+
+
+# ---------------------------------------------------------------------------
 # One set-up for fit and mc: config sections build the package's specs
 
 
@@ -883,18 +946,19 @@ def _place(path):
 
 _DROP = object()
 FUZZ_VALUES = {"drop": _DROP, "abc": "abc", "list": ["a"], "null": None, "negative": -1, "true": True}
-# Valid config that only a fit can judge (exit 2, results flagged): a gamma of -1 is a subgroup mean of the
-# 0/1 response that no weights meet, and a group_value of -1 an empty subgroup, whose sandwich is singular.
-SAMPLE_DEPENDENT = {(command, prefix + ("constraints", i), key, "negative")
-                    for command, prefix in (("fit", ()), ("mc", ("design",)))
-                    for i in (0, 1) for key in ("gamma", "group_value")}
+# Valid config that only a fit can judge: a gamma of -1 is a subgroup mean of the 0/1 response that no
+# weights meet (exit 2, results flagged), and a group_value of -1 an empty subgroup, a vacuous constraint
+# that the fit keeps at multiplier 0 and leaves out of its sandwich (exit 0).
+SAMPLE_DEPENDENT, VACUOUS = ({(command, prefix + ("constraints", i), key, "negative")
+                              for command, prefix in (("fit", ()), ("mc", ("design",))) for i in (0, 1)}
+                             for key in ("gamma", "group_value"))
 
 
 def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(tmp_path):
     """Every key of every section the fuzz mutates, dropped or set to each of :data:`FUZZ_VALUES`: each run
     exits 0, 1 or 2 without a traceback, and only the sample-dependent cases exit 2, with their results.
     An unknown key added to any object section exits 1 with the section named."""
-    exit_2, bad = set(), []
+    exit_0, exit_2, bad = set(), set(), []
     for command, base in _fuzz_configs(tmp_path).items():
         for path, key in _fuzz_keys(base):
             for name, value in FUZZ_VALUES.items():
@@ -915,6 +979,8 @@ def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(tmp_path):
                 if code == 2:
                     exit_2.add((command, path, key, name))
                     assert (out / "o" / f"{command}.json").exists()
+                elif code == 0:
+                    exit_0.add((command, path, key, name))
         for path in [()] + _fuzz_sections(base):  # one unknown key added to each object section
             cfg = copy.deepcopy(base)
             _section(cfg, path)["zz"] = 1.0
@@ -926,7 +992,7 @@ def test_a_config_with_one_key_dropped_or_mistyped_exits_cleanly(tmp_path):
             if code != 1 or f"unknown key 'zz' in {_place(path)}" not in stderr.getvalue():
                 bad.append((command, path, "zz", stderr.getvalue(), code))
     assert bad == []
-    assert exit_2 == SAMPLE_DEPENDENT
+    assert exit_2 == SAMPLE_DEPENDENT and VACUOUS <= exit_0
 
 
 OUTPUT_VALUES = dict(FUZZ_VALUES, empty="", object={})

@@ -618,6 +618,36 @@ def test_singular_sandwich_is_flagged_not_raised():
     assert np.all(np.isfinite(fits["cs"].weights)) and np.all(np.isfinite(fits["ce"].weights))
 
 
+def test_a_vacuous_constraint_leaves_every_fit_as_it_is_without_it():
+    # No row has g = 7, so that constraint's column is all zero: the dual gives it multiplier 0 and the
+    # sandwich is built over the other columns, where H1 would otherwise be singular.
+    rng = np.random.default_rng(3)
+    n = 500
+    x, g = rng.normal(size=n), rng.integers(0, 3, size=n).astype(float)
+    y = (rng.uniform(size=n) < expit(0.3 + 0.8 * x)).astype(float)
+    data = dataset_from({"y": y, "x": x, "g": g, "pi": rng.uniform(0.3, 0.7, size=n)},
+                        response="y", covariates=("x",), pi="pi")
+    vacuous = ConstraintEntry("subgroup-moment", "y", gamma=0.5, group_column="g", group_value=7.0)
+    general = ConstraintEntry("general-moment", "x", gamma=0.0)
+    fits = {}
+    for key, entries in (("both", (vacuous, general)), ("general", (general,)), ("vacuous", (vacuous,)),
+                         ("none", ())):
+        problem = FitProblem(data, MODEL, ConstraintSpec(entries), VisibilitySpec("given-pi"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the vacuous column's warning
+            fits[key] = {name: problem.fit(name) for name in ESTIMATORS}
+    for without, key in (("general", "both"), ("none", "vacuous")):
+        for name in ESTIMATORS:
+            got, want = fits[key][name], fits[without][name]
+            assert got.diagnostics["converged"], (key, name, got.diagnostics.get("failure"))
+            for field in ("theta", "se", "weights"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (key, name, field)
+            if name != "pl":
+                assert got.multiplier[0] == 0.0 and got.multiplier[1:].tobytes() == want.multiplier.tobytes()
+    for field in ("theta", "se", "weights", "covariance"):  # with every constraint vacuous, cs is pl
+        assert getattr(fits["vacuous"]["cs"], field).tobytes() == getattr(fits["none"]["pl"], field).tobytes()
+
+
 def _infeasible_constraint(problem):
     problem.constraints = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=5.0),))
 

@@ -1,4 +1,4 @@
-"""Artifact I/O: streamed JSON and bulk CSV against one-value-at-a-time oracles."""
+"""Artifact I/O: JSON and dataset CSV against one-value-at-a-time oracles."""
 
 import json
 import math
@@ -60,15 +60,15 @@ JSON_VALUES = {
     "empty dict": {},
     "empty tuple": (),
     "scalar": 0.30000000000000004,
-    f"length {CHUNK - 1}": _random(CHUNK - 1, 1),
-    f"length {CHUNK}": _random(CHUNK, 2),
-    f"length {CHUNK + 1}": _random(CHUNK + 1, 3),
-    "chunked in dict": {"w": np.concatenate([_random(2 * CHUNK + 5, 4), [np.nan, -np.inf]]),
-                        "theta": np.array([0.5, -1.25]), "converged": np.bool_(True)},
-    f"weights, length {CHUNK + 1}": _weights(CHUNK + 1, 10),
-    # chunk 2 holds one value off the exact path and chunk 3 a NaN: both take the per-value path
-    "exact and per-value chunks": np.concatenate([_weights(CHUNK, 11), _weights(CHUNK // 2, 12), [1e300],
-                                                  _weights(CHUNK // 2 - 1, 13), [np.nan], _weights(9, 14)]),
+    "random floats, seed 1": _random(8191, 1),
+    "random floats, seed 2": _random(8192, 2),
+    "random floats, seed 3": _random(8193, 3),
+    "floats, a bool and non-finite values in a dict": {
+        "w": np.concatenate([_random(16389, 4), [np.nan, -np.inf]]),
+        "theta": np.array([0.5, -1.25]), "converged": np.bool_(True)},
+    "weights": _weights(8193, 10),
+    "weights with 1e300 and a NaN": np.concatenate([_weights(8192, 11), _weights(4096, 12), [1e300],
+                                                    _weights(4095, 13), [np.nan], _weights(9, 14)]),
 }
 
 
@@ -81,12 +81,13 @@ def test_write_json_matches_oracle_bytes(tmp_path, name):
 
 
 def test_write_json_floats_reload_bitwise(tmp_path):
-    values = np.concatenate([EXTREMES, _random(CHUNK + 3, 5), [np.nan, np.inf, -np.inf]])
+    values = np.concatenate([EXTREMES, _random(8195, 5), [np.nan, np.inf, -np.inf]])
     path = tmp_path / "out.json"
     write_json(str(path), {"w": values})
-    loaded = json.loads(path.read_text(), parse_int=float)["w"]  # "-0" is -0.0
+    loaded = json.loads(path.read_text())["w"]
     finite = np.isfinite(values)
     assert [v is None for v in loaded] == list(~finite)
+    assert all(isinstance(v, float) for v in loaded if v is not None)  # -0.0 and 123456789.0 too
     back = np.array([v for v in loaded if v is not None], dtype=float)
     np.testing.assert_array_equal(back.view(np.uint64), values[finite].view(np.uint64))
 
@@ -103,6 +104,11 @@ def test_write_json_rejects_unserializable_values(tmp_path, bad):
 # write_dataset_csv
 
 
+def _cells_17g(data):
+    """The rows of ``data``, each cell as ``format(x, ".17g")``: a dataset CSV's cells one by one."""
+    return ([format(x, ".17g") for x in row] for row in zip(*(col.tolist() for col in data.columns.values())))
+
+
 def test_write_dataset_csv_matches_row_writer_bytes(tmp_path):
     n = 2 * CHUNK + 1
     rng = np.random.default_rng(7)
@@ -114,7 +120,7 @@ def test_write_dataset_csv_matches_row_writer_bytes(tmp_path):
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     write_dataset_csv(str(fast), data)
     names = list(data.columns)
-    write_csv(str(slow), names, zip(*(data.columns[name] for name in names)))
+    write_csv(str(slow), names, _cells_17g(data))
     assert fast.read_bytes() == slow.read_bytes()
 
 
@@ -130,7 +136,7 @@ def test_write_dataset_csv_exact_path_matches_row_writer_bytes(tmp_path):
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     write_dataset_csv(str(fast), data)
     names = list(data.columns)
-    write_csv(str(slow), names, zip(*(data.columns[name] for name in names)))
+    write_csv(str(slow), names, _cells_17g(data))
     assert fast.read_bytes() == slow.read_bytes()
 
 
