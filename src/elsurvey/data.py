@@ -67,7 +67,7 @@ def _raw_weights(source, mode: str) -> np.ndarray:
 
 
 def _weight_source(columns: dict, roles: dict) -> np.ndarray:
-    """The design weights before normalization, from the tagged weight source (see :func:`make_dataset`)."""
+    """The design weights before normalization, from the tagged weight source (see :class:`Dataset`)."""
     if roles.get("weight"):
         return _raw_weights(columns[roles["weight"]], roles["weight_mode"])
     if roles.get("pi"):
@@ -128,7 +128,7 @@ def build(cls, section, where: str):
     """``cls(**section)`` for a dict ``section`` that holds only fields of the dataclass ``cls``; a
     missing field, like any key :func:`check_keys` rejects, and a value the constructor rejects with a
     ValueError are a DataError naming ``where``."""
-    check_keys(section, [f.name for f in fields(cls)], where)
+    check_keys(section, [f.name for f in fields(cls) if f.init], where)
     try:
         return cls(**section)
     except TypeError as exc:
@@ -137,43 +137,19 @@ def build(cls, section, where: str):
         raise DataError(f"section {where!r}: {exc}") from exc
 
 
-def _validate_roles(roles: dict, columns: dict) -> dict:
-    unknown = set(roles) - set(ROLE_KEYS)
-    if unknown:
-        raise DataError(f"dataset roles: unknown role keys {sorted(unknown)}; expected {ROLE_KEYS}")
-    out = dict(roles)
-    for key in ("response", "pi", "weight", "family"):
-        name = out.get(key)
-        if name is None:
-            continue
-        if not isinstance(name, str):
-            raise DataError(f"dataset roles: role {key!r} must name a single column")
-        if name not in columns:
-            raise DataError(f"dataset roles: column {name!r} tagged as {key!r} is not present")
-    for key in ("covariates", "design"):
-        names = out.get(key)
-        if names is None:
-            out[key] = ()
-            continue
-        names = as_names(names, f"dataset roles: role {key!r}")
-        for name in names:
-            if name not in columns:
-                raise DataError(f"dataset roles: column {name!r} tagged as {key!r} is not present")
-        out[key] = names
-    mode = out.get("weight_mode", "direct")
-    if mode not in WEIGHT_MODES:
-        raise DataError(f"dataset roles: weight_mode {mode!r} not in {WEIGHT_MODES}")
-    out["weight_mode"] = mode
-    return out
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Validated columnar data with roles and normalized design weights."""
+    """Validated columnar data with roles and normalized design weights.
+
+    Every role-tagged column must be present with finite values (see :meth:`column`).  Without ``d``
+    the design weights come from the tagged weight source: an explicit ``weight`` column (interpreted
+    per ``weight_mode``) wins over a tagged ``pi`` column (inverse-probability weights); with neither
+    tag they are uniform.
+    """
 
     columns: dict[str, np.ndarray]
     roles: dict
-    d: np.ndarray
+    d: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.columns:
@@ -184,21 +160,27 @@ class Dataset:
             raise DataError(f"Dataset: column lengths differ: {lengths}")
         if n == 0:
             raise DataError("Dataset: zero rows")
-        roles = _validate_roles(self.roles, self.columns)
+        unknown = set(self.roles) - set(ROLE_KEYS)
+        if unknown:
+            raise DataError(f"dataset roles: unknown role keys {sorted(unknown)}; expected {ROLE_KEYS}")
+        roles = dict(self.roles)  # each list role becomes a tuple of names, () when untagged
         object.__setattr__(self, "roles", roles)
-        cols = {name: np.asarray(col, dtype=float) for name, col in self.columns.items()}
-        object.__setattr__(self, "columns", cols)
-        tagged = set()
-        for key in ("response", "pi", "weight", "family"):
-            if roles.get(key):
-                tagged.add(roles[key])
-        tagged.update(roles["covariates"])
-        tagged.update(roles["design"])
-        for name in tagged:
-            if not np.all(np.isfinite(cols[name])):
-                raise DataError(f"Dataset: role-tagged column {name!r} has missing or non-finite values")
+        object.__setattr__(self, "columns", {name: np.asarray(col, dtype=float) for name, col in self.columns.items()})
+        for key in ("response", "covariates", "design", "pi", "weight", "family"):
+            names = roles.get(key)
+            if key in ("covariates", "design"):
+                names = roles[key] = () if names is None else as_names(names, f"dataset roles: role {key!r}")
+            elif names is not None and not isinstance(names, str):
+                raise DataError(f"dataset roles: role {key!r} must name a single column")
+            for name in (names,) if isinstance(names, str) else names or ():
+                self.column(name, f"Dataset: {key} column")
+        if roles.setdefault("weight_mode", "direct") not in WEIGHT_MODES:
+            raise DataError(f"dataset roles: weight_mode {roles['weight_mode']!r} not in {WEIGHT_MODES}")
+        if self.d is None:
+            base = _weight_source(self.columns, roles)
+            object.__setattr__(self, "d", base / base.sum())
         if roles.get("pi"):
-            pi = cols[roles["pi"]]
+            pi = self.columns[roles["pi"]]
             if np.any(pi <= 0.0) or np.any(pi > 1.0):
                 raise DataError(f"Dataset: inclusion probabilities in {roles['pi']!r} must lie in (0, 1]")
         d = np.asarray(self.d, dtype=float)
@@ -209,6 +191,15 @@ class Dataset:
             raise DataError("Dataset: design weights must be strictly positive and finite")
         if abs(d.sum() - 1.0) > 1e-12:
             raise DataError(f"Dataset: design weights sum to {d.sum()!r}, expected 1 within 1e-12")
+
+    def column(self, name: str, what: str) -> np.ndarray:
+        """The column ``name``, which must be present with finite values; a DataError names it, after ``what``."""
+        if name not in self.columns:
+            raise DataError(f"{what} {name!r} is not present")
+        col = self.columns[name]
+        if not np.all(np.isfinite(col)):
+            raise DataError(f"{what} {name!r} has non-finite values")
+        return col
 
     @property
     def n(self) -> int:
@@ -228,15 +219,8 @@ class Dataset:
 
 
 def make_dataset(columns: dict, roles: dict) -> Dataset:
-    """Build a :class:`Dataset`, deriving ``d`` from the tagged weight source.
-
-    Precedence: an explicit ``weight`` column (interpreted per ``weight_mode``)
-    wins over a tagged ``pi`` column (inverse-probability weights); with
-    neither tag the design weights are uniform.
-    """
-    roles = _validate_roles(roles, columns)
-    base = _weight_source(columns, roles)
-    return Dataset(columns=dict(columns), roles=roles, d=base / base.sum())
+    """A :class:`Dataset` whose ``d`` comes from the tagged weight source."""
+    return Dataset(columns, roles)
 
 
 def _read_columns_bulk(path: str) -> dict | None:
@@ -470,12 +454,7 @@ def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMa
     labels = []
     vacuous = []
     for entry in spec.entries:
-        if entry.target_column not in data.columns:
-            raise DataError(f"build_constraint_matrix: target column {entry.target_column!r} is not present")
-        target = data.columns[entry.target_column]
-        if not np.all(np.isfinite(target)):
-            raise DataError(f"build_constraint_matrix: target column {entry.target_column!r} has non-finite values")
-        resid = target - entry.gamma
+        resid = data.column(entry.target_column, "build_constraint_matrix: target column") - entry.gamma
         if entry.kind == "subgroup-moment":
             if entry.group_column not in data.columns:
                 raise DataError(f"build_constraint_matrix: group column {entry.group_column!r} is not present")

@@ -63,15 +63,14 @@ class ELSolution:
     ``w`` is the weight vector (sums to one, strictly positive),
     ``multiplier`` the dual vector, ``logEL`` the value of the entry point's
     own objective at the solution, and ``residual`` the max-norm of the
-    weighted constraint sums.  ``converged`` is always true: a failed solve
-    raises :class:`InfeasibleError` or :class:`ConvergenceError`.
+    weighted constraint sums.  A failed solve raises :class:`InfeasibleError`
+    or :class:`ConvergenceError`.
     """
 
     w: np.ndarray
     multiplier: np.ndarray
     logEL: float
     iterations: int
-    converged: bool
     residual: float
 
 
@@ -212,7 +211,7 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
     lam, iters = _dual_newton(U, d, tol, max_iter, "solve_weighted_el")
     w = d / (1.0 + U @ lam)
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
-                      iterations=iters, converged=True, residual=float(np.abs(w @ U).max(initial=0.0)))
+                      iterations=iters, residual=float(np.abs(w @ U).max(initial=0.0)))
 
 
 def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
@@ -228,4 +227,4 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
     lam, iters = _dual_newton(U, 1.0 / n, tol, max_iter, "solve_el")
     w = 1.0 / (n * (1.0 + U @ lam))
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
-                      iterations=iters, converged=True, residual=float(np.abs(w @ U).max(initial=0.0)))
+                      iterations=iters, residual=float(np.abs(w @ U).max(initial=0.0)))

@@ -36,7 +36,7 @@ import numpy as np
 from .data import ConstraintMatrix, ConstraintSpec, Dataset, as_number, build_constraint_matrix
 from .elcore import solve_el, solve_weighted_el
 from .errors import ConvergenceError, DataError, InfeasibleError
-from .glm import ModelSpec, _check_response, _score_newton, design_matrix, irls_fit
+from .glm import ModelSpec, _score_newton, design_matrix, irls_fit
 from .variance import assemble_covariance, components_from_arrays
 from .visibility import VisibilityModel, VisibilitySpec
 
@@ -115,10 +115,8 @@ class FitProblem:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """The design matrix of the start, every score solve and every sandwich; the response is checked after it."""
-        A = design_matrix(self.model, self.data)
-        _check_response(self.model.family, self.data.y)
-        return A
+        """The design matrix of the start, every score solve and every sandwich; the start checks the response."""
+        return design_matrix(self.model, self.data)
 
     @cached_property
     def start(self):
@@ -187,7 +185,7 @@ class FitProblem:
         cm = self.cm
         sol = solve_weighted_el(cm.H, self.data.d, tol=self.el_tol, max_iter=self.el_max_iter)
         step1.update(weights=sol.w, multiplier=sol.multiplier, logEL=sol.logEL)
-        return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
+        return ({"el_iterations": sol.iterations, "el_residual": sol.residual,
                  "constraint_labels": list(cm.labels), "constraint_residual": sol.residual,
                  "vacuous_constraints": list(cm.vacuous)}, cm.live, None)
 
@@ -206,7 +204,7 @@ class FitProblem:
         step1.update(weights=w, multiplier=sol.multiplier, Bp_hat=Bp_hat,
                      logEL=float(np.sum(np.log(w)) - bp.size * np.log(w @ bp)))
         # n * (bp_i + kappa'h_i) = bp_i / w*_i, which the unit-weight restriction bounds below by Bp_hat.
-        return ({"el_iterations": sol.iterations, "el_residual": sol.residual, "el_converged": sol.converged,
+        return ({"el_iterations": sol.iterations, "el_residual": sol.residual,
                  "restriction_active": bool(np.min(bp / sol.w) - Bp_hat <= 1e-9 * Bp_hat),
                  "constraint_labels": list(cm.labels), "vacuous_constraints": list(cm.vacuous),
                  "constraint_residual": float(np.abs(w @ cm.H).max(initial=0.0)),

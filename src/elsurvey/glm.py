@@ -20,6 +20,7 @@ from .elcore import damped_newton, row_sum
 from .errors import ConvergenceError, DataError
 
 FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
+IRLS_TOL, IRLS_MAX_ITER = 1e-10, 100  # irls_fit's step stop rule and iteration cap
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,10 @@ def expit(x):
 
 
 def design_matrix(model: ModelSpec, data) -> np.ndarray:
-    """Stack the model's covariate columns, intercept first, column-major (each column contiguous)."""
-    cols = []
-    if model.intercept:
-        cols.append(np.ones(data.n))
-    for name in model.terms:
-        if name not in data.columns:
-            raise DataError(f"design_matrix: model term {name!r} is not a column of the data")
-        cols.append(data.columns[name])
-    return np.stack(cols).T
+    """Stack the model's covariate columns, intercept first, column-major (each column contiguous); each
+    term must be a column of the data with finite values."""
+    cols = [data.column(name, "design_matrix: model term") for name in model.terms]
+    return np.stack([np.ones(data.n)] + cols if model.intercept else cols).T
 
 
 def _check_theta(model: ModelSpec, theta) -> np.ndarray:
@@ -180,16 +176,17 @@ def _wls(X: np.ndarray, z: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.linalg.solve(XtW @ X, XtW @ z)
 
 
-def irls_fit(family: str, y, X, case_weights=None, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+def irls_fit(family: str, y, X, case_weights=None) -> np.ndarray:
     """Maximum-likelihood fit of one of the supported families, with optional case weights.
 
     ``gaussian-identity`` is one weighted least-squares (WLS) solve.  The others
     run :func:`damped_newton` on the case-weighted score, whose Newton step is
     the IRLS update, from zeros (logit) or from the WLS fit of ``1 / y``
     (gamma; the reciprocal mean if that leaves the domain).  As in IRLS it
-    stops, taking the step, once the full step's max-norm is below ``tol``: on
-    separated logit data the score vanishes as the coefficients grow, the step
-    does not.  Raises :class:`ConvergenceError` on divergence (including
+    stops, taking the step, once the full step's max-norm is below
+    :data:`IRLS_TOL`, within :data:`IRLS_MAX_ITER` iterations: on separated
+    logit data the score vanishes as the coefficients grow, the step does
+    not.  Raises :class:`ConvergenceError` on divergence (including
     suspected separation) and :class:`DataError` for non-finite input or rank
     deficiency.
     """
@@ -223,7 +220,7 @@ def irls_fit(family: str, y, X, case_weights=None, tol: float = 1e-10, max_iter:
                 raise ConvergenceError("irls_fit: no feasible starting point for gamma-inverse")
             beta = np.zeros(p)
             beta[0] = 1.0 / (c @ y / c.sum())
-    beta, _, _, reason = _score_newton(family, X, y, c, beta, tol, max_iter, stop_on_step=True)
+    beta, _, _, reason = _score_newton(family, X, y, c, beta, IRLS_TOL, IRLS_MAX_ITER, stop_on_step=True)
     if reason:
         raise ConvergenceError(f"irls_fit: {reason}")
     _check_unsaturated(family, X @ beta, "irls_fit")

@@ -149,6 +149,9 @@ class DesignSpec:
     (omitted-covariate designs); ``estimand`` is then the root of the
     population score equation for the fitted model, which is what the Monte
     Carlo aggregates compare against.  Both default to ``terms`` / ``theta0``.
+
+    ``roles`` (the population's) and ``hidden`` (the population columns the
+    sample leaves out) are planned from the rest when the spec is built.
     """
 
     N: int
@@ -164,6 +167,8 @@ class DesignSpec:
     fixed_population: bool = False
     fit_terms: tuple[str, ...] = ()
     estimand: tuple[float, ...] = ()
+    roles: dict = field(init=False, repr=False, compare=False)
+    hidden: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = as_number(self.N, "DesignSpec: N")
@@ -210,9 +215,10 @@ class DesignSpec:
         self._check_columns()
 
     def _check_columns(self) -> None:
-        """Check each column name the spec reads against the columns generated before it is read: in the
-        population, the covariates in order, the dummies, ``y``, then ``latent`` or ``nf``, and ``pi``; the
-        sample holds the same, except that under ``mask_latent`` it holds ``w`` in place of ``latent`` and ``pi``."""
+        """Check each column name the spec reads against the columns generated before it is read, and plan
+        :attr:`roles` and :attr:`hidden`: the population holds the covariates in order, the dummies, ``y``,
+        then ``latent`` or ``nf``, and ``pi``; the sample holds the same, except that under ``mask_latent`` it
+        holds ``w`` in place of ``latent`` and ``pi``, and its design role no ``latent``."""
         def check(names, columns, what):
             for name in names:
                 if name not in columns:
@@ -241,6 +247,10 @@ class DesignSpec:
         hidden = ("latent", "pi") if dsg.get("mask_latent") else ()
         kept = [name for name in columns if name not in hidden]  # in the population and the sample
         sample = kept + (["w"] if hidden else [])
+        design = [*dsg["coeffs"], "latent"] if dsg["kind"] == "poisson" else [dsg["column"]]
+        object.__setattr__(self, "roles", {"response": "y", "covariates": self.fit_terms,
+                                           "design": [name for name in design if name in kept], "pi": "pi"})
+        object.__setattr__(self, "hidden", hidden)
         check(self.fit_terms, kept, "fitted-model term")
         for k, c in enumerate(self.constraints):
             names = [name for name in (c["target_column"], c["group_column"]) if name is not None]
@@ -253,14 +263,6 @@ class DesignSpec:
     @property
     def model(self) -> ModelSpec:
         return ModelSpec(family=self.family, terms=self.fit_terms, intercept=self.intercept)
-
-    def design_columns(self) -> tuple[str, ...]:
-        if self.design["kind"] == "poisson":
-            cols = tuple(self.design["coeffs"])
-            if self.design["latent_sd"] and not self.design["mask_latent"]:
-                cols = cols + ("latent",)
-            return cols
-        return (self.design["column"],)
 
 
 def _draw_covariate(spec: CovariateSpec, N: int, rng) -> np.ndarray:
@@ -343,10 +345,8 @@ def gen_population(spec: DesignSpec, seed: int) -> Dataset:
             pi = pi / nf
     columns["pi"] = pi
 
-    roles = {"response": "y", "covariates": list(spec.fit_terms),
-             "design": list(spec.design_columns()), "pi": "pi"}
     # The population itself is a census: keep pi attached but weight it uniformly.
-    return Dataset(columns=columns, roles=roles, d=np.full(spec.N, 1.0 / spec.N))
+    return Dataset(columns=columns, roles=spec.roles, d=np.full(spec.N, 1.0 / spec.N))
 
 
 def draw_sample(population: Dataset, spec: DesignSpec, seed: int) -> Dataset:
@@ -366,11 +366,10 @@ def draw_sample(population: Dataset, spec: DesignSpec, seed: int) -> Dataset:
     else:
         raise DataError("draw_sample: empty sample after 10 attempts")
     idx = np.flatnonzero(take)
-    columns = {name: col[idx] for name, col in population.columns.items()}
+    columns = {name: col[idx] for name, col in population.columns.items() if name not in spec.hidden}
     roles = dict(population.roles)
-    if spec.design.get("mask_latent"):  # the design role holds no latent column (see DesignSpec.design_columns)
-        columns["w"] = 1.0 / columns.pop("pi")
-        columns.pop("latent", None)
+    if spec.hidden:  # the sample weights its rows by a w column in place of pi (see DesignSpec.hidden)
+        columns["w"] = 1.0 / pi[idx]
         del roles["pi"]
         roles.update(weight="w", weight_mode="direct")
     return make_dataset(columns, roles)

@@ -84,7 +84,9 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
     # bp is scale-free, so fit at mean one; the normalized d would otherwise
     # put the Gamma coefficients at 1/n scale and trip the divergence guard
     response = response / response.mean()
-    try:  # design_matrix rejects a missing formula column, and irls_fit a non-finite value
+    for name in formula_columns:
+        data.column(name, "estimate_visibility: formula column")
+    try:
         X = design_matrix(ModelSpec("gamma-inverse", formula_columns), data)
         alpha = irls_fit("gamma-inverse", response, X)
     except (ConvergenceError, DataError) as exc:

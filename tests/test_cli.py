@@ -809,9 +809,10 @@ def test_a_nested_list_of_column_names_exits_1(tmp_path, capsys, command, sectio
     ((), "design", {"kind": "two-strata", "column": "v", "rates": [0.5, 0.5],
                     "family_sizes": {"values": [1.0, 2.0], "probs": [0.5, 0.5], "prob": [0.9, 0.1]}},
      "unknown key 'prob' in 'design.design.family_sizes'"),
+    ((), "roles", {"response": "y"}, "unknown key 'roles' in 'design'"),
 ], ids=["lo", "coeffs", "rates", "bernoulli", "normal", "choice", "dummies", "lo out of range",
         "hi out of range", "rates out of range", "family sizes out of range", "null params", "negative params",
-        "intercept", "fixed population", "mask latent", "family sizes key"])
+        "intercept", "fixed population", "mask latent", "family sizes key", "planned roles"])
 def test_a_bad_value_in_the_design_section_exits_1_before_any_replicate(tmp_path, capsys, path, key, value, message):
     out = tmp_path / "mc"
     cfg = _mc_config(tmp_path, out, reps=2)

@@ -11,6 +11,7 @@ from elsurvey.data import (
     RANK_RTOL,
     ConstraintEntry,
     ConstraintSpec,
+    Dataset,
     build_constraint_matrix,
     decluster,
     load_dataset,
@@ -81,6 +82,21 @@ def test_make_dataset_pi_fallback_and_uniform_default():
     np.testing.assert_allclose(with_pi.d, [1 / 3, 2 / 3], atol=1e-15)
     bare = dataset_from({"y": [1.0, 0.0, 1.0]}, response="y")
     np.testing.assert_allclose(bare.d, np.full(3, 1 / 3), atol=1e-15)
+
+
+@pytest.mark.parametrize("roles, raw", [
+    ({"weight": "w"}, lambda columns: columns["w"]),
+    ({"weight": "w", "weight_mode": "inverse-probability"}, lambda columns: 1.0 / columns["w"]),
+    ({"pi": "pi"}, lambda columns: 1.0 / columns["pi"]),
+    ({}, lambda columns: np.ones(7)),
+], ids=["weight direct", "weight inverse-probability", "pi", "none"])
+def test_a_dataset_without_d_derives_it_from_its_weight_source_as_make_dataset_does(roles, raw):
+    rng = np.random.default_rng(17)
+    columns = {"y": rng.normal(size=7), "w": rng.uniform(0.2, 0.9, 7), "pi": rng.uniform(0.1, 1.0, 7)}
+    roles = {"response": "y", **roles}
+    base = raw(columns)
+    want = (base / base.sum()).tobytes()
+    assert Dataset(columns, roles).d.tobytes() == make_dataset(columns, roles).d.tobytes() == want
 
 
 def test_dataset_simplex_invariant_enforced():

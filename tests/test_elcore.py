@@ -22,7 +22,7 @@ def test_centered_column_gives_uniform_weights():
     sol = solve_el(np.array([[-1.0], [0.0], [1.0]]))
     np.testing.assert_allclose(sol.w, np.full(3, 1 / 3), atol=1e-12)
     np.testing.assert_allclose(sol.multiplier, [0.0], atol=1e-12)
-    assert sol.converged and sol.residual < 1e-8
+    assert sol.residual < 1e-8
 
 
 def test_offcenter_column_matches_bisection_oracle():
@@ -59,7 +59,7 @@ def test_sign_precheck_returns_the_non_vacuous_columns_and_skips_zero_ones(rng):
     U[::2, 2] = -0.0
     assert _sign_precheck(U, "solve_el") == [1, 3]
     sol = solve_el(U)
-    assert sol.converged and sol.multiplier[0] == 0.0 and sol.multiplier[2] == 0.0
+    assert sol.multiplier[0] == 0.0 and sol.multiplier[2] == 0.0
     np.testing.assert_allclose(sol.w, solve_el(U[:, [1, 3]]).w, rtol=1e-14, atol=0.0)
 
 
@@ -77,7 +77,7 @@ def test_single_signed_column_names_its_index():
 def test_q_zero_returns_uniform():
     sol = solve_el(np.empty((4, 0)))
     np.testing.assert_allclose(sol.w, np.full(4, 0.25), atol=1e-15)
-    assert sol.multiplier.size == 0 and sol.converged
+    assert sol.multiplier.size == 0
     assert sol.iterations == 0 and sol.residual == 0.0
 
 
@@ -107,7 +107,6 @@ def test_solution_invariants_on_random_feasible_instances(seed, q):
     n = int(rng.integers(q + 5, 40))
     U = random_feasible_u(rng, n, q)
     sol = solve_el(U)
-    assert sol.converged
     assert np.all(sol.w > 0.0) and np.all(sol.w < 1.0)
     assert abs(sol.w.sum() - 1.0) <= 1e-12
     assert sol.residual < 1e-8
@@ -122,7 +121,7 @@ def test_weighted_q_zero_returns_design_weights():
     d = np.array([0.5, 0.3, 0.2])
     sol = solve_weighted_el(np.empty((3, 0)), d)
     np.testing.assert_allclose(sol.w, d, atol=0)
-    assert sol.converged and sol.residual == 0.0
+    assert sol.residual == 0.0
     assert sol.iterations == 0 and sol.multiplier.size == 0
     assert sol.logEL == float(d @ np.log(d)) and sol.w is not d
 

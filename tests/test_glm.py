@@ -43,6 +43,20 @@ def test_score_dimension_mismatch_rejected():
         score(model, [0.0, 1.0], _single_obs(1.0))
 
 
+@pytest.mark.parametrize("term, message", [
+    ("x", "design_matrix: model term 'x' has non-finite values"),
+    ("q", "design_matrix: model term 'q' is not present"),
+], ids=["NaN", "missing"])
+def test_a_non_finite_or_missing_model_term_is_named(term, message):
+    # x is no covariate of the roles, so the Dataset itself lets its NaN through.
+    data = dataset_from({"y": [1.0, 0.0, 1.0], "x": [0.5, np.nan, -1.0]}, response="y")
+    model = ModelSpec("bernoulli-logit", terms=(term,))
+    for build in (lambda: design_matrix(model, data), lambda: score(model, [0.0, 0.0], data)):
+        with pytest.raises(DataError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_gamma_score_requires_positive_linear_predictor():
     model = ModelSpec("gamma-inverse", terms=())
     with pytest.raises(ConvergenceError, match="predictor"):

@@ -327,6 +327,33 @@ def test_latent_masking_hides_design_information():
                                atol=1e-15)
 
 
+LATENT = {"kind": "poisson", "lo": 0.2, "hi": 0.8, "coeffs": {"v": 0.6}, "latent_sd": 0.7}
+
+
+@pytest.mark.parametrize("overrides, population, sample, covariates, design", [
+    ({}, ["x", "v", "y", "pi"], ["x", "v", "y", "pi"], ("x", "v"), ("v",)),
+    ({"design": LATENT}, ["x", "v", "y", "latent", "pi"], ["x", "v", "y", "latent", "pi"], ("x", "v"),
+     ("v", "latent")),
+    ({"design": dict(LATENT, mask_latent=True)}, ["x", "v", "y", "latent", "pi"], ["x", "v", "y", "w"], ("x", "v"),
+     ("v",)),
+    ({"design": {"kind": "two-strata", "column": "v", "rates": (0.3, 0.6),
+                 "family_sizes": {"values": (1.0, 2.0), "probs": (0.5, 0.5)}},
+      "fit_terms": ("x",), "estimand": (-0.9, 0.8)},
+     ["x", "v", "y", "nf", "pi"], ["x", "v", "y", "nf", "pi"], ("x",), ("v",)),
+], ids=["poisson", "poisson latent_sd", "poisson mask_latent", "two-strata family_sizes"])
+def test_population_and_sample_roles_and_column_order_are_pinned(overrides, population, sample, covariates, design):
+    # A guard: the column order of population.csv and sample.csv, and the roles in the key order in
+    # which sim.json's sample_schema writes them, for each kind of generated column.
+    spec = _basic_spec(N=600, **overrides)
+    pop = gen_population(spec, seed=41)
+    drawn = draw_sample(pop, spec, seed=42)
+    assert (list(pop.columns), list(drawn.columns)) == (population, sample)
+    head = [("response", "y"), ("covariates", covariates), ("design", design)]
+    assert list(pop.roles.items()) == head + [("pi", "pi"), ("weight_mode", "direct")]
+    tail = [("weight_mode", "direct"), ("weight", "w")] if "w" in sample else [("pi", "pi"), ("weight_mode", "direct")]
+    assert list(drawn.roles.items()) == head + tail
+
+
 def test_masked_design_estimated_visibility_corrects_bias():
     # pi depends on (v, y, latent); the sample sees only (v, y, w).  The
     # composite fit with visibility estimated from the weights should remove

@@ -97,6 +97,17 @@ def test_missing_formula_column_rejected():
         estimate_visibility(data, ["z"])
 
 
+@pytest.mark.parametrize("columns, formula, message", [
+    ({}, "q", "estimate_visibility: formula column 'q' is not present"),
+    ({"z": [0.0, np.nan, 1.0, 1.0]}, "z", "estimate_visibility: formula column 'z' has non-finite values"),
+], ids=["missing", "NaN"])
+def test_a_missing_or_non_finite_formula_column_is_named(columns, formula, message):
+    data = dataset_from({"y": [1.0, 0.0, 1.0, 0.0], **columns}, response="y")
+    with pytest.raises(DataError) as info:
+        estimate_visibility(data, [formula])
+    assert str(info.value) == message
+
+
 def test_raw_weight_scale_leaves_visibility_unchanged():
     rng = np.random.default_rng(3)
     w = rng.uniform(1.0, 5.0, size=30)
