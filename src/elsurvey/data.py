@@ -442,40 +442,35 @@ class ConstraintMatrix:
 
 
 def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMatrix:
-    """Evaluate constraint residuals row by row.
+    """Evaluate constraint residuals into one column-major ``n x q`` array, filled in place.
 
-    Column ``k`` holds ``target - gamma_k`` (general) or
-    ``I{group == value} * (target - gamma_k)`` (subgroup).  Identically zero
-    columns are flagged as vacuous and reported with a warning; they carry no
-    information and would make the constraint system singular.  Dependent
-    non-vacuous columns (see :data:`RANK_RTOL`) raise :class:`DataError` naming them.
+    Column ``k`` holds ``target - gamma_k`` (general) or ``I{group == value} * (target - gamma_k)``
+    (subgroup; a NaN group value is in no subgroup).  Identically zero columns are flagged as vacuous
+    and reported with a warning; they carry no information and would make the constraint system
+    singular.  Dependent non-vacuous columns (see :data:`RANK_RTOL`) raise :class:`DataError` naming them.
     """
-    cols = []
-    labels = []
+    H = np.empty((spec.q, data.n)).T  # column-major: each column is a contiguous n-vector
     vacuous = []
-    for entry in spec.entries:
-        resid = data.column(entry.target_column, "build_constraint_matrix: target column") - entry.gamma
+    for entry, column in zip(spec.entries, H.T):
+        np.subtract(data.column(entry.target_column, "build_constraint_matrix: target column"), entry.gamma, column)
         if entry.kind == "subgroup-moment":
             if entry.group_column not in data.columns:
                 raise DataError(f"build_constraint_matrix: group column {entry.group_column!r} is not present")
-            group = data.columns[entry.group_column]
-            resid = np.where(group == entry.group_value, resid, 0.0)
-        is_vacuous = bool(np.all(resid == 0.0))
-        if is_vacuous:
+            np.copyto(column, 0.0, where=data.columns[entry.group_column] != entry.group_value)
+        vacuous.append(not column.any())
+        if vacuous[-1]:
             warnings.warn(f"constraint {entry.label!r} is identically zero (vacuous)", stacklevel=2)
-        cols.append(resid)
-        labels.append(entry.label)
-        vacuous.append(is_vacuous)
-    H = np.stack(cols).T if cols else np.empty((data.n, 0))
-    active = [k for k, v in enumerate(vacuous) if not v]
-    if 1 < len(active) < data.n:
-        R = np.linalg.qr(H[:, active], mode="r")  # its columns have the norms of H's
+    cm = ConstraintMatrix(H=H, labels=tuple(entry.label for entry in spec.entries), vacuous=tuple(vacuous))
+    live = cm.live  # H itself unless a column is vacuous
+    if 1 < live.shape[1] < data.n:
+        R = np.linalg.qr(live, mode="r")  # its columns have the norms of H's
         _, s, vt = np.linalg.svd(R / np.linalg.norm(R, axis=0))
         null = vt[s <= RANK_RTOL * s[0]]
         if null.size:
             # A column outside every dependency gets a null-vector weight of about eps / RANK_RTOL.
-            names = ", ".join(f"#{k} {labels[k]}" for k, c in zip(active, np.abs(null).max(axis=0))
+            active = np.flatnonzero(np.logical_not(vacuous)).tolist()
+            names = ", ".join(f"#{k} {cm.labels[k]}" for k, c in zip(active, np.abs(null).max(axis=0))
                               if c > np.sqrt(RANK_RTOL))
             raise DataError(f"build_constraint_matrix: constraints {names} are linearly dependent "
                             f"(smallest scaled singular value {s[-1]:.1e}, largest {s[0]:.1e})")
-    return ConstraintMatrix(H=H, labels=tuple(labels), vacuous=tuple(vacuous))
+    return cm

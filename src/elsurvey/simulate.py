@@ -247,6 +247,10 @@ class DesignSpec:
         hidden = ("latent", "pi") if dsg.get("mask_latent") else ()
         kept = [name for name in columns if name not in hidden]  # in the population and the sample
         sample = kept + (["w"] if hidden else [])
+        for names in (columns, sample):  # a second column of one name would overwrite the first
+            twice = [name for k, name in enumerate(names) if name in names[:k]]
+            if twice:
+                raise DataError(f"DesignSpec: column {twice[0]!r} is generated twice ({', '.join(names)})")
         design = [*dsg["coeffs"], "latent"] if dsg["kind"] == "poisson" else [dsg["column"]]
         object.__setattr__(self, "roles", {"response": "y", "covariates": self.fit_terms,
                                            "design": [name for name in design if name in kept], "pi": "pi"})

@@ -100,12 +100,11 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
 
     G, K1, H1 = row_sum(bread, A, H, w, data.y, rw, Ut.T, b)
     _warn_cond(H1, "components_from_arrays: H1")
-    proj = np.linalg.solve(H1, K1.T).T if H1.size else None  # A = K1 H1^-1
+    proj = np.linalg.solve(H1, K1.T).T  # A = K1 H1^-1; p x 0, and an exact zero step below, when q = 0
 
     def meat(H, u, b):  # u: rows of Ut.T
         u = u.T
-        if proj is not None:
-            u -= proj @ H.T  # psi' - A H'
+        u -= proj @ H.T  # psi' - A H'
         u *= b
         return u @ u.T
 

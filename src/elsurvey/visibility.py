@@ -77,7 +77,7 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
     if nf_adjust:
         if "nf" not in data.columns:
             raise DataError("estimate_visibility: nf_adjust requires an 'nf' column (see decluster)")
-        nf = data.columns["nf"]
+        nf = data.column("nf", "estimate_visibility: family size column")
         if np.any(nf < 1.0):
             raise DataError("estimate_visibility: family sizes in 'nf' must be >= 1")
         response = response / nf

@@ -519,6 +519,24 @@ def decluster_rows(fam, seed):
 
 
 # ---------------------------------------------------------------------------
+# Constraint residuals, one cell at a time
+
+
+def constraint_rows(columns, entries):
+    """``(H, vacuous)`` of ``data.build_constraint_matrix``, cell by cell: ``H[i, k]`` is ``target_i - gamma_k``
+    for a general entry, and for a subgroup entry the same where the row's group value equals ``group_value``
+    (a NaN equals nothing) and 0.0 elsewhere; an entry is vacuous when every cell of its column is zero."""
+    n = len(next(iter(columns.values())))
+    H = [[0.0] * len(entries) for _ in range(n)]
+    for k, e in enumerate(entries):
+        for i in range(n):
+            if e.kind == "general-moment" or float(columns[e.group_column][i]) == e.group_value:
+                H[i][k] = float(columns[e.target_column][i]) - e.gamma
+    vacuous = tuple(all(row[k] == 0.0 for row in H) for k in range(len(entries)))
+    return np.array(H, dtype=float).reshape(n, len(entries)), vacuous
+
+
+# ---------------------------------------------------------------------------
 # Artifact I/O, one value or one cell at a time
 
 

@@ -836,6 +836,16 @@ def test_an_out_of_range_design_value_exits_1_naming_it_before_any_replicate(tmp
 
 
 @pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_a_covariate_named_like_a_generated_column_exits_1_before_any_replicate(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    cfg = _mc_config(tmp_path, out, reps=2)
+    cfg["design"]["covariates"].append({"name": "pi", "dist": "normal", "params": [0.0, 1.0]})
+    assert run_command([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    assert "DesignSpec: column 'pi' is generated twice (x, v, pi, y, pi)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
 def test_a_population_size_above_the_array_size_limit_exits_1_before_any_replicate(tmp_path, capsys, command):
     out = tmp_path / "run"
     cfg = _mc_config(tmp_path, out, reps=2)

@@ -1,12 +1,14 @@
 """Dataset construction, design weights, de-clustering, constraint matrices."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from
-from oracles import decluster_rows
+from conftest import dataset_from, traced_peak
+from oracles import constraint_rows, decluster_rows
 from elsurvey.data import (
     RANK_RTOL,
     ConstraintEntry,
@@ -360,6 +362,62 @@ def test_dependent_constraints_named_and_vacuous_ones_skipped():
     # With no more rows than constraints the columns cannot be told apart; the EL solvers reject that.
     tiny = build_constraint_matrix(*_general_moments({"a": [1.0, -1.0], "b": [2.0, 0.5]}))
     assert tiny.q == 2
+
+
+TARGETS = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def constraint_problems(draw):
+    """Columns ``a``, ``b`` (targets) and ``g``, ``h`` (groups, with NaN), and up to four entries: general and
+    subgroup ones, some vacuous (a group value no row holds, or a target that equals its gamma)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    columns = {name: draw(st.lists(TARGETS, min_size=n, max_size=n)) for name in "ab"}
+    groups = st.sampled_from([0.0, 1.0, 2.0, float("nan")])
+    columns.update({name: draw(st.lists(groups, min_size=n, max_size=n)) for name in "gh"})
+    general = st.builds(lambda t, gamma: ConstraintEntry("general-moment", t, gamma=gamma), st.sampled_from("ab"),
+                        TARGETS)
+    subgroup = st.builds(lambda t, gamma, g, v: ConstraintEntry("subgroup-moment", t, gamma=gamma, group_column=g,
+                                                                group_value=v),
+                         st.sampled_from("ab"), TARGETS, st.sampled_from("gh"), st.sampled_from([0.0, 1.0, 5.0]))
+    return columns, draw(st.lists(st.one_of(general, subgroup), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_problems())
+def test_the_constraint_matrix_is_the_row_loop_reference_bit_for_bit_and_column_major(problem):
+    columns, entries = problem
+    H, vacuous = constraint_rows(columns, entries)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cm = build_constraint_matrix(dataset_from(columns), ConstraintSpec(entries))
+        except DataError as exc:  # the reference's live columns must then be dependent
+            assert "are linearly dependent" in str(exc)
+            live = H[:, np.logical_not(vacuous)]
+            s = np.linalg.svd(live / np.linalg.norm(live, axis=0), compute_uv=False)
+            assert s[-1] <= 1e-6 * s[0], s
+            return
+    assert cm.H.shape == H.shape and cm.H.flags.f_contiguous
+    assert cm.H.tobytes(order="F") == H.tobytes(order="F")
+    assert cm.vacuous == vacuous and cm.labels == tuple(e.label for e in entries)
+    assert [str(w.message) for w in caught] == [
+        f"constraint {e.label!r} is identically zero (vacuous)" for e, v in zip(entries, vacuous) if v]
+
+
+def test_the_constraint_matrix_holds_at_most_four_and_a_half_row_vectors_at_once():
+    # At 256,000 rows one n-vector is 1.95 MiB.  H is two of them and np.linalg.qr's copy for the rank
+    # check two more; per-entry residuals, their stacked copy and a copy of the live columns took four more.
+    n = 256_000
+    rng = np.random.default_rng(3)
+    data = dataset_from({"y": (rng.random(n) < 0.4).astype(float), "x": rng.normal(size=n),
+                         "g": (rng.random(n) < 0.5).astype(float)}, response="y")
+    spec = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=0.1),
+                           ConstraintEntry("subgroup-moment", "y", gamma=0.4, group_column="g", group_value=1.0)))
+    built = []
+    peak = traced_peak(lambda: built.append(build_constraint_matrix(data, spec)))
+    assert built[0].H.flags.f_contiguous and built[0].vacuous == (False, False)
+    assert peak <= 4.5 * 8 * n, peak / (8 * n)
 
 
 def test_decluster_reads_the_weight_source_as_make_dataset_does():

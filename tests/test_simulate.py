@@ -227,6 +227,29 @@ def test_design_values_that_would_crash_a_replicate_are_rejected_when_built(buil
         build()
 
 
+_X, _V = CovariateSpec("x", "choice", ((-1.0, 0.0, 1.0), None)), CovariateSpec("v", "bernoulli", (0.5,))
+_FAMILIES = {"kind": "two-strata", "column": "v", "rates": (0.5, 0.5),
+             "family_sizes": {"values": (1.0, 2.0), "probs": (0.5, 0.5)}}
+_MASKED = {"kind": "poisson", "lo": 0.2, "hi": 0.4, "latent_sd": 1.0, "mask_latent": True}
+
+
+@pytest.mark.parametrize("extra, overrides, message", [
+    ("y", {}, "DesignSpec: column 'y' is generated twice (x, v, y, y, pi)"),
+    ("latent", {"design": {"kind": "poisson", "lo": 0.2, "hi": 0.4, "latent_sd": 1.0}},
+     "DesignSpec: column 'latent' is generated twice (x, v, latent, y, latent, pi)"),
+    ("nf", {"design": _FAMILIES}, "DesignSpec: column 'nf' is generated twice (x, v, nf, y, nf, pi)"),
+    ("pi", {}, "DesignSpec: column 'pi' is generated twice (x, v, pi, y, pi)"),
+    ("x", {}, "DesignSpec: column 'x' is generated twice (x, v, x, y, pi)"),
+    ("x_1", {"dummies": {"x": (1.0,)}}, "DesignSpec: column 'x_1' is generated twice (x, v, x_1, x_1, y, pi)"),
+    ("w", {"design": _MASKED}, "DesignSpec: column 'w' is generated twice (x, v, w, y, w)"),
+], ids=["y", "latent", "nf", "pi", "two covariates", "dummy", "w under mask_latent"])
+def test_a_column_name_generated_twice_is_rejected_when_built(extra, overrides, message):
+    # gen_population and draw_sample would write the second column over the first.
+    with pytest.raises(DataError, match=re.escape(message)):
+        _basic_spec(covariates=(_X, _V, CovariateSpec(extra, "normal", (0.0, 1.0))), constraints=(), **overrides)
+    _basic_spec(covariates=(_X, _V, CovariateSpec(extra + "2", "normal", (0.0, 1.0))), constraints=(), **overrides)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("constraints", ("abc",), "section 'design.constraints[0]' must be an object"),
     ("constraints", (["a"],), "section 'design.constraints[0]' must be an object"),

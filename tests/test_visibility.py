@@ -144,6 +144,15 @@ def test_family_size_adjustment_orders():
         estimate_visibility(no_nf, (), nf_adjust=True)
 
 
+def test_a_missing_or_non_finite_family_size_is_named():
+    columns = {"y": np.zeros(6), "w": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "nf": [1.0, 2.0, np.nan, 1.0, 3.0, 2.0]}
+    with pytest.raises(DataError, match=r"^estimate_visibility: family size column 'nf' has non-finite values$"):
+        estimate_visibility(dataset_from(columns, response="y", weight="w"), (), nf_adjust=True)
+    del columns["nf"]
+    with pytest.raises(DataError, match=r"^estimate_visibility: nf_adjust requires an 'nf' column \(see decluster\)$"):
+        estimate_visibility(dataset_from(columns, response="y", weight="w"), (), nf_adjust=True)
+
+
 def _cell_dataset(cell, pi):
     return dataset_from(
         {
