@@ -2,16 +2,22 @@
 
 The package fits regression parameters from samples whose inclusion
 probabilities depend on the data, combining design weights or conditional
-visibilities with population-level moment constraints:
+visibilities with population-level moment constraints.  ``FitProblem``
+prepares one sample and fits any estimator of ``ESTIMATORS`` by name:
 
-* ``fit_pl``  - design-weighted fit (no constraints);
-* ``fit_cs``  - two-step fit with design-weighted EL under constraints;
-* ``fit_ce``  - two-step fit maximizing the composite criterion under an
+* ``pl``  - design-weighted fit (no constraints);
+* ``cs``  - two-step fit with design-weighted EL under constraints;
+* ``ce``  - two-step fit maximizing the composite criterion under an
   estimated (or known) conditional visibility;
-* ``profile_fit_joint`` - joint maximization of the composite criterion,
-  whose maximizer is the ``fit_ce`` root, so its fit is ``fit_ce``'s.
+* ``ce-joint`` - joint maximization of the composite criterion, whose
+  maximizer is the ``ce`` root, so its fit is ``ce``'s.
 
-``FitProblem`` prepares one sample and fits any of them by name.
+Each rule has one public entry: a ``Dataset`` derives its design weights
+``d``, ``variance.components_from_arrays`` forms the sandwich's sums, and
+``np.linalg.eigvalsh`` of two fits' ``V_cs - V_ce`` is the efficiency gap.
+``fit_pl``, ``fit_cs``, ``fit_ce`` and ``profile_fit_joint`` (each one
+``FitProblem(...).fit(name)``), ``score`` and ``score_jacobian`` stay while
+``perfbench`` traces them.
 
 Standard errors come from analytic plug-in sandwich estimators, and a
 Monte Carlo harness (``simulate``) checks the asymptotics at desk scale.
@@ -22,16 +28,14 @@ __version__ = "0.1.0"
 import numpy as _np
 
 from .data import (ConstraintEntry, ConstraintMatrix, ConstraintSpec, Dataset,
-                   build_constraint_matrix, decluster, load_dataset, make_dataset,
-                   normalize_design_weights)
+                   build_constraint_matrix, decluster, load_dataset, make_dataset)
 from .elcore import ELSolution, solve_el, solve_weighted_el
 from .errors import ConfigError, ConvergenceError, DataError, InfeasibleError
 from .estimators import ESTIMATORS, EstimateResult, FitProblem, fit_ce, fit_cs, fit_pl, profile_fit_joint
 from .glm import ModelSpec, design_matrix, irls_fit, score, score_jacobian
 from .simulate import (CovariateSpec, DesignSpec, MCSummary, draw_sample, gen_population,
                        population_constraint_spec, run_monte_carlo)
-from .variance import (CovarianceComponents, EfficiencyGap, assemble_covariance,
-                       covariance_components, efficiency_gap)
+from .variance import CovarianceComponents, assemble_covariance
 from .visibility import VisibilityModel, estimate_visibility, visibility_from_pi
 
 # glibc's malloc maps each request of 128 KiB or more on its own and trims its heap top whenever 128 KiB of it
@@ -45,14 +49,13 @@ __all__ = [
     "__version__",
     "ConfigError", "ConvergenceError", "DataError", "InfeasibleError",
     "Dataset", "ConstraintEntry", "ConstraintSpec", "ConstraintMatrix",
-    "load_dataset", "make_dataset", "normalize_design_weights", "decluster",
+    "load_dataset", "make_dataset", "decluster",
     "build_constraint_matrix",
     "ModelSpec", "design_matrix", "score", "score_jacobian", "irls_fit",
     "ELSolution", "solve_el", "solve_weighted_el",
     "VisibilityModel", "estimate_visibility", "visibility_from_pi",
     "ESTIMATORS", "FitProblem", "EstimateResult", "fit_pl", "fit_cs", "fit_ce", "profile_fit_joint",
-    "CovarianceComponents", "EfficiencyGap", "covariance_components",
-    "assemble_covariance", "efficiency_gap",
+    "CovarianceComponents", "assemble_covariance",
     "CovariateSpec", "DesignSpec", "MCSummary", "gen_population", "draw_sample",
     "population_constraint_spec", "run_monte_carlo",
 ]

@@ -29,49 +29,17 @@ RANK_RTOL = 1e-8
 BLOCK = 1 << 20  # bytes of rows that the exact CSV kernel parses at a time
 
 
-def normalize_design_weights(source, mode: str = "direct") -> np.ndarray:
-    """Turn a raw weight source into a normalized design-weight vector.
-
-    Parameters
-    ----------
-    source : array-like
-        Strictly positive raw weights (``mode="direct"``) or inclusion
-        probabilities (``mode="inverse-probability"``, weights become
-        ``1/source``).
-    mode : str
-        One of ``"direct"`` or ``"inverse-probability"``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Weights scaled to sum exactly to one.
-    """
-    base = _raw_weights(source, mode)
-    return base / base.sum()
-
-
-def _raw_weights(source, mode: str) -> np.ndarray:
-    """The validated weights of ``source`` before normalization (see :func:`normalize_design_weights`)."""
-    if mode not in WEIGHT_MODES:
-        raise DataError(
-            f"normalize_design_weights: unknown mode {mode!r}; expected one of {WEIGHT_MODES}"
-        )
-    source = np.asarray(source, dtype=float)
-    if source.ndim != 1 or source.size == 0:
-        raise DataError("normalize_design_weights: source must be a non-empty 1-d array")
-    if not np.all(np.isfinite(source)):
-        raise DataError("normalize_design_weights: source contains non-finite values")
-    if np.any(source <= 0.0):
-        raise DataError("normalize_design_weights: source must be strictly positive")
-    return 1.0 / source if mode == "inverse-probability" else source.copy()
-
-
 def _weight_source(columns: dict, roles: dict) -> np.ndarray:
-    """The design weights before normalization, from the tagged weight source (see :class:`Dataset`)."""
-    if roles.get("weight"):
-        return _raw_weights(columns[roles["weight"]], roles["weight_mode"])
+    """The design weights before normalization, from the tagged weight source (see :class:`Dataset`), whose
+    column the role checks have found present and finite; a weight column must be strictly positive."""
+    name = roles.get("weight")
+    if name:
+        source = columns[name]
+        if np.any(source <= 0.0):
+            raise DataError(f"Dataset: weight column {name!r} must be strictly positive")
+        return source if roles["weight_mode"] == "direct" else 1.0 / source
     if roles.get("pi"):
-        return _raw_weights(columns[roles["pi"]], "inverse-probability")
+        return 1.0 / columns[roles["pi"]]
     return np.ones(len(next(iter(columns.values()))))
 
 
@@ -176,13 +144,13 @@ class Dataset:
                 self.column(name, f"Dataset: {key} column")
         if roles.setdefault("weight_mode", "direct") not in WEIGHT_MODES:
             raise DataError(f"dataset roles: weight_mode {roles['weight_mode']!r} not in {WEIGHT_MODES}")
-        if self.d is None:
-            base = _weight_source(self.columns, roles)
-            object.__setattr__(self, "d", base / base.sum())
         if roles.get("pi"):
             pi = self.columns[roles["pi"]]
             if np.any(pi <= 0.0) or np.any(pi > 1.0):
                 raise DataError(f"Dataset: inclusion probabilities in {roles['pi']!r} must lie in (0, 1]")
+        if self.d is None:
+            base = _weight_source(self.columns, roles)
+            object.__setattr__(self, "d", base / base.sum())
         d = np.asarray(self.d, dtype=float)
         object.__setattr__(self, "d", d)
         if d.shape != (n,):

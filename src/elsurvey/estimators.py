@@ -136,6 +136,11 @@ class FitProblem:
         if name not in ESTIMATORS:
             raise DataError(f"FitProblem.fit: unknown estimator {name!r}; expected one of {ESTIMATORS}")
         if name not in self._fits:
+            if name in NEEDS_VISIBILITY and self.vis is None:
+                raise DataError(f"FitProblem.fit({name!r}): no visibility source was given (vis is None)")
+            if name in NEEDS_VISIBILITY and isinstance(self.vis, VisibilityModel) and self.vis.bp.size != self.data.n:
+                raise DataError(f"FitProblem.fit({name!r}): the visibility holds {self.vis.bp.size} values, "
+                                f"expected one for each of the {self.data.n} rows")
             self._fits[name] = self._ce_joint() if name == "ce-joint" else self._fit(name)
         return self._fits[name]
 
@@ -192,9 +197,7 @@ class FitProblem:
     def _ce(self, step1: dict):
         """Step 1 solves standard EL on the columns ``h_i / bp_i`` for ``w*``; the composite weights are
         ``(w*_i / bp_i) / sum_j (w*_j / bp_j)`` and ``Bp_hat = 1 / sum_j (w*_j / bp_j)``."""
-        vis = None if self.vis is None else self.vis.resolve(self.data)
-        if vis is None or vis.bp.shape != (self.data.n,):
-            raise DataError(f"fit_ce: visibility must hold one value for each of the {self.data.n} rows")
+        vis = self.vis.resolve(self.data)
         bp, cm = vis.bp, self.cm
         sol = solve_el((cm.H.T / bp).T, tol=self.el_tol, max_iter=self.el_max_iter)
         w = sol.w / bp

@@ -27,7 +27,7 @@ A*) H2 (A - A*)'`` with ``A* = K2 H2^-1``.  ``ce`` has ``m1 = b^2``, so it
 takes ``A = A*``, where ``M`` is smallest.  Where ``cs`` and ``ce`` share
 ``G``, ``G*``, ``K2`` and ``H2``, ``G (V_cs - V_ce) G'`` is therefore the
 positive semidefinite ``(A - A*) H2 (A - A*)'`` of the ``cs`` ``A``: the
-composite fit is no less efficient (:func:`efficiency_gap` reports the gap).
+composite fit is no less efficient: ``V_cs - V_ce`` has no negative eigenvalue.
 The expanded form is not computed, as it loses digits to cancellation.
 
 Each weighted sum is :func:`elsurvey.elcore.row_sum` of ``(X[rows].T * v[rows])
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConstraintSpec, Dataset, build_constraint_matrix
+from .data import Dataset
 from .elcore import row_sum
 from .errors import DataError
 from .glm import ModelSpec, _check_response, _check_theta, _jacobian, _resid_curv, design_matrix
@@ -111,22 +111,6 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
     return CovarianceComponents(G=G, K1=K1, H1=H1, M=row_sum(meat, H, Ut.T, b))
 
 
-def covariance_components(fit, data: Dataset, model: ModelSpec, constraints: ConstraintSpec,
-                          vis=None) -> CovarianceComponents:
-    """Component sums for a converged fit (see :func:`components_from_arrays`) in its own form: with no
-    multiplier (``pl``) ``H`` has no columns, else the non-vacuous ones; a composite fit (with ``Bp_hat``)
-    takes ``vis.bp``."""
-    if not fit.diagnostics.get("converged", False):
-        raise DataError("covariance_components: fit did not converge; no covariance is available")
-    H = build_constraint_matrix(data, constraints).live if fit.multiplier.size else np.empty((data.n, 0))
-    bp = None
-    if fit.Bp_hat is not None:
-        if vis is None:
-            raise DataError("covariance_components: the composite fit needs the visibility model")
-        bp = vis.bp
-    return components_from_arrays(fit.theta, fit.weights, data, model, H, bp=bp)
-
-
 def _warn_cond(M: np.ndarray, name: str) -> None:
     if M.size and np.linalg.cond(M) > COND_WARN:
         warnings.warn(f"{name} has condition number above {COND_WARN:.0e}", stacklevel=3)
@@ -146,23 +130,3 @@ def assemble_covariance(components: CovarianceComponents) -> np.ndarray:
     X = np.linalg.solve(c.G, c.M)
     V = np.linalg.solve(c.G, X.T).T
     return 0.5 * (V + V.T)
-
-
-@dataclass(frozen=True)
-class EfficiencyGap:
-    """Difference of two covariance estimates and its smallest eigenvalue."""
-
-    gap: np.ndarray
-    min_eigenvalue: float
-
-
-def efficiency_gap(V_cs: np.ndarray, V_ce: np.ndarray) -> EfficiencyGap:
-    """Gap ``V_cs - V_ce``; a nonnegative spectrum means the composite fit
-    is no less efficient in every direction."""
-    V_cs = np.asarray(V_cs, dtype=float)
-    V_ce = np.asarray(V_ce, dtype=float)
-    if V_cs.shape != V_ce.shape or V_cs.ndim != 2 or V_cs.shape[0] != V_cs.shape[1]:
-        raise DataError(f"efficiency_gap: incompatible shapes {V_cs.shape} and {V_ce.shape}")
-    gap = V_cs - V_ce
-    gap = 0.5 * (gap + gap.T)
-    return EfficiencyGap(gap=gap, min_eigenvalue=float(np.linalg.eigvalsh(gap).min()))

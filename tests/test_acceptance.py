@@ -41,11 +41,7 @@ from elsurvey.simulate import (
     population_constraint_spec,
     run_monte_carlo,
 )
-from elsurvey.variance import (
-    assemble_covariance,
-    components_from_arrays,
-    covariance_components,
-)
+from elsurvey.variance import assemble_covariance, components_from_arrays
 from elsurvey.visibility import VisibilityModel, estimate_visibility, visibility_from_pi
 
 NO_CONSTRAINTS = ConstraintSpec(entries=())
@@ -385,11 +381,11 @@ def test_criterion_10_covariance_components_match_hand_sums(capsys):
         kind="general-moment", target_column="x",
         gamma=float(data2.d @ cols["x"])),))
     cs_fit = fit_cs(data2, model, spec2)
-    comps = covariance_components(cs_fit, data2, model, spec2)
+    Hc = build_constraint_matrix(data2, spec2).live  # one general moment: all of H
+    comps = components_from_arrays(cs_fit.theta, cs_fit.weights, data2, model, Hc)
     A2 = design_matrix(model, data2)
     _, Gs, _, K2, _, H2 = loop_cs_components(cs_fit.weights, data2.d, logit_psi(cs_fit.theta, A2, data2.y),
-                                             logit_psi_prime(cs_fit.theta, A2),
-                                             build_constraint_matrix(data2, spec2).H)
+                                             logit_psi_prime(cs_fit.theta, A2), Hc)
     left = comps.M - (Gs - K2 @ np.linalg.solve(H2, K2.T))
     D = K2 @ np.linalg.inv(H2) - comps.K1 @ np.linalg.inv(comps.H1)
     right = D @ H2 @ D.T

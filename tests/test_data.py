@@ -1,5 +1,7 @@
 """Dataset construction, design weights, de-clustering, constraint matrices."""
 
+import json
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import dataset_from, traced_peak
 from oracles import constraint_rows, decluster_rows
+from elsurvey.cli import run_command
 from elsurvey.data import (
     RANK_RTOL,
     ConstraintEntry,
@@ -18,39 +21,43 @@ from elsurvey.data import (
     decluster,
     load_dataset,
     make_dataset,
-    normalize_design_weights,
 )
 from elsurvey.errors import DataError
 
 
 # ---------------------------------------------------------------------------
-# normalize_design_weights
+# Design weights: a Dataset derives d from its weight source
+
+
+def _weights(source, mode):
+    """The design weights ``d`` of a dataset whose weight column ``w``, read per ``mode``, holds ``source``."""
+    return Dataset({"w": np.asarray(source, dtype=float)}, {"weight": "w", "weight_mode": mode}).d
 
 
 def test_inverse_probability_mode_closed_form():
-    d = normalize_design_weights([0.5, 0.25, 0.25], "inverse-probability")
+    d = _weights([0.5, 0.25, 0.25], "inverse-probability")
     np.testing.assert_allclose(d, [0.2, 0.4, 0.4], rtol=0, atol=1e-15)
 
 
 def test_equal_probabilities_give_uniform_weights():
-    d = normalize_design_weights([0.3] * 5, "inverse-probability")
+    d = _weights([0.3] * 5, "inverse-probability")
     np.testing.assert_allclose(d, np.full(5, 0.2), rtol=0, atol=1e-15)
 
 
 def test_direct_mode_normalizes():
-    d = normalize_design_weights([2.0, 3.0, 5.0], "direct")
+    d = _weights([2.0, 3.0, 5.0], "direct")
     np.testing.assert_allclose(d, [0.2, 0.3, 0.5], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [[1.0, 0.0, 2.0], [1.0, -0.5], [np.nan, 1.0]])
 def test_nonpositive_or_nonfinite_source_rejected(bad):
-    with pytest.raises(DataError):
-        normalize_design_weights(bad, "direct")
+    with pytest.raises(DataError, match="weight column 'w'"):
+        _weights(bad, "direct")
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(DataError, match="mode"):
-        normalize_design_weights([1.0, 2.0], "geometric")
+        _weights([1.0, 2.0], "geometric")
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,8 +67,8 @@ def test_unknown_mode_rejected():
     st.sampled_from(["direct", "inverse-probability"]),
 )
 def test_weight_normalization_scale_invariant_and_simplex(vals, c, mode):
-    base = normalize_design_weights(vals, mode)
-    scaled = normalize_design_weights([c * v for v in vals], mode)
+    base = _weights(vals, mode)
+    scaled = _weights([c * v for v in vals], mode)
     assert abs(base.sum() - 1.0) <= 1e-12
     assert np.all(base > 0.0)
     np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-15)
@@ -125,8 +132,38 @@ def test_load_dataset_parses_three_row_csv(tmp_path):
 def test_load_dataset_zero_pi_rejected(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("y,pi\n1,0.5\n0,0\n")
-    with pytest.raises(DataError, match="(?i)positive"):
+    with pytest.raises(DataError, match=r"probabilities in 'pi' must lie in \(0, 1\]"):
         load_dataset(str(path), {"response": "y", "pi": "pi"})
+
+
+NOT_POSITIVE = "Dataset: weight column 'p' must be strictly positive"
+
+
+@pytest.mark.parametrize("roles, values, message", [
+    ({"pi": "p"}, [0.5, 0.0, 0.25], r"Dataset: inclusion probabilities in 'p' must lie in \(0, 1\]"),
+    ({"weight": "p"}, [2.0, 0.0, 1.0], NOT_POSITIVE),
+    ({"weight": "p"}, [2.0, -2.0, 1.0], NOT_POSITIVE),
+    ({"weight": "p", "weight_mode": "inverse-probability"}, [0.5, 0.0, 0.25], NOT_POSITIVE),
+    ({"weight": "p", "weight_mode": "inverse-probability"}, [0.5, -2.0, 0.25], NOT_POSITIVE),
+], ids=["pi 0", "weight 0", "weight -2", "inverse-probability weight 0", "inverse-probability weight -2"])
+@pytest.mark.parametrize("entry", ["make_dataset", "load_dataset", "fit"])
+def test_a_bad_weight_source_is_named_by_its_column(tmp_path, capsys, roles, values, message, entry):
+    columns = {"y": [1.0, 0.0, 1.0], "x": [0.1, 0.2, 0.3], "p": values}
+    schema = {"response": "y", "covariates": ["x"], **roles}
+    path = tmp_path / "sample.csv"
+    path.write_text("y,x,p\n" + "".join(f"{y},{x},{p}\n" for y, x, p in zip(*columns.values())))
+    if entry == "fit":
+        cfg = {"data": {"path": str(path), "schema": schema}, "model": {"family": "bernoulli-logit", "terms": ["x"]},
+               "estimators": ["pl"], "output": {"path": str(tmp_path / "run")}}
+        (tmp_path / "fit.json").write_text(json.dumps(cfg))
+        assert run_command(["fit", "--config", str(tmp_path / "fit.json")]) == 1
+        assert re.search(message, capsys.readouterr().err)
+        return
+    with pytest.raises(DataError, match=message):
+        if entry == "make_dataset":
+            make_dataset({name: np.array(col) for name, col in columns.items()}, schema)
+        else:
+            load_dataset(str(path), schema)
 
 
 def test_load_dataset_missing_tagged_column_named(tmp_path):

@@ -461,6 +461,20 @@ def test_fit_problem_builds_constraints_only_when_needed(rng):
         problem.fit("mle")
 
 
+@pytest.mark.parametrize("name", estimators.NEEDS_VISIBILITY)
+@pytest.mark.parametrize("vis, message", [
+    (None, "no visibility source was given (vis is None)"),
+    (VisibilityModel("given-pi", np.full(119, 0.5), np.zeros(0)),
+     "the visibility holds 119 values, expected one for each of the 120 rows"),
+], ids=["missing", "119 values"])
+def test_a_missing_or_mis_sized_visibility_is_named_with_the_estimator(rng, name, vis, message):
+    problem = FitProblem(_logistic_data(rng, n=120), MODEL, vis=vis)
+    assert problem.fit("pl").diagnostics["converged"]
+    with pytest.raises(DataError) as raised:
+        problem.fit(name)
+    assert str(raised.value) == f"FitProblem.fit({name!r}): {message}"
+
+
 @pytest.mark.parametrize("name, value, message", [
     *[("el_tol", v, "must be positive") for v in (-1, 0)],
     *[("el_tol", v, "must be a finite number") for v in (np.inf, np.nan, True)],

@@ -8,16 +8,10 @@ from scipy.special import expit
 
 from conftest import d9_spec, dataset_from, needs_wide_longdouble
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
-from elsurvey.errors import DataError
 from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl
 from elsurvey.glm import ModelSpec, design_matrix
 from elsurvey.simulate import draw_sample, gen_population, population_constraint_spec
-from elsurvey.variance import (
-    assemble_covariance,
-    components_from_arrays,
-    covariance_components,
-    efficiency_gap,
-)
+from elsurvey.variance import assemble_covariance, components_from_arrays
 from elsurvey.visibility import VisibilityModel, estimate_visibility, visibility_from_pi
 from oracles import (
     ce_sandwich,
@@ -139,8 +133,9 @@ def test_constant_weight_correspondence_between_component_sets():
     cs = fit_cs(data, MODEL_X, constraints)
     ce = fit_ce(data, MODEL_X, constraints, vis)
     np.testing.assert_allclose(ce.weights, cs.weights, atol=1e-10)
-    roman = covariance_components(cs, data, MODEL_X, constraints)
-    cal = covariance_components(ce, data, MODEL_X, constraints, vis=vis)
+    H = build_constraint_matrix(data, constraints).live
+    roman = components_from_arrays(cs.theta, cs.weights, data, MODEL_X, H)
+    cal = components_from_arrays(ce.theta, ce.weights, data, MODEL_X, H, bp=vis.bp)
     s = data.n / c
     np.testing.assert_allclose(cal.G, s * roman.G, rtol=1e-9, atol=1e-14)
     np.testing.assert_allclose(cal.K1, s / c * roman.K1, rtol=1e-9, atol=1e-14)
@@ -176,7 +171,8 @@ def test_cs_matches_simplified_form_when_weights_independent_of_model():
         ConstraintEntry("subgroup-moment", "y", gamma=gamma, group_column="x", group_value=1.0),
     ))
     res = fit_cs(data, MODEL_X, constraints)
-    comps = covariance_components(res, data, MODEL_X, constraints)
+    H = build_constraint_matrix(data, constraints).live
+    comps = components_from_arrays(res.theta, res.weights, data, MODEL_X, H)
     V_full = assemble_covariance(comps)
     _, Gs, _, K2, _, H2 = _loop_components(res, data, constraints)
     Gi = np.linalg.inv(comps.G)
@@ -208,26 +204,14 @@ def test_shared_component_efficiency_identity():
         ConstraintEntry("subgroup-moment", "y", gamma=gamma, group_column="x", group_value=1.0),
     ))
     res = fit_cs(data, MODEL_X, constraints)
-    comps = covariance_components(res, data, MODEL_X, constraints)
+    H = build_constraint_matrix(data, constraints).live
+    comps = components_from_arrays(res.theta, res.weights, data, MODEL_X, H)
     _, Gs, _, K2, _, H2 = _loop_components(res, data, constraints)
     left = comps.M - (Gs - K2 @ np.linalg.solve(H2, K2.T))
     D = K2 @ np.linalg.inv(H2) - comps.K1 @ np.linalg.inv(comps.H1)
     right = D @ H2 @ D.T
     # Relative to G*, the size of the terms that cancel in ``left``.
     assert np.max(np.abs(left - right)) < 1e-10 * np.max(np.abs(Gs))
-
-
-def test_efficiency_gap_identity_and_reporting():
-    V = np.array([[2.0, 0.3], [0.3, 1.0]])
-    gap = efficiency_gap(V, V)
-    np.testing.assert_allclose(gap.gap, np.zeros((2, 2)), atol=0)
-    assert gap.min_eigenvalue == 0.0
-    # Mismatched visibility regime: gap is reported without a sign claim.
-    other = efficiency_gap(V, V + np.diag([0.5, -0.5]))
-    assert other.gap.shape == (2, 2)
-    assert other.min_eigenvalue < 0.0 < np.linalg.eigvalsh(other.gap).max()
-    with pytest.raises(DataError, match="shape"):
-        efficiency_gap(V, np.eye(3))
 
 
 def test_covariances_symmetric_with_nonnegative_diagonal(rng):
@@ -264,8 +248,7 @@ def test_unconverged_fit_has_no_covariance(rng):
     ))
     res = fit_cs(data, MODEL_X, constraints, newton_max_iter=0)
     assert res.diagnostics["failure"].startswith("no convergence in 0 iterations")
-    with pytest.raises(DataError, match="converge"):
-        covariance_components(res, data, MODEL_X, constraints)
+    assert np.isnan(res.covariance).all() and np.isnan(res.se).all()
 
 
 def test_components_of_every_fit_reproduce_its_covariance(rng):
@@ -286,7 +269,9 @@ def test_components_of_every_fit_reproduce_its_covariance(rng):
     for name in ESTIMATORS:
         fit = problem.fit(name)
         assert fit.diagnostics["converged"], name
-        comps = covariance_components(fit, data, MODEL_X, constraints, vis=vis)
+        H = np.empty((n, 0)) if name == "pl" else problem.cm.live
+        bp = None if fit.Bp_hat is None else vis.bp
+        comps = components_from_arrays(fit.theta, fit.weights, data, MODEL_X, H, bp=bp)
         assert comps.H1.shape == ((0, 0) if name == "pl" else (2, 2)), name
         assert assemble_covariance(comps).tobytes() == fit.covariance.tobytes(), name
 
@@ -334,8 +319,9 @@ def test_component_sums_converge_to_population_limits():
     cs = fit_cs(data, MODEL_X, constraints)
     vis = visibility_from_pi(data)
     ce = fit_ce(data, MODEL_X, constraints, vis)
-    roman = covariance_components(cs, data, MODEL_X, constraints)
-    cal = covariance_components(ce, data, MODEL_X, constraints, vis=vis)
+    H = build_constraint_matrix(data, constraints).live
+    roman = components_from_arrays(cs.theta, cs.weights, data, MODEL_X, H)
+    cal = components_from_arrays(ce.theta, ce.weights, data, MODEL_X, H, bp=vis.bp)
     # The meat's limit is the expansion's, at the n^3 (design rows) or n (visibility rows) power of G*.
     limits = {
         "G": (roman, roman_t["G"]), "K1": (roman, roman_t["K1"]), "H1": (roman, roman_t["H1"]),

@@ -31,7 +31,7 @@ def test_pass_through_requires_tagged_pi():
 
 
 def test_zero_pi_rejected_at_construction():
-    with pytest.raises(DataError, match="(?i)positive"):
+    with pytest.raises(DataError, match=r"probabilities in 'pi' must lie in \(0, 1\]"):
         dataset_from({"y": [1.0, 0.0], "pi": [0.1, 0.0]}, response="y", pi="pi")
 
 
