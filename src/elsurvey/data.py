@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _decimal
+from .elcore import r_factor
 from .errors import DataError
 
 ROLE_KEYS = ("response", "covariates", "design", "pi", "weight", "weight_mode", "family")
@@ -431,7 +432,7 @@ def build_constraint_matrix(data: Dataset, spec: ConstraintSpec) -> ConstraintMa
     cm = ConstraintMatrix(H=H, labels=tuple(entry.label for entry in spec.entries), vacuous=tuple(vacuous))
     live = cm.live  # H itself unless a column is vacuous
     if 1 < live.shape[1] < data.n:
-        R = np.linalg.qr(live, mode="r")  # its columns have the norms of H's
+        R = r_factor(live)  # its columns have the norms of H's
         _, s, vt = np.linalg.svd(R / np.linalg.norm(R, axis=0))
         null = vt[s <= RANK_RTOL * s[0]]
         if null.size:

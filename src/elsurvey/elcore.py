@@ -17,7 +17,9 @@ Every sum over the ``n`` rows of the numeric core (the dual here, the score
 Newton of :mod:`elsurvey.glm` and the sandwich of :mod:`elsurvey.variance`) is
 :func:`row_sum`: the sum of one whole-array computation applied to consecutive
 blocks of :data:`ROWS` rows, so that its temporaries stay in the core's cache.
-With at most ``ROWS`` rows it is that computation itself, bit for bit.
+With at most ``ROWS`` rows it is that computation itself, bit for bit.  The rank
+checks of :func:`elsurvey.glm.irls_fit` and :func:`elsurvey.data.build_constraint_matrix`
+take the SVD of :func:`r_factor`, a QR folded over the same blocks.
 """
 
 from __future__ import annotations
@@ -54,6 +56,20 @@ def row_sum(f, *rows):
             return None
         total = part if total is None else tuple(map(np.add, total, part)) if isinstance(part, tuple) else total + part
     return total
+
+
+def r_factor(X, c=None) -> np.ndarray:
+    """The triangular factor ``R`` of a QR of ``X`` with each row ``i`` scaled by ``sqrt(c_i)``, whose singular
+    values are those of the scaled ``X``; ``p x p`` for ``n >= p`` rows.  Each block of ``ROWS`` rows is stacked
+    under the ``R`` so far and factored in turn (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
+    2012), so no ``n x p`` temporary is formed."""
+    R = None
+    for start in range(0, len(X), ROWS):
+        block = X[start:start + ROWS]
+        if c is not None:
+            block = block * np.sqrt(c[start:start + ROWS])[:, None]
+        R = np.linalg.qr(block if R is None else np.vstack((R, block)), mode="r")
+    return R
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ SE and covariance, and keeps the step-1 weights, NaN when step 1 raised.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -216,7 +215,10 @@ class FitProblem:
     def _ce_joint(self) -> EstimateResult:
         """The ``ce`` fit under the name ``ce-joint`` (see :func:`profile_fit_joint`), sharing no
         mutable object with it; a failed ``ce`` fit is a failed ``ce-joint`` fit."""
-        joint = replace(deepcopy(self.fit("ce")), estimator="ce-joint")
+        ce = self.fit("ce")
+        arrays = {key: getattr(ce, key).copy() for key in ("theta", "se", "covariance", "weights", "multiplier")}
+        diagnostics = {key: list(value) if isinstance(value, list) else value for key, value in ce.diagnostics.items()}
+        joint = replace(ce, estimator="ce-joint", diagnostics=diagnostics, **arrays)
         if not joint.diagnostics["converged"]:
             joint.diagnostics["failure"] = f"ce fit failed: {joint.diagnostics['failure']}"
         return joint

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import as_bool, as_names
-from .elcore import damped_newton, row_sum
+from .elcore import damped_newton, r_factor, row_sum
 from .errors import ConvergenceError, DataError
 
 FAMILIES = ("bernoulli-logit", "gamma-inverse", "gaussian-identity")
@@ -99,7 +99,7 @@ def _resid_curv(family: str, eta: np.ndarray, y: np.ndarray, name: str, curv=Non
 
 
 def _jacobian(A: np.ndarray, weights: np.ndarray, curv: np.ndarray) -> np.ndarray:
-    return -(A.T * (weights * curv)) @ A
+    return -((A.T * (weights * curv)) @ A)
 
 
 def _score_parts(model: ModelSpec, theta, data):
@@ -152,8 +152,9 @@ def _score_newton(family: str, A: np.ndarray, y: np.ndarray, weights: np.ndarray
         return g, lambda: row_sum(_jacobian, A, weights, curv)
 
     theta, iters, resid, failure = damped_newton(evaluate, theta, tol, max_iter, 1e3, stop_on_step)
-    reason = {"": "",
-              "start": f"invalid start: {family} score: nonpositive linear predictor",
+    if not failure:
+        return theta, iters, resid, ""
+    reason = {"start": f"invalid start: {family} score: nonpositive linear predictor",
               "line search": "line search failed on the weighted score equation",
               "bound": "parameter norm exceeded 1e3 (separation or divergence)",
               "max_iter": f"no convergence in {max_iter} iterations (score max-norm {resid:.3e})"}[failure]
@@ -206,7 +207,8 @@ def irls_fit(family: str, y, X, case_weights=None) -> np.ndarray:
     c = np.ones(n) if case_weights is None else np.asarray(case_weights, dtype=float)
     if c.shape != (n,) or np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         raise DataError("irls_fit: case weights must be strictly positive, finite, length n")
-    if np.linalg.matrix_rank(X * np.sqrt(c)[:, None]) < p:
+    s = np.linalg.svd(r_factor(X, c), compute_uv=False)
+    if s[-1] <= s[0] * max(n, p) * np.finfo(float).eps:  # np.linalg.matrix_rank's threshold
         raise DataError("irls_fit: design matrix is rank deficient")
 
     if family == "gaussian-identity":

@@ -112,8 +112,14 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
 
 
 def _warn_cond(M: np.ndarray, name: str) -> None:
-    if M.size and np.linalg.cond(M) > COND_WARN:
-        warnings.warn(f"{name} has condition number above {COND_WARN:.0e}", stacklevel=3)
+    """Warn when ``np.linalg.cond(M)``, the ratio of the extreme singular values, exceeds ``COND_WARN``; a
+    singular ``M`` (a ratio of inf, or NaN for a zero ``M``) warns too."""
+    if M.size:
+        s = np.linalg.svd(M, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = s[0] / s[-1]
+        if not ratio <= COND_WARN:
+            warnings.warn(f"{name} has condition number above {COND_WARN:.0e}", stacklevel=3)
 
 
 def assemble_covariance(components: CovarianceComponents) -> np.ndarray:

@@ -232,6 +232,24 @@ def test_fit_weights_npz_holds_each_estimators_weights_bitwise(tmp_path):
             np.testing.assert_array_equal(w.view(np.uint64), problem.fit(name).weights.view(np.uint64))
 
 
+def test_fit_with_no_constraints_writes_cs_as_pl_and_ce_joint_as_ce_bit_for_bit(tmp_path):
+    # With no constraints cs's dual takes no step, so its weights are d, pl's; ce-joint is the ce fit.
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    out = tmp_path / "run"
+    cfg = _fit_config(data_path, out, gammas, constraints=[], visibility={"mode": "gamma-regression", "formula": ["v"]},
+                      estimators=list(ESTIMATORS))
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+    fits = json.loads((out / "fit.json").read_text())
+    with np.load(out / "fit_weights.npz", allow_pickle=False) as stored:
+        for name, same in (("cs", "pl"), ("ce-joint", "ce")):
+            assert fits[name]["diagnostics"]["converged"] and fits[same]["diagnostics"]["converged"]
+            for key in ("theta", "se", "covariance", "multiplier", "Bp_hat", "logEL"):
+                assert json.dumps(fits[name][key]) == json.dumps(fits[same][key]), (name, key)
+                bits = [np.asarray(fits[fit][key], dtype=float).tobytes() for fit in (name, same)]
+                assert bits[0] == bits[1], (name, key)
+            assert stored[name].tobytes() == stored[same].tobytes(), name
+
+
 def test_fit_json_keeps_every_field_but_the_weights(tmp_path):
     data_path, _, gammas = _informative_sample(tmp_path, N=900)
     out = tmp_path / "run"
@@ -429,6 +447,38 @@ def test_simulate_writes_population_and_sample(tmp_path):
     first = (out / "sample.csv").read_bytes()
     assert run_command(["simulate", "--config", path]) == 0
     assert (out / "sample.csv").read_bytes() == first
+
+
+def _masked_sample(tmp_path):
+    """``elsurvey simulate`` of a ``mask_latent`` design into ``tmp_path / "masked"``; returns that directory."""
+    out = tmp_path / "masked"
+    cfg = _mc_config(tmp_path, out)
+    for key in ("reps", "estimators", "seed"):
+        cfg.pop(key)
+    cfg["design"]["constraints"] = []
+    cfg["design"]["design"] = {"kind": "poisson", "lo": 0.2, "hi": 0.8, "coeffs": {"v": 0.6}, "response_coef": 0.8,
+                               "latent_sd": 0.7, "mask_latent": True}
+    cfg["design"].update(N=4000, visibility={"mode": "gamma-regression", "formula": ["v"]})
+    assert run_command(["simulate", "--config", _write_config(tmp_path, cfg, "masked.json"), "--seed", "5"]) == 0
+    return out
+
+
+def test_simulate_of_a_mask_latent_design_weights_its_sample_by_w_without_pi(tmp_path):
+    out = _masked_sample(tmp_path)
+    schema = json.loads((out / "sim.json").read_text())["sample_schema"]
+    assert schema["weight"] == "w" and schema["weight_mode"] == "direct" and "pi" not in schema, schema
+    header = (out / "sample.csv").read_text().splitlines()[0].split(",")
+    assert "w" in header and "pi" not in header and "latent" not in header, header
+
+
+def test_fit_of_a_mask_latent_sample_with_gamma_regression_visibility_exits_0(tmp_path):
+    sample, out = _masked_sample(tmp_path) / "sample.csv", tmp_path / "fit"
+    cfg = _fit_config(sample, out, {1.0: 0.6}, visibility={"mode": "gamma-regression", "formula": ["v"]},
+                      estimators=list(ESTIMATORS))
+    cfg["data"]["schema"] = {"response": "y", "covariates": ["x", "v"], "weight": "w", "design": ["v"]}
+    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
+    fits = json.loads((out / "fit.json").read_text())
+    assert list(fits) == list(ESTIMATORS) and all(fit["diagnostics"]["converged"] for fit in fits.values())
 
 
 def test_mc_rejects_fewer_than_one_job(tmp_path, capsys):

@@ -22,6 +22,7 @@ from elsurvey.data import (
     load_dataset,
     make_dataset,
 )
+from elsurvey.elcore import ROWS
 from elsurvey.errors import DataError
 
 
@@ -401,6 +402,32 @@ def test_dependent_constraints_named_and_vacuous_ones_skipped():
     assert tiny.q == 2
 
 
+def _dependent_by_one_qr(H):
+    """The constraints the rank check names when its R comes from one QR of all of ``H``'s rows."""
+    R = np.linalg.qr(H, mode="r")
+    _, s, vt = np.linalg.svd(R / np.linalg.norm(R, axis=0))
+    null = vt[s <= RANK_RTOL * s[0]]
+    return [k for k, c in enumerate(np.abs(null).max(axis=0, initial=0.0)) if c > np.sqrt(RANK_RTOL)]
+
+
+def test_the_blocked_rank_check_names_the_constraints_one_qr_of_every_row_names():
+    n = 3 * ROWS + 1  # the rank check's last block is one row, fewer than the constraints
+    rng = np.random.default_rng(9)
+    a, b, c, z = rng.normal(size=(4, n))
+    cases = [({"a": a, "b": b, "c": c}, []),
+             ({"a": a, "b": b, "c": c, "ab": a - 2.0 * b}, [0, 1, 3]),
+             ({"a": a, "b": a + 1e-10 * z, "c": c}, [0, 1]),
+             ({"a": a, "b": 2.0 * a, "c": c, "d": c - 2.0 * a}, [0, 1, 2, 3])]
+    for columns, names in cases:
+        assert _dependent_by_one_qr(np.column_stack(list(columns.values()))) == names
+        if not names:
+            assert build_constraint_matrix(*_general_moments(columns)).labels == tuple(columns)
+            continue
+        listed = ", ".join(f"#{k} {list(columns)[k]}" for k in names)
+        with pytest.raises(DataError, match=f"constraints {listed} are linearly dependent"):
+            build_constraint_matrix(*_general_moments(columns))
+
+
 TARGETS = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
 
 
@@ -442,9 +469,9 @@ def test_the_constraint_matrix_is_the_row_loop_reference_bit_for_bit_and_column_
         f"constraint {e.label!r} is identically zero (vacuous)" for e, v in zip(entries, vacuous) if v]
 
 
-def test_the_constraint_matrix_holds_at_most_four_and_a_half_row_vectors_at_once():
-    # At 256,000 rows one n-vector is 1.95 MiB.  H is two of them and np.linalg.qr's copy for the rank
-    # check two more; per-entry residuals, their stacked copy and a copy of the live columns took four more.
+def test_the_constraint_matrix_holds_at_most_two_and_a_half_row_vectors_at_once():
+    # At 256,000 rows one n-vector is 1.95 MiB.  H is two of them; the rank check folds a QR over blocks of
+    # rows.  A QR of all of H's rows took two more; per-entry residuals and their stacked copy four more.
     n = 256_000
     rng = np.random.default_rng(3)
     data = dataset_from({"y": (rng.random(n) < 0.4).astype(float), "x": rng.normal(size=n),
@@ -454,7 +481,7 @@ def test_the_constraint_matrix_holds_at_most_four_and_a_half_row_vectors_at_once
     built = []
     peak = traced_peak(lambda: built.append(build_constraint_matrix(data, spec)))
     assert built[0].H.flags.f_contiguous and built[0].vacuous == (False, False)
-    assert peak <= 4.5 * 8 * n, peak / (8 * n)
+    assert peak <= 2.5 * 8 * n, peak / (8 * n)
 
 
 def test_decluster_reads_the_weight_source_as_make_dataset_does():

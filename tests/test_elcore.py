@@ -299,6 +299,23 @@ def test_row_sum_adds_blocks_term_by_term_and_stops_at_the_first_block_off_the_d
     assert row_sum(lambda x: x, rows) is rows  # one block is the whole-array call itself
 
 
+@pytest.mark.parametrize("p, weighted", [(2, False), (3, True), (5, True)])
+def test_r_factor_has_the_singular_values_of_the_scaled_rows_across_blocks(p, weighted):
+    # Three full blocks, then a last one of a single row, fewer than p, stacked under the R so far.
+    n = 3 * elcore.ROWS + 1
+    rng = np.random.default_rng(11)
+    X = np.asfortranarray(rng.normal(size=(n, p)) * np.logspace(0, 2, p))
+    c = rng.uniform(0.1, 10.0, size=n) if weighted else None
+    scaled = X if c is None else X * np.sqrt(c)[:, None]
+    R = elcore.r_factor(X, c)
+    assert R.shape == (p, p) and np.array_equal(R, np.triu(R))
+    np.testing.assert_allclose(np.linalg.svd(R, compute_uv=False), np.linalg.svd(scaled, compute_uv=False),
+                               rtol=1e-13, atol=0)
+    # One block is one QR of the scaled rows, bit for bit.
+    one = elcore.r_factor(X[:500], None if c is None else c[:500])
+    assert one.tobytes() == np.linalg.qr(scaled[:500], mode="r").tobytes()
+
+
 def test_a_dual_step_off_the_domain_in_the_last_block_alone_is_rejected(monkeypatch):
     # From lambda = 0 the full Newton step puts 1 + lambda u of the last row, u = -20, below d = 1/n, and of
     # no other.  In blocks of 64 rows only the last block's check sees it; both solvers must reject the

@@ -215,6 +215,19 @@ def test_irls_rank_deficiency_rejected():
         irls_fit("gaussian-identity", np.arange(5.0), X)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_irls_fit_rejects_a_constant_or_duplicated_column_across_row_blocks(weighted):
+    n = 3 * elcore.ROWS + 1  # the rank check's last block is one row
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=n)
+    y = (rng.random(n) < expit(0.5 * x)).astype(float)
+    c = rng.uniform(0.5, 2.0, size=n) if weighted else None
+    assert np.all(np.isfinite(irls_fit("bernoulli-logit", y, np.column_stack([np.ones(n), x]), case_weights=c)))
+    for X in (np.column_stack([np.ones(n), x, np.full(n, 3.0)]), np.column_stack([np.ones(n), x, x])):
+        with pytest.raises(DataError, match="rank deficient"):
+            irls_fit("bernoulli-logit", y, X, case_weights=c)
+
+
 def test_logit_separation_raises():
     x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     y = (x > 0).astype(float)
@@ -358,4 +371,19 @@ def test_a_score_newton_holds_at_most_two_and_a_half_row_vectors_at_once():
     solved = []
     peak = traced_peak(lambda: solved.append(_score_newton("bernoulli-logit", A, y, w, np.zeros(2), 1e-10, 100)))
     assert solved[0][3] == "" and solved[0][1] >= 3
+    assert peak <= 2.5 * 8 * n, peak / (8 * n)
+
+
+def test_a_weighted_logit_irls_fit_holds_at_most_two_and_a_half_row_vectors_at_once():
+    # At 256,000 rows one n-vector is 1.95 MiB.  The rank check folds a QR over blocks of rows, so the score
+    # Newton's two n-vectors set the peak.  The n x p scaled copy and sqrt(c) of matrix_rank took it to three.
+    n = 256_000
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=n)
+    y = (rng.random(n) < expit(0.3 + 0.8 * x)).astype(float)
+    X = np.asfortranarray(np.column_stack([np.ones(n), x]))
+    c = rng.uniform(0.5, 1.5, size=n)
+    fitted = []
+    peak = traced_peak(lambda: fitted.append(irls_fit("bernoulli-logit", y, X, case_weights=c)))
+    assert np.all(np.isfinite(fitted[0]))
     assert peak <= 2.5 * 8 * n, peak / (8 * n)

@@ -1,6 +1,7 @@
 """Plug-in component sums and sandwich covariance assembly."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matr
 from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl
 from elsurvey.glm import ModelSpec, design_matrix
 from elsurvey.simulate import draw_sample, gen_population, population_constraint_spec
-from elsurvey.variance import assemble_covariance, components_from_arrays
+from elsurvey.variance import COND_WARN, _warn_cond, assemble_covariance, components_from_arrays
 from elsurvey.visibility import VisibilityModel, estimate_visibility, visibility_from_pi
 from oracles import (
     ce_sandwich,
@@ -381,3 +382,18 @@ def test_the_sandwich_holds_at_most_seven_row_vectors_at_once():
         finally:
             tracemalloc.stop()
         assert peak <= 14 * 2**20, (form, peak / 2**20)
+
+
+@pytest.mark.parametrize("M, warns", [
+    (np.array([[2.0, 0.5], [0.5, 1.0]]), False),
+    (np.diag([1.0, 1e-12 * (1.0 + 1e-6)]), False),
+    (np.diag([1.0, 1e-12 * (1.0 - 1e-6)]), True),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), True),
+    (np.zeros((2, 2)), True),
+], ids=["well conditioned", "just below the bound", "just above the bound", "singular", "zero"])
+def test_warn_cond_warns_exactly_when_numpys_condition_number_exceeds_the_bound(M, warns):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _warn_cond(M, "M")
+    assert (np.linalg.cond(M) > COND_WARN) == warns
+    assert [str(w.message) for w in caught] == ["M has condition number above 1e+12"] * warns
