@@ -126,13 +126,14 @@ def damped_newton(evaluate, x, tol: float, max_iter: int, bound: float, stop_on_
     ``|g|`` falls by the Armijo factor ``1 - ARMIJO_C1 * t``; for a convex
     dual or a concave log-likelihood the Newton direction always decreases it,
     and unlike a test on the objective this cannot stall at double-precision
-    resolution.  ``jac()`` gives the Jacobian at ``x``; it is formed only for
-    a step.  Stops when ``|g| < tol``, at the start or after any step up to
-    the ``max_iter``-th, or, with ``stop_on_step``, when the full step's
-    max-norm is below ``tol``, taking that step.  Returns ``(x,
-    iterations, |g|, failure)``, ``failure`` one of ``""`` (converged),
-    ``"start"`` (``x`` off the domain), ``"line search"``, ``"bound"`` (``|x|``
-    exceeded ``bound``) and ``"max_iter"``.
+    resolution.  ``jac()`` gives the Jacobian at ``x``, the last point
+    evaluated: it is formed only for a step, before any candidate is, so
+    ``evaluate`` may refill one buffer for it.  Stops when ``|g| < tol``, at
+    the start or after any step up to the ``max_iter``-th, or, with
+    ``stop_on_step``, when the full step's max-norm is below ``tol``, taking
+    that step.  Returns ``(x, iterations, |g|, failure)``, ``failure`` one of
+    ``""`` (converged), ``"start"`` (``x`` off the domain), ``"line
+    search"``, ``"bound"`` (``|x|`` exceeded ``bound``) and ``"max_iter"``.
     """
     ev = evaluate(x)
     if ev is None:
@@ -175,7 +176,7 @@ def _dual_newton(U: np.ndarray, d: np.ndarray | float, tol: float, max_iter: int
     keep a zero multiplier; the rest form the C-contiguous ``(k, n)``
     transpose ``Ut`` (``U.T`` itself for a column-major ``U`` with none), so
     the Hessian ``(Ut * v) @ Ut.T`` scales and sums contiguous rows.  Each
-    evaluation fills one n-vector of its weights ``v = d / (1 + lam'U_i)^2``
+    evaluation refills the solve's one n-vector of weights ``v = d / (1 + lam'U_i)^2``
     block by block; the Hessian, formed only for a step, reads it in a second pass.
     Returns ``(lam, iterations)``; raises when no solution is found.
     """
@@ -183,6 +184,7 @@ def _dual_newton(U: np.ndarray, d: np.ndarray | float, tol: float, max_iter: int
     if not active:
         return lam, 0
     Ut = np.ascontiguousarray(U.T if len(active) == U.shape[1] else U.T[active])
+    curv = np.empty(Ut.shape[1])
 
     def evaluate(v):
         def block(U, d, curv):  # rows of Ut.T
@@ -194,7 +196,6 @@ def _dual_newton(U: np.ndarray, d: np.ndarray | float, tol: float, max_iter: int
             np.divide(r, s, out=curv)
             return -(U.T @ r)
 
-        curv = np.empty(Ut.shape[1])
         g = row_sum(block, Ut.T, d, curv)
         return None if g is None else (g, lambda: row_sum(lambda U, curv: (U.T * curv) @ U, Ut.T, curv))
 
@@ -225,7 +226,8 @@ def solve_weighted_el(U, d, tol: float = 1e-10, max_iter: int = 200) -> ELSoluti
     if abs(d.sum() - 1.0) > 1e-8:
         raise DataError(f"solve_weighted_el: d sums to {d.sum()!r}, expected 1")
     lam, iters = _dual_newton(U, d, tol, max_iter, "solve_weighted_el")
-    w = d / (1.0 + U @ lam)
+    w = U @ lam  # d / (1 + U lam), in place
+    np.divide(d, np.add(w, 1.0, out=w), out=w)
     return ELSolution(w=w, multiplier=lam, logEL=float(d @ np.log(w)),
                       iterations=iters, residual=float(np.abs(w @ U).max(initial=0.0)))
 
@@ -241,6 +243,7 @@ def solve_el(U, tol: float = 1e-10, max_iter: int = 200) -> ELSolution:
     U = _check_matrix(U, "solve_el")
     n = len(U)
     lam, iters = _dual_newton(U, 1.0 / n, tol, max_iter, "solve_el")
-    w = 1.0 / (n * (1.0 + U @ lam))
+    w = U @ lam  # 1 / (n (1 + U lam)), in place
+    np.divide(1.0, np.multiply(np.add(w, 1.0, out=w), n, out=w), out=w)
     return ELSolution(w=w, multiplier=lam, logEL=float(np.sum(np.log(w))),
                       iterations=iters, residual=float(np.abs(w @ U).max(initial=0.0)))

@@ -152,12 +152,12 @@ class FitProblem:
         Step 2 is the start itself for ``pl``, else the score Newton from it under the step-1 weights.
         """
         p = self.model.p
-        step1 = {"weights": np.full(self.data.n, np.nan), "multiplier": np.full(self.constraints.q, np.nan),
-                 "Bp_hat": None, "logEL": np.nan}
+        step1 = {"multiplier": np.full(self.constraints.q, np.nan), "Bp_hat": None, "logEL": np.nan}
         theta, V, step2, failure = np.full(p, np.nan), np.full((p, p), np.nan), {}, ""
         try:
             diagnostics, H, bp = getattr(self, "_" + name)(step1)
         except (InfeasibleError, ConvergenceError) as exc:
+            step1["weights"] = np.full(self.data.n, np.nan)  # only here: no dead n-vector lives through step 1
             diagnostics, failure = {}, f"{type(exc).__name__}: {exc}"
         else:
             root, iters, resid, reason = self.start

@@ -134,17 +134,19 @@ def _score_newton(family: str, A: np.ndarray, y: np.ndarray, weights: np.ndarray
                   tol: float, max_iter: int, stop_on_step: bool = False):
     """:func:`damped_newton` on the weighted score sum ``A'(weights * r)``, a :func:`row_sum` that never
     forms the ``(n, p)`` score matrix; a candidate outside the score's domain in any block shortens the step.
-    Each evaluation fills one n-vector of curvatures, which the Jacobian, formed only for a step, reads.
+    ``weights`` is an n-vector or one number for all rows.  Each evaluation refills the solve's one n-vector
+    of curvatures, which the Jacobian, formed only for a step, reads (see :func:`damped_newton`).
 
     Returns ``(theta, iterations, residual, reason)``, with ``reason`` empty
     on success; never raises for non-convergence.
     """
+    curv = np.empty(len(y))
+
     def evaluate(theta):
         def block(A, y, weights, curv):
             r = _resid_curv(family, A @ theta, y, "score", curv)[0]
             return A.T @ (weights * r)
 
-        curv = np.empty(len(y))
         try:
             g = row_sum(block, A, y, weights, curv)
         except ConvergenceError:
@@ -172,24 +174,31 @@ def _check_unsaturated(family: str, eta: np.ndarray, caller: str) -> None:
         raise ConvergenceError(f"{caller}: fitted probabilities of exactly 0 or 1 (separation suspected)")
 
 
-def _wls(X: np.ndarray, z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    XtW = X.T * W
-    return np.linalg.solve(XtW @ X, XtW @ z)
+def _wls(X: np.ndarray, y: np.ndarray, c, gamma: bool = False) -> np.ndarray:
+    """The WLS fit of ``y`` under weights ``c``, or with ``gamma`` of ``1 / y`` under ``c y^2``, from row sums."""
+    def block(X, y, c):
+        z, W = (1.0 / y, c * y * y) if gamma else (y, c)
+        XtW = X.T * W
+        return XtW @ X, XtW @ z
+
+    return np.linalg.solve(*row_sum(block, X, y, c))
 
 
 def irls_fit(family: str, y, X, case_weights=None) -> np.ndarray:
     """Maximum-likelihood fit of one of the supported families, with optional case weights.
 
-    ``gaussian-identity`` is one weighted least-squares (WLS) solve.  The others
-    run :func:`damped_newton` on the case-weighted score, whose Newton step is
-    the IRLS update, from zeros (logit) or from the WLS fit of ``1 / y``
-    (gamma; the reciprocal mean if that leaves the domain).  As in IRLS it
-    stops, taking the step, once the full step's max-norm is below
-    :data:`IRLS_TOL`, within :data:`IRLS_MAX_ITER` iterations: on separated
-    logit data the score vanishes as the coefficients grow, the step does
-    not.  Raises :class:`ConvergenceError` on divergence (including
-    suspected separation) and :class:`DataError` for non-finite input or rank
-    deficiency.
+    Without case weights each row weighs the number 1.0, and only the gamma
+    start's reciprocal mean below forms a vector of ones.
+    ``gaussian-identity`` is one weighted least-squares (WLS) solve, summed
+    over blocks of rows as the score is.  The others run :func:`damped_newton`
+    on the case-weighted score, whose Newton step is the IRLS update, from
+    zeros (logit) or from the WLS fit of ``1 / y`` (gamma; the reciprocal mean
+    if that leaves the domain).  As in IRLS it stops, taking the step, once the
+    full step's max-norm is below :data:`IRLS_TOL`, within
+    :data:`IRLS_MAX_ITER` iterations: on separated logit data the score
+    vanishes as the coefficients grow, the step does not.  Raises
+    :class:`ConvergenceError` on divergence (including suspected separation)
+    and :class:`DataError` for non-finite input or rank deficiency.
     """
     if family not in FAMILIES:
         raise DataError(f"irls_fit: unknown family {family!r}; expected one of {FAMILIES}")
@@ -204,10 +213,10 @@ def irls_fit(family: str, y, X, case_weights=None) -> np.ndarray:
         if not np.all(np.isfinite(values)):
             raise DataError(f"irls_fit: {name} has non-finite values")
     _check_response(family, y)
-    c = np.ones(n) if case_weights is None else np.asarray(case_weights, dtype=float)
-    if c.shape != (n,) or np.any(c <= 0.0) or not np.all(np.isfinite(c)):
+    c = 1.0 if case_weights is None else np.asarray(case_weights, dtype=float)
+    if case_weights is not None and (c.shape != (n,) or np.any(c <= 0.0) or not np.all(np.isfinite(c))):
         raise DataError("irls_fit: case weights must be strictly positive, finite, length n")
-    s = np.linalg.svd(r_factor(X, c), compute_uv=False)
+    s = np.linalg.svd(r_factor(X, None if case_weights is None else c), compute_uv=False)
     if s[-1] <= s[0] * max(n, p) * np.finfo(float).eps:  # np.linalg.matrix_rank's threshold
         raise DataError("irls_fit: design matrix is rank deficient")
 
@@ -216,10 +225,11 @@ def irls_fit(family: str, y, X, case_weights=None) -> np.ndarray:
     if family == "bernoulli-logit":
         beta = np.zeros(p)
     else:
-        beta = _wls(X, 1.0 / y, c * y * y)
+        beta = _wls(X, y, c, gamma=True)
         if np.any(X @ beta <= 0.0):
             if not np.all(X[:, 0] == 1.0):
                 raise ConvergenceError("irls_fit: no feasible starting point for gamma-inverse")
+            c = np.ones(n) if case_weights is None else c
             beta = np.zeros(p)
             beta[0] = 1.0 / (c @ y / c.sum())
     beta, _, _, reason = _score_newton(family, X, y, c, beta, IRLS_TOL, IRLS_MAX_ITER, stop_on_step=True)

@@ -34,8 +34,9 @@ Each weighted sum is :func:`elsurvey.elcore.row_sum` of ``(X[rows].T * v[rows])
 @ Y[rows]`` over blocks of ``ROWS`` rows, with ``v`` the per-row weight; with
 the column-major ``H`` that the package builds, the weighting scales contiguous
 pieces of the rows of ``X.T``, and any layout is accepted.  The first pass
-forms ``G``, ``K1`` and ``H1`` and fills ``psi'`` and ``b``; the second
-overwrites each block of ``psi'`` with its influence rows and sums ``U'U``.
+forms ``G``, ``K1`` and ``H1`` and keeps only the score residuals ``r``
+(``psi_i = r_i a_i``); the second forms each block's ``psi'`` and ``b`` again,
+turns them into its influence rows and sums ``U'U``.
 
 Because these sums carry the sample-size scale themselves (``n`` times each
 literal sum is the asymptotic-variance component), the assembled sandwich is
@@ -73,7 +74,8 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
                            A=None) -> CovarianceComponents:
     """The components for weights ``w`` and constraint residuals ``H``: the composite rows (``ce``)
     given ``bp``, else the design rows (``pl``, ``cs``); the design matrix ``A`` is built unless given.
-    Warns on an ``H1`` with condition number above ``COND_WARN``; a singular one raises LinAlgError."""
+    Only the n-vector of score residuals outlives the first pass (module docstring).  Warns on an ``H1`` with
+    condition number above ``COND_WARN``; a singular one raises LinAlgError."""
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n,):
         raise DataError(f"components_from_arrays: weights have shape {w.shape}, expected ({data.n},)")
@@ -88,27 +90,26 @@ def components_from_arrays(theta, w, data: Dataset, model: ModelSpec, H: np.ndar
     theta = _check_theta(model, theta)
     A = design_matrix(model, data) if A is None else A
     _check_response(model.family, data.y)
-    Ut, b = np.empty((model.p, data.n)), np.empty(data.n)  # psi', then the influence rows; the bread weight
-    rw = bp if composite else data.d  # b is w / bp or w d
+    resid = np.empty(data.n)  # the score residuals r, with psi_i = r_i a_i
+    rw, weigh = (bp, np.divide) if composite else (data.d, np.multiply)  # b is w / bp or w d
 
-    def bread(A, H, w, y, rw, psi, b):  # psi: rows of Ut.T
-        r, curv = _resid_curv(model.family, A @ theta, y, "score")
-        np.multiply(A.T, r, out=psi.T)
-        (np.divide if composite else np.multiply)(w, rw, out=b)
+    def bread(A, H, w, y, rw, r):  # r: this block of resid, filled here
+        r[:], curv = _resid_curv(model.family, A @ theta, y, "score")
+        psi, b = A.T * r, weigh(w, rw)  # psi'
         m1 = b * b if composite else w * w * rw
-        return _jacobian(A, b, curv), (psi.T * m1) @ H, (H.T * m1) @ H
+        return _jacobian(A, b, curv), (psi * m1) @ H, (H.T * m1) @ H
 
-    G, K1, H1 = row_sum(bread, A, H, w, data.y, rw, Ut.T, b)
+    G, K1, H1 = row_sum(bread, A, H, w, data.y, rw, resid)
     _warn_cond(H1, "components_from_arrays: H1")
     proj = np.linalg.solve(H1, K1.T).T  # A = K1 H1^-1; p x 0, and an exact zero step below, when q = 0
 
-    def meat(H, u, b):  # u: rows of Ut.T
-        u = u.T
+    def meat(A, H, w, rw, r):
+        u = A.T * r  # psi', then the influence rows
         u -= proj @ H.T  # psi' - A H'
-        u *= b
+        u *= weigh(w, rw)
         return u @ u.T
 
-    return CovarianceComponents(G=G, K1=K1, H1=H1, M=row_sum(meat, H, Ut.T, b))
+    return CovarianceComponents(G=G, K1=K1, H1=H1, M=row_sum(meat, A, H, w, rw, resid))
 
 
 def _warn_cond(M: np.ndarray, name: str) -> None:

@@ -91,10 +91,11 @@ def estimate_visibility(data: Dataset, formula_columns, nf_adjust: bool = False)
         alpha = irls_fit("gamma-inverse", response, X)
     except (ConvergenceError, DataError) as exc:
         raise type(exc)(f"estimate_visibility: {exc}") from None
-    fitted = 1.0 / (X @ alpha)
+    bp = X @ alpha  # in place: 1 / (X alpha) is the fitted weight mean, times nf, and bp is its reciprocal
+    np.divide(1.0, bp, out=bp)
     if nf is not None:
-        fitted = fitted * nf
-    bp = 1.0 / fitted
+        bp *= nf
+    np.divide(1.0, bp, out=bp)
     return VisibilityModel(mode="gamma-regression", bp=bp, alpha=alpha, formula_columns=formula_columns)
 
 

@@ -73,31 +73,35 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
     return int(fresh_python(code))
 
 
-def traced_peak(call) -> int:
-    """Bytes of the ``tracemalloc`` peak of ``call()`` above what was traced at its entry."""
+def traced_vectors(call, n: int) -> float:
+    """The ``tracemalloc`` peak of ``call()`` above what was traced at its entry, in n-vectors of ``8 n`` bytes."""
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
         call()
-        return tracemalloc.get_traced_memory()[1] - entry
+        return (tracemalloc.get_traced_memory()[1] - entry) / (8 * n)
     finally:
         tracemalloc.stop()
 
 
-def rejected_candidates(monkeypatch, module) -> list:
-    """The iterates, in order, at which the ``evaluate`` that ``module`` passes to ``damped_newton`` gives None."""
-    rejected, newton = [], elcore.damped_newton
+def newton_points(monkeypatch, module, eager_jacobian: bool = False) -> list:
+    """``(x, in_domain)`` for each point, in order, at which the ``evaluate`` that ``module`` passes to
+    ``damped_newton`` is called.  With ``eager_jacobian`` each point's Jacobian is formed as soon as the point is
+    evaluated, so it reads that point's curvatures alone, as it would from a fresh buffer at every evaluation."""
+    points, newton = [], elcore.damped_newton
 
     def recording(evaluate, x, *args):
         def checked(x):
             ev = evaluate(x)
-            if ev is None:
-                rejected.append(x)
-            return ev
+            points.append((np.array(x), ev is not None))
+            if ev is None or not eager_jacobian:
+                return ev
+            J = ev[1]()
+            return ev[0], lambda: J
         return newton(checked, x, *args)
 
     monkeypatch.setattr(module, "damped_newton", recording)
-    return rejected
+    return points
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from, traced_peak
+from conftest import dataset_from, traced_vectors
 from oracles import constraint_rows, decluster_rows
 from elsurvey.cli import run_command
 from elsurvey.data import (
@@ -479,9 +479,9 @@ def test_the_constraint_matrix_holds_at_most_two_and_a_half_row_vectors_at_once(
     spec = ConstraintSpec((ConstraintEntry("general-moment", "x", gamma=0.1),
                            ConstraintEntry("subgroup-moment", "y", gamma=0.4, group_column="g", group_value=1.0)))
     built = []
-    peak = traced_peak(lambda: built.append(build_constraint_matrix(data, spec)))
+    peak = traced_vectors(lambda: built.append(build_constraint_matrix(data, spec)), n)
     assert built[0].H.flags.f_contiguous and built[0].vacuous == (False, False)
-    assert peak <= 2.5 * 8 * n, peak / (8 * n)
+    assert peak <= 2.5, peak
 
 
 def test_decluster_reads_the_weight_source_as_make_dataset_does():

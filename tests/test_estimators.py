@@ -9,7 +9,7 @@ import pytest
 import scipy.optimize
 from scipy.special import expit, logit
 
-from conftest import SEPARATED_LOGIT, dataset_from
+from conftest import SEPARATED_LOGIT, dataset_from, traced_vectors
 from elsurvey import elcore, estimators, glm
 from elsurvey.data import ConstraintEntry, ConstraintMatrix, ConstraintSpec, build_constraint_matrix, make_dataset
 from elsurvey.elcore import solve_el, solve_weighted_el
@@ -785,3 +785,18 @@ def test_a_rejected_constraint_matrix_is_built_once(monkeypatch):
         with pytest.raises(DataError, match="linearly dependent"):
             problem.fit(name)
     assert len(calls) == 1
+
+
+def test_a_fit_of_a_256k_row_sample_holds_at_most_nine_row_vectors_above_its_entry():
+    # pl, cs and ce in the order `elsurvey fit` runs them (ce first, which resolves the visibility), on a d67
+    # sample of about 256,000 rows with both subgroup constraints and gamma-regression visibility on v.  The
+    # problem keeps A, H and three weight vectors, 7.0 n-vectors, and the last sandwich sets the peak at 8.55.
+    # With a p x n score matrix in each sandwich and one curvature buffer per Newton evaluation it was 10.4.
+    problem = _d67_problem(500_000, seed=1)
+    problem.vis = VisibilitySpec("gamma-regression", ("v",))
+    n = problem.data.n
+    assert 250_000 < n < 262_000
+    fits = []
+    peak = traced_vectors(lambda: fits.extend(problem.fit(name) for name in ("ce", "pl", "cs")), n)
+    assert all(fit.diagnostics["converged"] for fit in fits)
+    assert peak <= 9.0, peak

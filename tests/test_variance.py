@@ -1,13 +1,12 @@
 """Plug-in component sums and sandwich covariance assembly."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import d9_spec, dataset_from, needs_wide_longdouble
+from conftest import d9_spec, dataset_from, needs_wide_longdouble, traced_vectors
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix
 from elsurvey.estimators import ESTIMATORS, FitProblem, fit_ce, fit_cs, fit_pl
 from elsurvey.glm import ModelSpec, design_matrix
@@ -358,9 +357,9 @@ def test_sandwich_ses_hold_to_a_longdouble_reference_with_fourteen_cell_benchmar
             assert err < 5e-14, (fit.estimator, err)
 
 
-def test_the_sandwich_holds_at_most_seven_row_vectors_at_once():
-    # At 256,000 rows one n-vector is 1.95 MiB.  The influence rows overwrite the score matrix, so
-    # the traced peak is that of the bread's evaluation; one more n x p copy would add 3.9 MiB.
+def test_the_sandwich_holds_at_most_two_row_vectors_at_once():
+    # At 256,000 rows one n-vector is 1.95 MiB.  Only the score residuals outlive the bread's pass, and the meat
+    # rebuilds each block's scores from them: 1.52.  Keeping the p x n score matrix and the bread weights took 3.39.
     n = 256_000
     rng = np.random.default_rng(5)
     x = rng.normal(size=n)
@@ -374,14 +373,9 @@ def test_the_sandwich_holds_at_most_seven_row_vectors_at_once():
     A = design_matrix(MODEL_X, data)
     theta = np.array([0.3, 0.8])
     for form, rows_H, rows_bp in (("pl", np.empty((n, 0)), None), ("cs", H, None), ("ce", H, bp)):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            assemble_covariance(components_from_arrays(theta, w, data, MODEL_X, rows_H, bp=rows_bp, A=A))
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
-        assert peak <= 14 * 2**20, (form, peak / 2**20)
+        peak = traced_vectors(
+            lambda: assemble_covariance(components_from_arrays(theta, w, data, MODEL_X, rows_H, bp=rows_bp, A=A)), n)
+        assert peak <= 2.0, (form, peak)
 
 
 @pytest.mark.parametrize("M, warns", [
