@@ -18,7 +18,8 @@ d67 sample with three integer columns, the CSV takes 45–55 ms, where the
 17-digit path for every cell took 158–171 ms); a column chunk holding any
 other value is formatted one value at a time, and its NUL-padded rows join the
 other columns' rows.
-CSV input is read by ``data.load_dataset``.  A seed must be non-negative.
+CSV input is read by ``data.load_dataset``.  Every file is read and written as
+UTF-8, whatever the locale.  A seed must be non-negative.
 
 Exit codes: 0 on success, ``--help`` and ``--version``; 1 on input/config and
 usage (command-line) errors; 2 on statistical failures (infeasible constraints
@@ -92,13 +93,13 @@ def _plain(obj):
 
 def write_json(path: str, obj) -> None:
     obj = _plain(obj)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -109,7 +110,7 @@ def write_dataset_csv(path: str, data: Dataset) -> None:
     layout, formatted ``CHUNK`` rows at a time, column by column."""
     names = list(data.columns)
     seps = [","] * (len(names) - 1) + ["\r\n"]  # after each column's cell
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(names)
         for start in range(0, data.n, CHUNK):
             blocks = []
@@ -154,10 +155,12 @@ def parse_config(source, overrides=None) -> dict:
     """
     if isinstance(source, str):
         try:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"parse_config: cannot read {source!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"parse_config: {source!r} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"parse_config: {source!r} is not valid JSON: {exc}") from exc
     else:

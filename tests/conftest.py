@@ -39,12 +39,19 @@ SEPARATED_LOGIT = {
 }
 
 
+def python_run(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A new interpreter run with ``args``, no stdin, ``env`` set and the package's source first on ``PYTHONPATH``."""
+    src = str(Path(elsurvey.__file__).parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=120)
+
+
 def fresh_python(code: str) -> str:
     """Standard output of ``code`` run in a new interpreter, which has loaded no module of the tests."""
-    src = str(Path(elsurvey.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-                          timeout=120).stdout
+    proc = python_run("-c", code)
+    proc.check_returncode()
+    return proc.stdout
 
 
 # Page-fault counts read through `resource` and depend on glibc's malloc limits.

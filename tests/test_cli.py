@@ -1,13 +1,14 @@
 """End-to-end command-line interface tests: configs, artifacts, exit codes."""
 
+import ast
 import contextlib
 import copy
 import csv
 import io
 import json
 import os
+import re
 import struct
-import subprocess
 import sys
 import warnings
 from dataclasses import fields
@@ -16,9 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEPARATED_LOGIT, dataset_from, fresh_python
+from conftest import SEPARATED_LOGIT, dataset_from, fresh_python, python_run
 from oracles import json_text
-import elsurvey
 from elsurvey.cli import OVERRIDES, _write_outputs, parse_config, run_command, write_dataset_csv
 from elsurvey.data import ConstraintEntry, ConstraintSpec, build_constraint_matrix, load_dataset
 from elsurvey.errors import ConfigError
@@ -232,24 +232,6 @@ def test_fit_weights_npz_holds_each_estimators_weights_bitwise(tmp_path):
             np.testing.assert_array_equal(w.view(np.uint64), problem.fit(name).weights.view(np.uint64))
 
 
-def test_fit_with_no_constraints_writes_cs_as_pl_and_ce_joint_as_ce_bit_for_bit(tmp_path):
-    # With no constraints cs's dual takes no step, so its weights are d, pl's; ce-joint is the ce fit.
-    data_path, _, gammas = _informative_sample(tmp_path, N=900)
-    out = tmp_path / "run"
-    cfg = _fit_config(data_path, out, gammas, constraints=[], visibility={"mode": "gamma-regression", "formula": ["v"]},
-                      estimators=list(ESTIMATORS))
-    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
-    fits = json.loads((out / "fit.json").read_text())
-    with np.load(out / "fit_weights.npz", allow_pickle=False) as stored:
-        for name, same in (("cs", "pl"), ("ce-joint", "ce")):
-            assert fits[name]["diagnostics"]["converged"] and fits[same]["diagnostics"]["converged"]
-            for key in ("theta", "se", "covariance", "multiplier", "Bp_hat", "logEL"):
-                assert json.dumps(fits[name][key]) == json.dumps(fits[same][key]), (name, key)
-                bits = [np.asarray(fits[fit][key], dtype=float).tobytes() for fit in (name, same)]
-                assert bits[0] == bits[1], (name, key)
-            assert stored[name].tobytes() == stored[same].tobytes(), name
-
-
 def test_fit_json_keeps_every_field_but_the_weights(tmp_path):
     data_path, _, gammas = _informative_sample(tmp_path, N=900)
     out = tmp_path / "run"
@@ -449,38 +431,6 @@ def test_simulate_writes_population_and_sample(tmp_path):
     assert (out / "sample.csv").read_bytes() == first
 
 
-def _masked_sample(tmp_path):
-    """``elsurvey simulate`` of a ``mask_latent`` design into ``tmp_path / "masked"``; returns that directory."""
-    out = tmp_path / "masked"
-    cfg = _mc_config(tmp_path, out)
-    for key in ("reps", "estimators", "seed"):
-        cfg.pop(key)
-    cfg["design"]["constraints"] = []
-    cfg["design"]["design"] = {"kind": "poisson", "lo": 0.2, "hi": 0.8, "coeffs": {"v": 0.6}, "response_coef": 0.8,
-                               "latent_sd": 0.7, "mask_latent": True}
-    cfg["design"].update(N=4000, visibility={"mode": "gamma-regression", "formula": ["v"]})
-    assert run_command(["simulate", "--config", _write_config(tmp_path, cfg, "masked.json"), "--seed", "5"]) == 0
-    return out
-
-
-def test_simulate_of_a_mask_latent_design_weights_its_sample_by_w_without_pi(tmp_path):
-    out = _masked_sample(tmp_path)
-    schema = json.loads((out / "sim.json").read_text())["sample_schema"]
-    assert schema["weight"] == "w" and schema["weight_mode"] == "direct" and "pi" not in schema, schema
-    header = (out / "sample.csv").read_text().splitlines()[0].split(",")
-    assert "w" in header and "pi" not in header and "latent" not in header, header
-
-
-def test_fit_of_a_mask_latent_sample_with_gamma_regression_visibility_exits_0(tmp_path):
-    sample, out = _masked_sample(tmp_path) / "sample.csv", tmp_path / "fit"
-    cfg = _fit_config(sample, out, {1.0: 0.6}, visibility={"mode": "gamma-regression", "formula": ["v"]},
-                      estimators=list(ESTIMATORS))
-    cfg["data"]["schema"] = {"response": "y", "covariates": ["x", "v"], "weight": "w", "design": ["v"]}
-    assert run_command(["fit", "--config", _write_config(tmp_path, cfg)]) == 0
-    fits = json.loads((out / "fit.json").read_text())
-    assert list(fits) == list(ESTIMATORS) and all(fit["diagnostics"]["converged"] for fit in fits.values())
-
-
 def test_mc_rejects_fewer_than_one_job(tmp_path, capsys):
     out = tmp_path / "run"
     path = _write_config(tmp_path, _mc_config(tmp_path, out))
@@ -536,6 +486,43 @@ def test_decluster_command_keeps_one_row_per_family(tmp_path):
     assert by_family[7.0] == (3.0, 3.0)
     assert by_family[2.0] == (1.0, 2.0)
     assert by_family[5.0] == (2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Every file the CLI reads or writes is UTF-8, whatever the locale
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}  # open() defaults to ASCII
+
+
+def test_decluster_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    (tmp_path / "fam.csv").write_text("y,âge,fam\n1,0.1,7\n0,0.2,7\n1,0.3,2\n", encoding="utf-8")
+    schema = {"response": "y", "covariates": ["âge"], "family": "fam"}
+    cfg = {"data": {"path": str(tmp_path / "fam.csv"), "schema": schema}, "seed": 12}
+    path = _write_config(tmp_path, cfg)
+    assert run_command(["decluster", "--config", path, "--out", str(tmp_path / "default")]) == 0
+    proc = python_run("-m", "elsurvey", "decluster", "--config", path, "--out", str(tmp_path / "c"), **ASCII_LOCALE)
+    assert proc.returncode == 0, proc.stderr
+    written = (tmp_path / "default" / "declustered.csv").read_bytes()
+    assert written.startswith("y,âge,fam,".encode()) and (tmp_path / "c" / "declustered.csv").read_bytes() == written
+
+
+def test_fit_of_a_config_naming_a_non_ascii_column_exits_0_under_an_ascii_locale(tmp_path):
+    data_path, _, gammas = _informative_sample(tmp_path, N=900)
+    data_path.write_text(data_path.read_text().replace(",v,", ",vé,", 1), encoding="utf-8")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_fit_config(data_path, tmp_path, gammas), ensure_ascii=False).replace('"v"', '"vé"'),
+                    encoding="utf-8")
+    proc = python_run("-m", "elsurvey", "fit", "--config", str(path), **ASCII_LOCALE)
+    assert proc.returncode == 0 and "pl,vé," in (tmp_path / "fit.csv").read_text(encoding="utf-8"), proc.stderr
+
+
+def test_a_config_that_is_not_utf8_exits_1_naming_parse_config(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"data": {"path": "données.csv"}}'.encode("latin-1"))
+    assert run_command(["fit", "--config", str(path)]) == 1
+    assert f"parse_config: {str(path)!r} is not UTF-8" in capsys.readouterr().err
+    proc = python_run("-m", "elsurvey", "fit", "--config", str(path), **ASCII_LOCALE)
+    assert proc.returncode == 1 and "parse_config" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -933,11 +920,7 @@ def test_a_data_path_that_is_not_a_string_exits_1(tmp_path, capsys, command, pat
 @pytest.mark.parametrize("path", [0, True])
 def test_a_data_path_that_names_a_file_descriptor_exits_1(tmp_path, command, path):
     # In a child process: open(0) and open(True) read stdin and stdout, and close them.
-    config = _write_config(tmp_path, _data_path_config(tmp_path, path))
-    src = str(Path(elsurvey.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "elsurvey", command, "--config", config], env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    proc = python_run("-m", "elsurvey", command, "--config", _write_config(tmp_path, _data_path_config(tmp_path, path)))
     assert proc.returncode == 1
     assert f"parse_config: data.path must be a file name, got {path!r}" in proc.stderr
     assert not (tmp_path / "run").exists()
@@ -1107,12 +1090,25 @@ def test_help_and_version_exit_0(capsys, argv):
     assert "elsurvey" in capsys.readouterr().out
 
 
-def test_the_entry_point_exits_1_on_a_usage_error():
-    src = str(Path(elsurvey.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "elsurvey", "fit"], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert (proc.returncode, "--config" in proc.stderr) == (1, True)
+RUNTIME_CHECK = Path(__file__).with_name("runtime_check.py")
+
+
+def test_the_runtime_check_passes_through_python_m_elsurvey():
+    # The end-to-end check that the CI runtime job runs through the console script after an install without extras.
+    proc = python_run(str(RUNTIME_CHECK), sys.executable, "-m", "elsurvey")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_ci_runs_the_runtime_check_without_extras_and_it_imports_nothing_but_the_stdlib_and_numpy():
+    # The workflow is read as text, since pyyaml is not a test extra.
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    job = re.split(r"\n  (?=\S)", workflow.read_text(encoding="utf-8").split("\n  runtime:\n", 1)[1], 1)[0]
+    runs = re.findall(r"^ +run: (.*)$", job, re.M)
+    assert runs == ["python -m pip install -e .", "python tests/runtime_check.py elsurvey"], runs
+    imported = {(getattr(node, "module", None) or alias.name).split(".")[0]
+                for node in ast.walk(ast.parse(RUNTIME_CHECK.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported - sys.stdlib_module_names <= {"numpy"}, imported
 
 
 def test_concurrent_futures_loads_only_when_mc_starts_a_pool(tmp_path):
